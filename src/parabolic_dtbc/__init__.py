@@ -10,14 +10,15 @@ CSV-emitting command line front end.
 """
 
 from .discrete_ops import GridFunction, NormSet
-from .dtbc_kernel import (BranchCutError, Kernel, KernelParams, convolve,
-                          convolve_all, derive_params, kernel_by_legendre,
+from .dtbc_kernel import (BranchCutError, Kernel, KernelParams,
+                          OracleConvergenceError, convolve, convolve_all,
+                          derive_params, kernel_by_legendre,
                           kernel_by_recurrence, kernel_gf_oracle,
                           params_from_ratios)
 from .problem import (Mesh, PRESETS, ProblemSpec, SampledCoefficients,
                       build_mesh, example1, example2, sample)
-from .stepper import (SchemeConfig, SchemeState, SolveResult, SolverError,
-                      TridiagonalSystem, march, march_reference, step)
+from .stepper import (SchemeConfig, SolveResult, SolverError, march,
+                      march_reference)
 from .validation import (DissipativityReport, EnergyDiagnostics, ErrorReport,
                          ExactSolution, certify_dissipativity,
                          diagnose_energy, error_report, iterated_erfc, u1, u2)
@@ -25,13 +26,13 @@ from .validation import (DissipativityReport, EnergyDiagnostics, ErrorReport,
 __all__ = [
     "BranchCutError", "DissipativityReport", "EnergyDiagnostics",
     "ErrorReport", "ExactSolution", "GridFunction", "Kernel", "KernelParams",
-    "Mesh", "NormSet", "PRESETS", "ProblemSpec", "SampledCoefficients",
-    "SchemeConfig", "SchemeState", "SolveResult", "SolverError",
-    "TridiagonalSystem", "build_mesh", "certify_dissipativity", "convolve",
-    "convolve_all", "derive_params", "diagnose_energy", "error_report",
-    "example1", "example2", "iterated_erfc", "kernel_by_legendre",
-    "kernel_by_recurrence", "kernel_gf_oracle", "march", "march_reference",
-    "params_from_ratios", "sample", "step", "u1", "u2",
+    "Mesh", "NormSet", "OracleConvergenceError", "PRESETS", "ProblemSpec",
+    "SampledCoefficients", "SchemeConfig", "SolveResult", "SolverError",
+    "build_mesh", "certify_dissipativity", "convolve", "convolve_all",
+    "derive_params", "diagnose_energy", "error_report", "example1",
+    "example2", "iterated_erfc", "kernel_by_legendre", "kernel_by_recurrence",
+    "kernel_gf_oracle", "march", "march_reference", "params_from_ratios",
+    "sample", "u1", "u2",
 ]
 
 __version__ = "0.1.0"

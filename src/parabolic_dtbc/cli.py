@@ -27,8 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import validation
-from .dtbc_kernel import (BranchCutError, derive_params, kernel_by_legendre,
-                          kernel_by_recurrence, kernel_gf_oracle)
+from .dtbc_kernel import (BranchCutError, OracleConvergenceError, derive_params,
+                          kernel_by_legendre, kernel_by_recurrence,
+                          kernel_gf_oracle)
 from .problem import PRESETS, ProblemSpec, build_mesh, sample
 from .stepper import SchemeConfig, SolverError, march, march_reference
 from .validation import certify_dissipativity, diagnose_energy, error_report
@@ -146,17 +147,13 @@ def read_config(path: str | Path) -> RunConfig:
                           f"expected one of {sorted(PRESETS)} or 'custom'")
     if cfg.problem == "custom" and not cfg.custom_path:
         raise ConfigError("custom problem needs custom_path")
-    if cfg.sigma < 0.5 - 1e-14:
-        raise ConfigError(f"sigma={cfg.sigma} out of range; need sigma >= 1/2")
-    if cfg.theta > 0.25 + 1e-14:
-        raise ConfigError(f"theta={cfg.theta} out of range; need theta <= 1/4")
+    try:
+        SchemeConfig(sigma=cfg.sigma, theta=cfg.theta, boundary=cfg.boundary,
+                     extension_factor=cfg.extension_factor)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.tau <= 0 or cfg.M < 1:
         raise ConfigError("need tau > 0 and M >= 1")
-    if cfg.boundary not in ("dtbc", "neumann", "reference"):
-        raise ConfigError(f"unknown boundary mode {cfg.boundary!r}")
-    if cfg.boundary == "reference" and (cfg.extension_factor is None
-                                        or cfg.extension_factor < 2):
-        raise ConfigError("reference boundary needs extension_factor >= 2")
     return cfg
 
 
@@ -414,10 +411,10 @@ def main(argv=None) -> int:
         if args.command == "kernel":
             return cmd_kernel(cfg, out, args.deterministic, args.compare)
         return cmd_diagnose(cfg, out, args.deterministic, args.seed)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, BranchCutError) as exc:
+    except (SolverError, BranchCutError, OracleConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

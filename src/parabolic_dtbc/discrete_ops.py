@@ -1,4 +1,4 @@
-"""Mesh difference quotients, spatial averages, inner products and forms.
+"""Spatial averages, inner products and the energy forms on a mesh.
 
 All functions operate on grid vectors of length ``J + 1`` (node values
 ``W_0 .. W_J``) together with a :class:`~parabolic_dtbc.problem.Mesh`
@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-THETA_MAX = 0.25
-
-
-def _check_theta(theta: float) -> None:
-    if theta > THETA_MAX + 1e-14:
-        raise ValueError(
-            f"averaging weight theta={theta} not supported; need theta <= 1/4")
+from .dtbc_kernel import check_weights
 
 
 def _check_lengths(mesh, *vectors) -> None:
@@ -67,7 +61,7 @@ class NormSet:
     theta: float
 
     def __post_init__(self):
-        _check_theta(self.theta)
+        check_weights(self.sigma, self.theta)
         object.__setattr__(self, "c_theta", 1.0 - 4.0 * max(self.theta, 0.0))
         object.__setattr__(
             self, "K_sigma", 2.0 * (self.sigma + abs(1.0 - self.sigma)))
@@ -76,37 +70,8 @@ class NormSet:
 
 
 # ---------------------------------------------------------------------------
-# pointwise difference quotients and averages
+# pointwise averages (references for the vectorized stencil)
 # ---------------------------------------------------------------------------
-
-def backward_dx(W, mesh, j: int) -> float:
-    """(W_j - W_{j-1}) / h_j for 1 <= j <= J."""
-    if not 1 <= j <= mesh.J:
-        raise IndexError(f"backward quotient needs 1 <= j <= J, got j={j}")
-    return (W[j] - W[j - 1]) / mesh.h[j]
-
-
-def modified_forward_dx(W, mesh, j: int) -> float:
-    """(W_{j+1} - W_j) / hbar_j for 1 <= j <= J-1."""
-    if not 1 <= j <= mesh.J - 1:
-        raise IndexError(f"forward quotient needs 1 <= j <= J-1, got j={j}")
-    return (W[j + 1] - W[j]) / mesh.hbar[j]
-
-
-def central_dx(W, mesh, j: int) -> float:
-    """(W_{j+1} - W_{j-1}) / (2 hbar_j) for 1 <= j <= J-1."""
-    if not 1 <= j <= mesh.J - 1:
-        raise IndexError(f"central quotient needs 1 <= j <= J-1, got j={j}")
-    return (W[j + 1] - W[j - 1]) / (2.0 * mesh.hbar[j])
-
-
-def avg_s_hat(W, mesh, j: int) -> float:
-    """Step-weighted forward average (h_j W_j + h_{j+1} W_{j+1}) / (2 hbar_j)."""
-    if not 1 <= j <= mesh.J - 1:
-        raise IndexError(f"forward average needs 1 <= j <= J-1, got j={j}")
-    h = mesh.h
-    return (h[j] * W[j] + h[j + 1] * W[j + 1]) / (2.0 * mesh.hbar[j])
-
 
 def avg_s_theta(W, mesh, theta: float, j: int) -> float:
     """Three-point average with weight theta; theta=0 is the identity."""
@@ -137,20 +102,6 @@ def s_theta_minus(W, theta: float) -> float:
     return theta * W[-2] + (0.5 - theta) * W[-1]
 
 
-def split_s_theta_boundary(W, theta: float, w_beyond: float | None = None):
-    """Split the end-node average into its inner and outer halves.
-
-    The outer half needs the first node beyond the mesh; it is returned as
-    None when ``w_beyond`` is not supplied.  On the uniform tail the two
-    halves sum to the plain three-point average at the last node.
-    """
-    s_minus = s_theta_minus(W, theta)
-    if w_beyond is None:
-        return s_minus, None
-    s_plus = (0.5 - theta) * W[-1] + theta * w_beyond
-    return s_minus, s_plus
-
-
 # ---------------------------------------------------------------------------
 # vectorized stencil application (interior nodes 1..J-1)
 # ---------------------------------------------------------------------------
@@ -169,13 +120,6 @@ def c_theta_interior(kappa, W, mesh, theta: float) -> np.ndarray:
     out[1:J] = (theta * (h[1:J] / hb) * kappa[1:J] * W[0:J - 1]
                 + (1.0 - 2.0 * theta) * s_hat * W[1:J]
                 + theta * (h[2:J + 1] / hb) * kappa[2:J + 1] * W[2:J + 1])
-    return out
-
-
-def backward_dx_all(W, mesh) -> np.ndarray:
-    """Backward quotient at every node j = 1..J (slot 0 is NaN)."""
-    out = np.full(mesh.J + 1, np.nan)
-    out[1:] = (W[1:] - W[:-1]) / mesh.h[1:]
     return out
 
 
@@ -203,14 +147,6 @@ def inner_bar(V, W, mesh) -> float:
     return inner_omega(V, W, mesh) + V[J] * W[J] * mesh.h_tail / 2.0
 
 
-def norm_omega(W, mesh) -> float:
-    return float(np.sqrt(inner_omega(W, W, mesh)))
-
-
-def norm_tilde(W, mesh) -> float:
-    return float(np.sqrt(inner_tilde(W, W, mesh)))
-
-
 def norm_bar(W, mesh) -> float:
     return float(np.sqrt(inner_bar(W, W, mesh)))
 
@@ -231,7 +167,7 @@ def form_mass(U, W, kappa, mesh, theta: float) -> float:
     Symmetric in (U, W) for theta <= 1/4 and nonnegative on the diagonal
     for kappa >= 0.  Arguments must vanish at the first node.
     """
-    _check_theta(theta)
+    check_weights(None, theta)
     _check_lengths(mesh, U, W, kappa)
     _require_anchored(U, W)
     J = mesh.J
@@ -257,7 +193,7 @@ def form_elliptic(U, W, b_h, c_h, c_inf, mesh, theta: float) -> float:
     ``c_h[J]``, which holds whenever the tail step lies inside the
     constant-coefficient region (enforced at sampling time).
     """
-    _check_theta(theta)
+    check_weights(None, theta)
     _check_lengths(mesh, U, W, b_h, c_h)
     _require_anchored(U, W)
     J = mesh.J
@@ -269,10 +205,3 @@ def form_elliptic(U, W, b_h, c_h, c_inf, mesh, theta: float) -> float:
     val += c_inf * s_theta_minus(U, theta) * W[J] * mesh.h[J]
     return val
 
-
-def norm_elliptic(W, b_h, c_h, c_inf, mesh, theta: float) -> float:
-    q = form_elliptic(W, W, b_h, c_h, c_inf, mesh, theta)
-    scale = float(np.max(np.abs(W))) ** 2 + 1.0
-    if q < -1e-12 * scale:
-        raise ValueError("elliptic form is not nonnegative")
-    return float(np.sqrt(max(q, 0.0)))

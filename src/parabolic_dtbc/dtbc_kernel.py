@@ -22,8 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Largest trapezoid rule the contour oracle tries before giving up.
+ORACLE_MAX_POINTS = 8192
+
+
 class BranchCutError(RuntimeError):
     """Contour of the generating-function oracle crossed the branch cut."""
+
+
+class OracleConvergenceError(RuntimeError):
+    """Contour quadrature of the oracle did not settle within its point budget."""
 
 
 @dataclass(frozen=True)
@@ -71,14 +79,28 @@ class KernelParams:
         return 2.0 * self.a1 * math.sqrt(self.delta)
 
 
+def check_weights(sigma: float | None, theta: float) -> None:
+    """Reject scheme weights outside sigma >= 1/2, theta <= 1/4.
+
+    This is the regime in which the boundary convolution is dissipative
+    and the spatial forms are symmetric; a roundoff slack of 1e-14 admits
+    weights such as 1/4 computed from fractions.  ``sigma=None`` checks
+    theta alone, for the spatial forms that carry no time weight.
+    """
+    if sigma is not None and sigma < 0.5 - 1e-14:
+        raise ValueError(
+            f"sigma={sigma} unsupported: boundary dissipativity needs sigma >= 1/2")
+    if theta > 0.25 + 1e-14:
+        raise ValueError(f"theta={theta} unsupported: need theta <= 1/4")
+
+
 def derive_params(rho_inf: float, b_inf: float, c_inf: float,
                   h: float, tau: float,
                   sigma: float, theta: float) -> KernelParams:
     """Derive the kernel parameters from tail constants and step sizes.
 
-    Requires sigma >= 1/2 and theta <= 1/4, the regime in which the
-    boundary convolution is dissipative; smaller sigma is rejected as
-    unsupported.
+    Requires sigma >= 1/2 and theta <= 1/4 (:func:`check_weights`), the
+    regime in which the boundary convolution is dissipative.
     """
     if not (rho_inf > 0.0 and b_inf > 0.0):
         raise ValueError("tail constants rho_inf and b_inf must be positive")
@@ -86,11 +108,7 @@ def derive_params(rho_inf: float, b_inf: float, c_inf: float,
         raise ValueError("tail constant c_inf must be nonnegative")
     if not (h > 0.0 and tau > 0.0):
         raise ValueError("step sizes must be positive")
-    if sigma < 0.5 - 1e-14:
-        raise ValueError(
-            f"sigma={sigma} unsupported: boundary dissipativity needs sigma >= 1/2")
-    if theta > 0.25 + 1e-14:
-        raise ValueError(f"theta={theta} unsupported: need theta <= 1/4")
+    check_weights(sigma, theta)
 
     a1 = h * h * rho_inf / (2.0 * tau * b_inf)
     a0 = h * h * c_inf / (2.0 * b_inf)
@@ -191,8 +209,7 @@ def kernel_by_legendre(params: KernelParams, M: int) -> Kernel:
 
 
 def kernel_gf_oracle(params: KernelParams, m_max: int,
-                     radius: float = 0.05, quad_points: int = 4096,
-                     max_halvings: int = 6) -> np.ndarray:
+                     radius: float = 0.05, max_halvings: int = 6) -> np.ndarray:
     """Extract ``R[0..m_max]`` from the generating function by contour quadrature.
 
     The kernel's generating function is -scale * sqrt(alpha z^2 - 2 beta z + 1)
@@ -200,28 +217,49 @@ def kernel_gf_oracle(params: KernelParams, m_max: int,
     recovered as a trapezoid average of p(z) z^{-m} over the circle
     |z| = radius.  The average is evaluated in extended precision because
     the integrand magnitude grows like radius^{-m} while the coefficient
-    stays O(1).  If the quadratic factor touches the branch cut (negative
-    real axis) on the contour, the radius is halved and the quadrature
-    retried; after ``max_halvings`` failures a :class:`BranchCutError` is
-    raised.  Independent of both recurrence constructions by design.
+    stays O(1).  The trapezoid error falls geometrically in the number of
+    points N, so N starts at 2 (m_max + 16) and doubles until two
+    successive coefficient vectors agree to 1e-12 of the kernel scale;
+    past ``ORACLE_MAX_POINTS`` an :class:`OracleConvergenceError` is
+    raised.  If the quadratic factor touches the branch cut (negative real
+    axis) on the contour, the radius is halved and the quadrature retried;
+    after ``max_halvings`` failures a :class:`BranchCutError` is raised.
+    Independent of both recurrence constructions by design.  Needs mpmath
+    (the ``oracle`` extra).
     """
-    import mpmath as mp
-
     if m_max < 0:
         raise ValueError("need m_max >= 0")
     if not 0.0 < radius < 1.0:
         raise ValueError("contour radius must lie in (0, 1)")
-    if quad_points < 4 or quad_points % 2:
-        raise ValueError("need an even number of quadrature points >= 4")
+    try:
+        import mpmath as mp
+    except ImportError as exc:
+        raise ImportError("the contour oracle needs mpmath; install the "
+                          "'oracle' extra: pip install 'parabolic-dtbc[oracle]'"
+                          ) from exc
 
     for _ in range(max_halvings + 1):
         try:
-            return _gf_quadrature(mp, params, m_max, radius, quad_points)
+            return _converged_quadrature(mp, params, m_max, radius)
         except BranchCutError:
             radius *= 0.5
     raise BranchCutError(
         "generating-function quadrature kept crossing the branch cut; "
         "kernel parameters may be outside the supported regime")
+
+
+def _converged_quadrature(mp, params, m_max, radius):
+    N = 2 * (m_max + 16)
+    prev = None
+    while N <= ORACLE_MAX_POINTS:
+        out = _gf_quadrature(mp, params, m_max, radius, N)
+        if prev is not None and np.max(np.abs(out - prev)) <= 1e-12 * params.scale:
+            return out
+        prev = out
+        N *= 2
+    raise OracleConvergenceError(
+        f"contour quadrature for m_max={m_max} did not converge within "
+        f"{ORACLE_MAX_POINTS} points")
 
 
 def _gf_quadrature(mp, params, m_max, radius, N):

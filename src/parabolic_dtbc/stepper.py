@@ -1,4 +1,4 @@
-"""Time stepping: per-level tridiagonal assembly, solve, and marching.
+"""Time stepping: one march loop over level-independent operators.
 
 Each level advances by solving a three-point system whose rows are
 
@@ -9,9 +9,12 @@ Each level advances by solving a three-point system whose rows are
   ones to the right-hand side) or the plain zero-flux form with the
   convolution dropped.
 
-Coefficients do not depend on the level (the time grid is uniform), so
-the matrix is factored once and only right-hand sides are rebuilt.  A
-brute-force reference closure is provided by :func:`march_reference`,
+The time grid is uniform and the coefficients do not depend on time, so
+the matrix, the old-level operator and the boundary gain are the same at
+every level.  :func:`march` builds and factors them once; inside its loop
+only the right-hand side changes, through the Dirichlet value, the
+forcing and the lagged boundary convolution over a preallocated history.
+A brute-force reference closure is provided by :func:`march_reference`,
 which solves the same interior scheme on an enlarged interval with the
 zero-flux form at the far end and restricts back; with a sufficient
 enlargement it approximates the untruncated scheme, so the transparent
@@ -25,7 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dtbc_kernel import Kernel, derive_params, kernel_by_recurrence
+from .dtbc_kernel import (Kernel, check_weights, derive_params,
+                          kernel_by_recurrence)
 from .problem import Mesh, ProblemSpec, SampledCoefficients, sample
 
 BOUNDARY_MODES = ("dtbc", "neumann", "reference")
@@ -50,41 +54,12 @@ class SchemeConfig:
     extension_factor: float | None = None
 
     def __post_init__(self):
-        if self.sigma < 0.5 - 1e-14:
-            raise ValueError(f"sigma={self.sigma} unsupported: need sigma >= 1/2")
-        if self.theta > 0.25 + 1e-14:
-            raise ValueError(f"theta={self.theta} unsupported: need theta <= 1/4")
+        check_weights(self.sigma, self.theta)
         if self.boundary not in BOUNDARY_MODES:
             raise ValueError(f"unknown boundary mode {self.boundary!r}")
         if self.boundary == "reference":
             if self.extension_factor is None or self.extension_factor < 2.0:
                 raise ValueError("reference mode needs extension_factor >= 2")
-
-
-@dataclass(frozen=True, eq=False)
-class SchemeState:
-    """Solution vector at one level plus the right-boundary value history."""
-
-    U: np.ndarray
-    history: np.ndarray
-    m: int
-
-    def __post_init__(self):
-        if self.history.size != self.m + 1:
-            raise ValueError("history length must equal the level index plus one")
-
-
-@dataclass(eq=False)
-class TridiagonalSystem:
-    """Three-point system rows; ``sub[0]`` and ``sup[J]`` are unused slots."""
-
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-    rhs: np.ndarray
-
-    def factor(self) -> "TriFactor":
-        return TriFactor(self.sub, self.diag, self.sup)
 
 
 class TriFactor:
@@ -150,7 +125,7 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# assembly
+# operators and marching
 # ---------------------------------------------------------------------------
 
 def scheme_weights(coeffs: SampledCoefficients, mesh: Mesh,
@@ -167,92 +142,40 @@ def scheme_weights(coeffs: SampledCoefficients, mesh: Mesh,
     return alpha, beta
 
 
-def assemble_interior(state: SchemeState, coeffs: SampledCoefficients,
-                      mesh: Mesh, config: SchemeConfig, m: int
-                      ) -> TridiagonalSystem:
-    """Rows 1..J-1 of the level-m system; boundary rows left zeroed."""
-    J = mesh.J
-    a_new, b_new = scheme_weights(coeffs, mesh, config.sigma, config.theta)
-    a_old, b_old = scheme_weights(coeffs, mesh, config.sigma - 1.0, config.theta)
-    sub = np.zeros(J + 1)
-    diag = np.zeros(J + 1)
-    sup = np.zeros(J + 1)
-    rhs = np.zeros(J + 1)
-    sub[1:J] = a_new[1:J]
-    diag[1:J] = b_new[1:J] + b_new[2:J + 1]
-    sup[1:J] = a_new[2:J + 1]
-    U = state.U
-    rhs[1:J] = (a_old[1:J] * U[0:J - 1]
-                + (b_old[1:J] + b_old[2:J + 1]) * U[1:J]
-                + a_old[2:J + 1] * U[2:J + 1]
-                + mesh.hbar[1:J] * coeffs.F[m, 1:J])
-    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+def level_matrix(coeffs: SampledCoefficients, mesh: Mesh, config: SchemeConfig,
+                 kernel: Kernel | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``(sub, diag, sup)`` of the matrix shared by every level.
 
-
-def assemble_boundary_row(state: SchemeState, kernel: Kernel | None,
-                          coeffs: SampledCoefficients, mesh: Mesh,
-                          config: SchemeConfig, m: int
-                          ) -> tuple[float, float, float]:
-    """Last row (sub, diag, rhs) of the level-m system.
-
-    Expands the flux-balance closure at the last node; under the
-    transparent mode the current convolution term joins the diagonal and
-    the lagged terms join the right-hand side, under the zero-flux mode
-    the convolution is absent.
+    Row 0 is the Dirichlet identity, rows 1..J-1 the new-level interior
+    scheme, row J the boundary closure; under the transparent mode the
+    current kernel entry ``R[0]`` joins its diagonal.  ``sub[0]`` and
+    ``sup[J]`` are zero.
     """
     J = mesh.J
     a_new, b_new = scheme_weights(coeffs, mesh, config.sigma, config.theta)
-    a_old, b_old = scheme_weights(coeffs, mesh, config.sigma - 1.0, config.theta)
-    U = state.U
-    sub_J = a_new[J]
-    diag_J = b_new[J]
-    rhs_J = a_old[J] * U[J - 1] + b_old[J] * U[J]
+    sub = np.zeros(J + 1)
+    diag = np.zeros(J + 1)
+    sup = np.zeros(J + 1)
+    diag[0] = 1.0
+    sub[1:J] = a_new[1:J]
+    diag[1:J] = b_new[1:J] + b_new[2:J + 1]
+    sup[1:J] = a_new[2:J + 1]
+    sub[J] = a_new[J]
+    diag[J] = b_new[J]
     if kernel is not None:
-        if state.history.size < m:
-            raise ValueError("boundary history incomplete for this level")
-        gain = kernel.params.b_inf / (2.0 * mesh.h_tail)
-        diag_J -= gain * kernel.R[0]
-        if m >= 1:
-            rhs_J += gain * float(np.dot(kernel.R[1:m + 1], state.history[m - 1::-1]))
-    return float(sub_J), float(diag_J), float(rhs_J)
+        diag[J] -= kernel.params.b_inf / (2.0 * mesh.h_tail) * kernel.R[0]
+    return sub, diag, sup
 
-
-def assemble_system(state: SchemeState, kernel: Kernel | None,
-                    coeffs: SampledCoefficients, mesh: Mesh,
-                    config: SchemeConfig, m: int, g_value: float
-                    ) -> TridiagonalSystem:
-    """Complete level-m system: Dirichlet row, interior rows, boundary row."""
-    system = assemble_interior(state, coeffs, mesh, config, m)
-    system.diag[0] = 1.0
-    system.sup[0] = 0.0
-    system.rhs[0] = g_value
-    sub_J, diag_J, rhs_J = assemble_boundary_row(
-        state, kernel, coeffs, mesh, config, m)
-    J = mesh.J
-    system.sub[J] = sub_J
-    system.diag[J] = diag_J
-    system.rhs[J] = rhs_J
-    return system
-
-
-def step(state: SchemeState, system: TridiagonalSystem,
-         factor: TriFactor | None = None) -> SchemeState:
-    """Advance one level: solve the system and append the boundary value."""
-    fac = factor if factor is not None else system.factor()
-    U = fac.solve(system.rhs)
-    return SchemeState(U=U, history=np.append(state.history, U[-1]),
-                       m=state.m + 1)
-
-
-# ---------------------------------------------------------------------------
-# marching
-# ---------------------------------------------------------------------------
 
 def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult:
     """March the scheme from the initial data to the final level.
 
-    Dispatches to :func:`march_reference` when the configuration selects
-    the enlarged-interval closure.
+    The matrix, the old-level operator and the boundary gain are built and
+    factored once; each level then only forms its right-hand side (the
+    Dirichlet value, the old-level interior rows plus forcing, and the
+    old-level boundary row plus the lagged convolution over the stored
+    boundary history) and solves.  Dispatches to :func:`march_reference`
+    when the configuration selects the enlarged-interval closure.
     """
     if config.boundary == "reference":
         return march_reference(problem, mesh, config, config.extension_factor)
@@ -266,20 +189,35 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
         kernel = kernel_by_recurrence(params, mesh.M)
 
     J, M = mesh.J, mesh.M
+    factor = TriFactor(*level_matrix(coeffs, mesh, config, kernel))
+    a_old, b_old = scheme_weights(coeffs, mesh, config.sigma - 1.0, config.theta)
+    a_lo, a_hi = a_old[1:J], a_old[2:J + 1]
+    b_mid = b_old[1:J] + b_old[2:J + 1]
+    a_J, b_J = a_old[J], b_old[J]
+    hbar = mesh.hbar[1:J]
+    if kernel is not None:
+        gain = kernel.params.b_inf / (2.0 * mesh.h_tail)
+        R = kernel.R
+
     traj = np.empty((M + 1, J + 1))
     traj[0] = coeffs.U0
-    state = SchemeState(U=coeffs.U0.copy(),
-                        history=np.array([coeffs.U0[J]]), m=0)
-    factor = None
+    hist = np.empty(M + 1)  # contiguous boundary column, read backwards per level
+    hist[0] = coeffs.U0[J]
+    rhs = np.zeros(J + 1)
+    U = coeffs.U0
     for m in range(1, M + 1):
-        system = assemble_system(state, kernel, coeffs, mesh, config, m,
-                                 g_value=float(problem.g(m * mesh.tau)))
-        if factor is None:
-            factor = system.factor()
-        state = step(state, system, factor)
-        traj[m] = state.U
+        rhs[0] = float(problem.g(m * mesh.tau))
+        rhs[1:J] = (a_lo * U[0:J - 1] + b_mid * U[1:J] + a_hi * U[2:J + 1]
+                    + hbar * coeffs.F[m, 1:J])
+        rhs_J = a_J * U[J - 1] + b_J * U[J]
+        if kernel is not None:
+            rhs_J += gain * float(np.dot(R[1:m + 1], hist[m - 1::-1]))
+        rhs[J] = rhs_J
+        U = factor.solve(rhs)
+        traj[m] = U
+        hist[m] = U[J]
 
-    return SolveResult(U=traj, history=state.history, mesh=mesh, config=config,
+    return SolveResult(U=traj, history=hist, mesh=mesh, config=config,
                        coeffs=coeffs, kernel=kernel,
                        min_pivot=factor.min_pivot,
                        elapsed=time.perf_counter() - t_begin)

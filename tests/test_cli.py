@@ -1,9 +1,11 @@
 import csv
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from parabolic_dtbc import dtbc_kernel
 from parabolic_dtbc.cli import main, read_config
 
 CUSTOM_ZERO = """\
@@ -66,6 +68,12 @@ def test_config_rejects_bad_input(tmp_path):
                     "theta = 0\ntau = 0.01\nM = 10\nJ = 10\nwat = 1\n")
     with pytest.raises(ValueError):
         read_config(unknown)
+    for extra in ("boundary = weird\n", "boundary = reference\n",
+                  "boundary = reference\nextension_factor = 1.5\n"):
+        cfg = write(tmp_path / "mode.cfg", "problem = example2\nsigma = 1\n"
+                    "theta = 0\ntau = 0.01\nM = 10\nJ = 10\n" + extra)
+        with pytest.raises(ValueError):
+            read_config(cfg)
 
 
 def test_solve_example1_reports_expected_error(tmp_path):
@@ -168,6 +176,35 @@ m_max = 100
     assert float(first[1]) < 0.0  # leading kernel entry is negative
     deltas = [abs(float(r.split(",")[4])) for r in rows[1:]]
     assert max(deltas) <= 1e-12
+
+
+KERNEL_COMPARE_CFG = """\
+problem = example2
+sigma = 1/2
+theta = 1/12
+tau = 0.01
+M = 10
+J = 10
+m_max = 5
+"""
+
+
+def test_kernel_compare_unconverged_oracle_exits_two(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.setattr(dtbc_kernel, "ORACLE_MAX_POINTS", 16)
+    cfg = write(tmp_path / "run.cfg", KERNEL_COMPARE_CFG)
+    assert main(["kernel", "--config", str(cfg), "--out", str(tmp_path),
+                 "--compare"]) == 2
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_kernel_compare_without_mpmath_exits_one(tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.setitem(sys.modules, "mpmath", None)  # import raises
+    cfg = write(tmp_path / "run.cfg", KERNEL_COMPARE_CFG)
+    assert main(["kernel", "--config", str(cfg), "--out", str(tmp_path),
+                 "--compare"]) == 1
+    assert "oracle" in capsys.readouterr().err
 
 
 def test_kernel_command_single_entry(tmp_path):

@@ -23,49 +23,6 @@ def rng_vector(mesh, seed, anchored=False):
     return W
 
 
-def test_quotients_on_constants_vanish():
-    mesh = graded_mesh()
-    W = np.full(mesh.J + 1, 3.7)
-    for j in range(1, mesh.J):
-        assert ops.backward_dx(W, mesh, j) == 0.0
-        assert ops.modified_forward_dx(W, mesh, j) == 0.0
-        assert ops.central_dx(W, mesh, j) == 0.0
-
-
-def test_quotients_exact_on_linear():
-    mesh = uniform_mesh()
-    W = mesh.x.copy()
-    for j in range(1, mesh.J):
-        assert ops.backward_dx(W, mesh, j) == pytest.approx(1.0)
-        assert ops.modified_forward_dx(W, mesh, j) == pytest.approx(1.0)
-        assert ops.central_dx(W, mesh, j) == pytest.approx(1.0)
-
-
-def test_central_equals_backward_plus_correction_on_uniform():
-    # on a uniform mesh the central quotient equals the backward quotient
-    # plus half a step of the second difference, to machine epsilon
-    mesh = uniform_mesh(J=16)
-    W = np.sin(3.0 * mesh.x) + mesh.x ** 2
-    h = mesh.h_tail
-    for j in range(1, mesh.J):
-        d2 = (ops.backward_dx(W, mesh, j + 1)
-              - ops.backward_dx(W, mesh, j)) / mesh.hbar[j]
-        lhs = ops.central_dx(W, mesh, j)
-        rhs = ops.backward_dx(W, mesh, j) + 0.5 * h * d2
-        assert lhs == pytest.approx(rhs, abs=1e-14)
-
-
-def test_quotient_index_ranges():
-    mesh = uniform_mesh()
-    W = mesh.x.copy()
-    with pytest.raises(IndexError):
-        ops.backward_dx(W, mesh, 0)
-    with pytest.raises(IndexError):
-        ops.modified_forward_dx(W, mesh, mesh.J)
-    with pytest.raises(IndexError):
-        ops.central_dx(W, mesh, 0)
-
-
 def test_theta_zero_average_is_identity():
     mesh = graded_mesh()
     W = rng_vector(mesh, 1)
@@ -100,26 +57,6 @@ def test_vectorized_stencil_matches_pointwise():
         for j in range(1, mesh.J):
             assert field[j] == pytest.approx(
                 ops.c_theta_apply(kappa, W, mesh, theta, j), abs=1e-15)
-
-
-def test_boundary_split_special_cases():
-    W = np.array([0.0, 0.3, 0.7, 0.7])
-    s_minus, s_plus = ops.split_s_theta_boundary(W, 0.25)
-    assert s_minus == pytest.approx(W[-1] / 2.0)
-    assert s_plus is None
-    s_minus, _ = ops.split_s_theta_boundary(W, 0.0)
-    assert s_minus == pytest.approx(W[-1] / 2.0)
-
-
-def test_boundary_split_sums_to_average():
-    rng = np.random.default_rng(5)
-    W = rng.uniform(-1.0, 1.0, size=8)
-    w_beyond = rng.uniform(-1.0, 1.0)
-    for theta in (-0.3, 0.0, 1.0 / 12.0, 0.25):
-        s_minus, s_plus = ops.split_s_theta_boundary(W, theta, w_beyond)
-        # the tail is uniform, so the end-node three-point average is plain
-        full = theta * W[-2] + (1.0 - 2.0 * theta) * W[-1] + theta * w_beyond
-        assert s_minus + s_plus == pytest.approx(full, abs=1e-15)
 
 
 def test_inner_products_basic_identities():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from parabolic_dtbc import (Kernel, convolve, convolve_all, derive_params,
-                            kernel_by_legendre, kernel_by_recurrence,
-                            kernel_gf_oracle, params_from_ratios)
+from parabolic_dtbc import (Kernel, NormSet, OracleConvergenceError,
+                            SchemeConfig, build_mesh, convolve, convolve_all,
+                            derive_params, kernel_by_legendre,
+                            kernel_by_recurrence, kernel_gf_oracle,
+                            params_from_ratios)
+from parabolic_dtbc import discrete_ops as ops
 
 SQRT5 = np.sqrt(5.0)
 
@@ -112,7 +115,7 @@ def test_kernel_head_validation():
 
 def test_oracle_matches_recurrence_hand_case():
     p = hand_params()
-    vals = kernel_gf_oracle(p, 2, quad_points=256)
+    vals = kernel_gf_oracle(p, 2)
     assert vals[0] == pytest.approx(-SQRT5, abs=1e-10)
     assert vals[2] == pytest.approx(0.17888543819998318, abs=1e-10)
 
@@ -122,9 +125,33 @@ def test_oracle_argument_validation():
     with pytest.raises(ValueError):
         kernel_gf_oracle(p, 5, radius=1.5)
     with pytest.raises(ValueError):
-        kernel_gf_oracle(p, 5, quad_points=101)
-    with pytest.raises(ValueError):
         kernel_gf_oracle(p, -1)
+
+
+def test_oracle_gives_up_past_its_point_budget():
+    # the first trapezoid rule, 2 (m_max + 16) points, already exceeds 8192
+    with pytest.raises(OracleConvergenceError, match="converge"):
+        kernel_gf_oracle(hand_params(), 4081)
+
+
+def test_weight_range_check_shared_by_every_entry_point():
+    mesh = build_mesh(1.0, 4, tau=0.1, M=1)
+    W = np.zeros(5)
+    kappa = np.concatenate(([np.nan], np.ones(4)))
+    entry_points = (
+        lambda s, t: derive_params(1.0, 1.0, 0.0, 0.1, 0.01, s, t),
+        lambda s, t: SchemeConfig(sigma=s, theta=t),
+        lambda s, t: NormSet(sigma=s, theta=t),
+        lambda s, t: ops.form_mass(W, W, kappa, mesh, t),
+        lambda s, t: ops.form_elliptic(W, W, kappa, kappa, 1.0, mesh, t),
+    )
+    for build in entry_points:
+        build(0.5 - 2e-15, 0.25 + 2e-15)  # inside the roundoff slack
+        with pytest.raises(ValueError, match="theta"):
+            build(0.5, 0.25 + 1e-13)
+    for build in entry_points[:3]:
+        with pytest.raises(ValueError, match="sigma"):
+            build(0.5 - 1e-13, 0.0)
 
 
 def test_sigma_continuity_through_degenerate_weight():

@@ -1,13 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from parabolic_dtbc import (SchemeConfig, SchemeState, build_mesh,
-                            error_report, example1, example2,
-                            kernel_by_recurrence, derive_params, march,
-                            march_reference, sample, step)
-from parabolic_dtbc.stepper import (SolverError, TriFactor, TridiagonalSystem,
-                                    assemble_boundary_row, assemble_interior,
-                                    assemble_system, scheme_weights)
+from parabolic_dtbc import (SchemeConfig, build_mesh, convolve_all,
+                            derive_params, error_report, example1, example2,
+                            kernel_by_recurrence, march, march_reference,
+                            sample)
+from parabolic_dtbc.stepper import (SolverError, TriFactor, level_matrix,
+                                    scheme_weights)
 
 from _support import random_h0_problem, zero_problem
 
@@ -28,7 +29,7 @@ def test_interior_row_hand_case():
     # rho = b = 1, c = 0, h = tau = 1, sigma = 1, theta = 0:
     # upper-level row is (-1, 3, -1); old-level weights reduce to the
     # identity acting on the previous solution
-    prob = zero_problem(X0=1.0, X=4.0)
+    prob = random_h0_problem(0, np.arange(5.0), X0=3.0, X=4.0)
     mesh = build_mesh(4.0, 4, tau=1.0, M=2)
     coeffs = sample(prob, mesh)
     cfg = SchemeConfig(sigma=1.0, theta=0.0, boundary="neumann")
@@ -39,25 +40,16 @@ def test_interior_row_hand_case():
     assert a_old[1:] == pytest.approx(np.zeros(4))
     assert b_old[1:] == pytest.approx(np.full(4, 0.5))
 
-    rng = np.random.default_rng(0)
-    U_prev = rng.uniform(-1.0, 1.0, size=5)
-    state = SchemeState(U=U_prev, history=np.array([U_prev[-1]]), m=0)
-    system = assemble_interior(state, coeffs, mesh, cfg, 1)
-    assert system.sub[1:4] == pytest.approx(np.full(3, -1.0))
-    assert system.diag[1:4] == pytest.approx(np.full(3, 3.0))
-    assert system.sup[1:4] == pytest.approx(np.full(3, -1.0))
-    # rhs couples only the same node of the previous level
-    assert system.rhs[1:4] == pytest.approx(U_prev[1:4])
-
-
-def test_zero_forcing_zero_state_gives_zero_rhs():
-    prob = zero_problem()
-    mesh = build_mesh(1.0, 8, tau=0.05, M=2)
-    coeffs = sample(prob, mesh)
-    cfg = SchemeConfig(sigma=0.5, theta=1.0 / 12.0, boundary="neumann")
-    state = SchemeState(U=np.zeros(9), history=np.zeros(1), m=0)
-    system = assemble_interior(state, coeffs, mesh, cfg, 1)
-    assert np.all(system.rhs == 0.0)
+    sub, diag, sup = level_matrix(coeffs, mesh, cfg, None)
+    assert sub[1:4] == pytest.approx(np.full(3, -1.0))
+    assert diag[1:4] == pytest.approx(np.full(3, 3.0))
+    assert sup[1:4] == pytest.approx(np.full(3, -1.0))
+    # the level-1 right-hand side couples only the same node of level 0
+    U_prev = coeffs.U0
+    assert np.any(U_prev[1:4] != 0.0)
+    U = march(prob, mesh, cfg).U
+    lhs = -U[1, 0:3] + 3.0 * U[1, 1:4] - U[1, 2:5]
+    assert lhs == pytest.approx(U_prev[1:4], abs=1e-14)
 
 
 def test_boundary_row_differs_from_neumann_exactly_by_kernel_head():
@@ -68,27 +60,21 @@ def test_boundary_row_differs_from_neumann_exactly_by_kernel_head():
     cfg_n = SchemeConfig(sigma=0.5, theta=1.0 / 12.0, boundary="neumann")
     params = derive_params(1.0, 1.0, 0.0, mesh.h_tail, mesh.tau, 0.5, 1.0 / 12.0)
     kernel = kernel_by_recurrence(params, 5)
-    state = SchemeState(U=np.zeros(11), history=np.zeros(1), m=0)
-    sub_d, diag_d, rhs_d = assemble_boundary_row(state, kernel, coeffs, mesh,
-                                                 cfg_d, 1)
-    sub_n, diag_n, rhs_n = assemble_boundary_row(state, None, coeffs, mesh,
-                                                 cfg_n, 1)
-    assert sub_d == sub_n
-    assert rhs_d == rhs_n == 0.0
+    sub_d, diag_d, sup_d = level_matrix(coeffs, mesh, cfg_d, kernel)
+    sub_n, diag_n, sup_n = level_matrix(coeffs, mesh, cfg_n, None)
+    J = mesh.J
+    assert np.array_equal(sub_d, sub_n) and np.array_equal(sup_d, sup_n)
+    assert np.array_equal(diag_d[:J], diag_n[:J])
     gain = 1.0 / (2.0 * mesh.h_tail)
-    assert diag_d - diag_n == pytest.approx(-gain * kernel.R[0], rel=1e-15)
+    assert diag_d[J] == diag_n[J] - gain * kernel.R[0]
 
 
 def test_tridiagonal_identity_system():
     n = 7
     rhs = np.arange(1.0, n + 1.0)
-    system = TridiagonalSystem(sub=np.zeros(n), diag=np.ones(n),
-                               sup=np.zeros(n), rhs=rhs)
-    state = SchemeState(U=np.zeros(n), history=np.zeros(1), m=0)
-    new = step(state, system)
-    assert new.U == pytest.approx(rhs)
-    assert new.m == 1
-    assert new.history[-1] == rhs[-1]
+    factor = TriFactor(np.zeros(n), np.ones(n), np.zeros(n))
+    assert np.array_equal(factor.solve(rhs), rhs)
+    assert factor.min_pivot == 1.0
 
 
 def test_tridiagonal_manufactured_solution():
@@ -112,6 +98,7 @@ def test_tridiagonal_zero_pivot_detected():
 
 
 def test_zero_data_gives_zero_trajectory():
+    # zero state and zero forcing give an exactly zero right-hand side
     prob = zero_problem()
     mesh = build_mesh(1.0, 10, tau=0.02, M=20)
     for mode in ("neumann", "dtbc"):
@@ -202,12 +189,70 @@ def test_pivots_bounded_away_from_zero_across_weights():
 
 def test_full_system_assembly_places_dirichlet_row():
     prob, _ = example2()
-    mesh = build_mesh(1.0, 10, tau=0.01, M=3)
+    mesh = build_mesh(1.0, 10, tau=0.01, M=30)
     coeffs = sample(prob, mesh)
-    cfg = SchemeConfig(0.5, 1.0 / 12.0, "neumann")
-    state = SchemeState(U=coeffs.U0.copy(), history=np.array([0.0]), m=0)
-    system = assemble_system(state, None, coeffs, mesh, cfg, 1, g_value=0.25)
-    assert system.diag[0] == 1.0 and system.sup[0] == 0.0
-    assert system.rhs[0] == 0.25
-    new = step(state, system)
-    assert new.U[0] == 0.25  # enforced exactly by the identity row
+    for mode in ("dtbc", "neumann"):
+        cfg = SchemeConfig(0.5, 1.0 / 12.0, mode)
+        sub, diag, sup = level_matrix(coeffs, mesh, cfg, None)
+        assert diag[0] == 1.0 and sup[0] == 0.0
+        U = march(prob, mesh, cfg).U
+        # enforced exactly by the identity row at every level
+        for m in range(1, mesh.M + 1):
+            assert U[m, 0] == float(prob.g(m * mesh.tau))
+
+
+def _forced_graded_problem():
+    """Variable coefficients, forcing and boundary data on a graded mesh."""
+    nodes = np.concatenate(([0.0, 0.05, 0.15, 0.3, 0.5],
+                            np.arange(0.6, 1.0001, 0.1)))
+    base = random_h0_problem(4, nodes, X0=0.5, X=1.0, variable=True)
+
+    def f(x, t):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.5, np.sin(2.0 * np.pi * x) * np.cos(3.0 * t), 0.0)
+
+    prob = replace(base, f=f, g=lambda t: np.sin(5.0 * t))
+    return prob, build_mesh(1.0, tau=0.01, M=30, nodes=nodes)
+
+
+@pytest.mark.parametrize("mode", ["dtbc", "neumann"])
+@pytest.mark.parametrize("case", ["uniform", "graded"])
+def test_every_level_satisfies_its_dense_system(case, mode):
+    # assemble each level densely from the scheme weights and the kernel,
+    # with the boundary convolution summed in full, and check the level
+    if case == "uniform":
+        prob, _ = example2()
+        mesh = build_mesh(1.0, 10, tau=0.01, M=30)
+    else:
+        prob, mesh = _forced_graded_problem()
+    sigma, theta = 0.5, 1.0 / 12.0
+    res = march(prob, mesh, SchemeConfig(sigma, theta, mode))
+    coeffs, J = res.coeffs, mesh.J
+    assert np.any(coeffs.F != 0.0) == (case == "graded")
+    a_new, b_new = scheme_weights(coeffs, mesh, sigma, theta)
+    a_old, b_old = scheme_weights(coeffs, mesh, sigma - 1.0, theta)
+    A = np.zeros((J + 1, J + 1))
+    B = np.zeros((J + 1, J + 1))
+    A[0, 0] = 1.0
+    for j in range(1, J + 1):
+        A[j, j - 1], B[j, j - 1] = a_new[j], a_old[j]
+        A[j, j], B[j, j] = b_new[j], b_old[j]
+        if j < J:
+            A[j, j] += b_new[j + 1]
+            B[j, j] += b_old[j + 1]
+            A[j, j + 1], B[j, j + 1] = a_new[j + 1], a_old[j + 1]
+    flux = np.zeros(mesh.M + 1)
+    if mode == "dtbc":
+        assert np.array_equal(res.history, res.U[:, J])
+        # b_inf / (2 h) * sum_{q=0..m} R_q Phi_{m-q}, the closure's flux term
+        flux = prob.b_inf * convolve_all(res.kernel, res.history)
+    for m in range(1, mesh.M + 1):
+        U, V = res.U[m], res.U[m - 1]
+        rhs = B @ V
+        rhs[0] = prob.g(m * mesh.tau)
+        rhs[1:J] += mesh.hbar[1:J] * coeffs.F[m, 1:J]
+        lhs = A @ U
+        lhs[J] -= flux[m]
+        scale = (np.abs(A) @ np.abs(U) + np.abs(B) @ np.abs(V)
+                 + np.abs(rhs) + abs(flux[m]))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(scale), m
