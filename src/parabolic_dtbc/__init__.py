@@ -11,8 +11,8 @@ CSV-emitting command line front end.
 
 from .discrete_ops import GridFunction, NormSet
 from .dtbc_kernel import (BranchCutError, Kernel, KernelParams,
-                          OracleConvergenceError, convolve, convolve_all,
-                          derive_params, kernel_by_legendre,
+                          LaggedConvolution, OracleConvergenceError,
+                          convolve_all, derive_params, kernel_by_legendre,
                           kernel_by_recurrence, kernel_gf_oracle,
                           params_from_ratios)
 from .problem import (Mesh, PRESETS, ProblemSpec, SampledCoefficients,
@@ -26,13 +26,13 @@ from .validation import (DissipativityReport, EnergyDiagnostics, ErrorReport,
 __all__ = [
     "BranchCutError", "DissipativityReport", "EnergyDiagnostics",
     "ErrorReport", "ExactSolution", "GridFunction", "Kernel", "KernelParams",
-    "Mesh", "NormSet", "OracleConvergenceError", "PRESETS", "ProblemSpec",
-    "SampledCoefficients", "SchemeConfig", "SolveResult", "SolverError",
-    "build_mesh", "certify_dissipativity", "convolve", "convolve_all",
-    "derive_params", "diagnose_energy", "error_report", "example1",
-    "example2", "iterated_erfc", "kernel_by_legendre", "kernel_by_recurrence",
-    "kernel_gf_oracle", "march", "march_reference", "params_from_ratios",
-    "sample", "u1", "u2",
+    "LaggedConvolution", "Mesh", "NormSet", "OracleConvergenceError",
+    "PRESETS", "ProblemSpec", "SampledCoefficients", "SchemeConfig",
+    "SolveResult", "SolverError", "build_mesh", "certify_dissipativity",
+    "convolve_all", "derive_params", "diagnose_energy", "error_report",
+    "example1", "example2", "iterated_erfc", "kernel_by_legendre",
+    "kernel_by_recurrence", "kernel_gf_oracle", "march", "march_reference",
+    "params_from_ratios", "sample", "u1", "u2",
 ]
 
 __version__ = "0.1.0"

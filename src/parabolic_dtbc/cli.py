@@ -194,7 +194,8 @@ def _fmt(value: float) -> str:
     return FLOAT_FMT % value
 
 
-def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool) -> int:
+def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool,
+              seed: int) -> int:
     problem, exact = _load_problem(cfg)
     mesh = _make_mesh(cfg, problem)
     scheme = SchemeConfig(sigma=cfg.sigma, theta=cfg.theta,
@@ -248,7 +249,7 @@ def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool) -> int:
         _dump_kernel(result.kernel.params, min(cfg.m_max, mesh.M),
                      out / "kernel.csv", deterministic, compare=False)
     if cfg.run_diagnostics:
-        _run_diagnostics(cfg, problem, mesh, out, deterministic, seed=0)
+        _run_diagnostics(cfg, problem, mesh, out, deterministic, seed=seed)
     return 0
 
 
@@ -397,7 +398,8 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", action="store_true",
                         help="kernel: add closed-form and oracle columns")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized diagnostics")
+                        help="seed for randomized diagnostics (diagnose, and "
+                        "solve with run_diagnostics)")
     args = parser.parse_args(argv)
 
     try:
@@ -405,7 +407,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":
-            return cmd_solve(cfg, out, args.deterministic)
+            return cmd_solve(cfg, out, args.deterministic, args.seed)
         if args.command == "table":
             return cmd_table(cfg, out, args.deterministic)
         if args.command == "kernel":

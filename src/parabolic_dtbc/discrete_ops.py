@@ -53,8 +53,10 @@ class NormSet:
     """Constants steering the energy estimates for one (sigma, theta) pair.
 
     ``c_theta = 1 - 4*max(theta, 0)`` is the lower equivalence constant of
-    the weighted-mass norm; ``K_sigma = 2*(sigma + |1 - sigma|)`` bounds the
-    time-averaging operator.  ``K_sigma >= 2`` always holds.
+    the weighted-mass norm, clamped at 0 for the theta slightly above 1/4
+    that :func:`check_weights` admits as roundoff; ``K_sigma = 2*(sigma +
+    |1 - sigma|)`` bounds the time-averaging operator.  ``K_sigma >= 2``
+    always holds.
     """
 
     sigma: float
@@ -62,11 +64,10 @@ class NormSet:
 
     def __post_init__(self):
         check_weights(self.sigma, self.theta)
-        object.__setattr__(self, "c_theta", 1.0 - 4.0 * max(self.theta, 0.0))
+        object.__setattr__(
+            self, "c_theta", max(1.0 - 4.0 * max(self.theta, 0.0), 0.0))
         object.__setattr__(
             self, "K_sigma", 2.0 * (self.sigma + abs(1.0 - self.sigma)))
-        assert self.c_theta >= -1e-14
-        assert self.K_sigma >= 2.0 - 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ time step and the two scheme weights.  Three constructions are provided:
 * :func:`kernel_gf_oracle`, a contour-integral extraction of the power
   series coefficients of the kernel's generating function (testing).
 
-All three agree; the recurrence is what the stepper consumes.
+All three agree; the recurrence is what the stepper consumes.  The
+stepper sums the boundary convolution level by level with
+:class:`LaggedConvolution` (block FFTs, O(M log^2 M)); :func:`convolve_all`
+is the direct O(M^2) evaluation that diagnostics and tests compare with.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ import numpy as np
 
 # Largest trapezoid rule the contour oracle tries before giving up.
 ORACLE_MAX_POINTS = 8192
+
+# Levels per near-field block of :class:`LaggedConvolution`.
+BLOCK = 128
 
 
 class BranchCutError(RuntimeError):
@@ -298,19 +304,62 @@ def _gf_quadrature(mp, params, m_max, radius, N):
         return out
 
 
-def convolve(kernel: Kernel, history, m: int) -> float:
-    """Boundary convolution value at level m from history ``Phi[0..m]``.
+class LaggedConvolution:
+    """Online lagged boundary convolution sum_{q=1..m} R[q] Phi[m-q].
 
-    Returns sum_{q=0..m} R[q] Phi[m-q] / (2 h); the q = m term pairs the
-    oldest history value (the sampled initial boundary value) with R[m].
+    The march needs this sum at levels m = 1, 2, ..., M in turn, each
+    time with ``Phi[0..m-1]`` already known.  Summed directly it costs
+    O(M^2) in total, and the kernel decays only like q^(-3/2), so it
+    cannot be truncated.  This is the online block-FFT convolution of
+    Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985):
+    the levels are cut into blocks of ``BLOCK`` levels; at the start
+    m = n*BLOCK of block n, the history ``Phi[m-L:m]`` with
+    L = BLOCK * (n & -n) is convolved with ``R[1:2L]`` by one FFT pair of
+    size 2L and added to a far-field accumulator at levels ``m..m+L-1``.
+    Every pair (level m, history i < m) is counted exactly once: in the
+    near field when i and m share a block, otherwise in the one dyadic
+    square at the highest bit where their block indices differ.  The sum
+    at level m is the accumulator plus a direct dot over the current
+    partial block, at most ``BLOCK - 1`` terms; for M < ``BLOCK`` that dot
+    is all there is.  Total cost O(M log^2 M); the result equals the
+    direct sum up to FFT roundoff.
+
+    Memory is O(M): the accumulator (8 (M+1) bytes) plus one kernel
+    spectrum per block size L = BLOCK, 2 BLOCK, ... <= M, cached on first
+    use (16 (L+1) bytes each, under 32 M bytes together), about 40 M bytes
+    in all (2 MB at M = 50 000), plus the transient arrays of one FFT pair.
     """
-    history = np.asarray(history, dtype=float)
-    if history.size < m + 1:
-        raise ValueError(f"history too short for level m={m}")
-    if kernel.length < m:
-        raise ValueError(f"kernel of length {kernel.length} too short for level m={m}")
-    acc = float(np.dot(kernel.R[:m + 1], history[m::-1]))
-    return acc / (2.0 * kernel.params.h)
+
+    def __init__(self, R):
+        self._R = R = np.asarray(R, dtype=float)
+        self._acc = np.zeros(R.size)
+        self._spectra: dict[int, np.ndarray] = {}
+        self._next = 1
+
+    def lagged(self, history, m: int) -> float:
+        """Return sum_{q=1..m} R[q] history[m-q]; call for m = 1, 2, ... in turn.
+
+        ``history[0..m-1]`` must be final; entries from m on are not read.
+        """
+        R, acc = self._R, self._acc
+        if m != self._next or m >= R.size:
+            raise ValueError(f"lagged sums are online up to the kernel length "
+                             f"{R.size - 1}: expected level {self._next}, got {m}")
+        self._next = m + 1
+        start = m - m % BLOCK
+        if m == start:
+            n = m // BLOCK
+            L = BLOCK * (n & -n)
+            spec = self._spectra.get(L)
+            if spec is None:
+                seg = np.zeros(2 * L)
+                top = min(2 * L, R.size)
+                seg[1:top] = R[1:top]
+                spec = self._spectra[L] = np.fft.rfft(seg)
+            far = np.fft.irfft(np.fft.rfft(history[m - L:m], 2 * L) * spec, 2 * L)
+            end = min(m + L, acc.size)
+            acc[m:end] += far[L:L + end - m]
+        return float(acc[m] + np.dot(R[m - start:0:-1], history[start:m]))
 
 
 def convolve_all(kernel: Kernel, history) -> np.ndarray:

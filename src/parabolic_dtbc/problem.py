@@ -10,6 +10,7 @@ arrays, and midpoint sampling of the coefficient callables.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -43,6 +44,12 @@ def _sample_xt(fn: Callable, x: np.ndarray, t: float) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     return np.array([float(fn(float(xi), float(t))) for xi in x])
+
+
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    # min/max propagate NaN and meet any infinity without a boolean temporary
+    if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+        raise ValueError(f"{name} samples are not finite")
 
 
 @dataclass(frozen=True)
@@ -184,7 +191,8 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
     The tail step must satisfy h_J <= x_J - X0, so that the last midpoint
     already lies in the constant-coefficient region; coefficient samples
     there must equal the tail constants and u0, f must vanish below the
-    problem's tail tolerance.
+    problem's tail tolerance.  Non-finite samples of rho, b, c, u0 or f
+    raise ValueError naming the field.
     """
     x, J, M = mesh.x, mesh.J, mesh.M
     x_end = float(x[J])
@@ -200,6 +208,8 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
     rho_h = np.concatenate((nan0, _sample_x(problem.rho, xm)))
     b_h = np.concatenate((nan0, _sample_x(problem.b, xm)))
     c_h = np.concatenate((nan0, _sample_x(problem.c, xm)))
+    for name, arr in (("rho", rho_h), ("b", b_h), ("c", c_h)):
+        _check_finite(name, arr[1:])
 
     if np.min(rho_h[1:]) < problem.rho_lower:
         raise ValueError("density sample below its declared lower bound")
@@ -218,6 +228,7 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
                              f"(max deviation {dev:.3g})")
 
     U0 = _sample_x(problem.u0, x)
+    _check_finite("u0", U0)
     tail_nodes = x >= problem.X0 - 1e-12
     if np.max(np.abs(U0[tail_nodes])) > problem.tail_tol:
         raise ValueError("initial data does not vanish on the tail "
@@ -226,6 +237,7 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
     F = np.zeros((M + 1, J + 1))
     for m in range(1, M + 1):
         F[m] = _sample_xt(problem.f, x, m * mesh.tau)
+    _check_finite("f", F)
     if np.max(np.abs(F[1:, tail_nodes])) > problem.tail_tol:
         raise ValueError("forcing does not vanish on the tail "
                          f"(tolerance {problem.tail_tol:g})")

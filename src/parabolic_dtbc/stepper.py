@@ -23,13 +23,14 @@ closure must reproduce it to roundoff.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dtbc_kernel import (Kernel, check_weights, derive_params,
-                          kernel_by_recurrence)
+from .dtbc_kernel import (Kernel, LaggedConvolution, check_weights,
+                          derive_params, kernel_by_recurrence)
 from .problem import Mesh, ProblemSpec, SampledCoefficients, sample
 
 BOUNDARY_MODES = ("dtbc", "neumann", "reference")
@@ -174,8 +175,10 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
     factored once; each level then only forms its right-hand side (the
     Dirichlet value, the old-level interior rows plus forcing, and the
     old-level boundary row plus the lagged convolution over the stored
-    boundary history) and solves.  Dispatches to :func:`march_reference`
-    when the configuration selects the enlarged-interval closure.
+    boundary history, summed online by :class:`LaggedConvolution`) and
+    solves.  Non-finite boundary data raises ValueError.  Dispatches to
+    :func:`march_reference` when the configuration selects the
+    enlarged-interval closure.
     """
     if config.boundary == "reference":
         return march_reference(problem, mesh, config, config.extension_factor)
@@ -197,21 +200,25 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
     hbar = mesh.hbar[1:J]
     if kernel is not None:
         gain = kernel.params.b_inf / (2.0 * mesh.h_tail)
-        R = kernel.R
+        conv = LaggedConvolution(kernel.R)
 
     traj = np.empty((M + 1, J + 1))
     traj[0] = coeffs.U0
-    hist = np.empty(M + 1)  # contiguous boundary column, read backwards per level
+    hist = np.empty(M + 1)  # boundary column, the convolution's history
     hist[0] = coeffs.U0[J]
     rhs = np.zeros(J + 1)
     U = coeffs.U0
     for m in range(1, M + 1):
-        rhs[0] = float(problem.g(m * mesh.tau))
+        g_m = float(problem.g(m * mesh.tau))
+        if not math.isfinite(g_m):
+            raise ValueError(f"boundary data g is not finite at t_m={m * mesh.tau!r}"
+                             f" (level {m})")
+        rhs[0] = g_m
         rhs[1:J] = (a_lo * U[0:J - 1] + b_mid * U[1:J] + a_hi * U[2:J + 1]
                     + hbar * coeffs.F[m, 1:J])
         rhs_J = a_J * U[J - 1] + b_J * U[J]
         if kernel is not None:
-            rhs_J += gain * float(np.dot(R[1:m + 1], hist[m - 1::-1]))
+            rhs_J += gain * conv.lagged(hist, m)
         rhs[J] = rhs_J
         U = factor.solve(rhs)
         traj[m] = U

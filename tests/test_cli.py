@@ -267,6 +267,29 @@ trials = 50
     assert all(row[3] == "true" for row in rows[1:])
 
 
+def test_solve_diagnostics_follow_the_seed(tmp_path):
+    # example1 leaves room for the seeded random initial profile of the
+    # companion run, so its energy residuals differ between seeds
+    cfg = write(tmp_path / "run.cfg", """\
+problem = example1
+sigma = 1/2
+theta = 1/12
+tau = 1/1500
+M = 20
+J = 50
+trials = 20
+emit_snapshots = false
+run_diagnostics = true
+""")
+    written = {}
+    for command in ("solve", "diagnose"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     "--deterministic", "--seed", "7"]) == 0
+        written[command] = (out / "diagnostics.csv").read_bytes()
+    assert written["solve"] == written["diagnose"]
+
+
 def test_missing_config_key_exits_one(tmp_path):
     cfg = write(tmp_path / "run.cfg", "problem = example2\nsigma = 1/2\n")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1

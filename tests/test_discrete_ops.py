@@ -163,6 +163,16 @@ def test_norm_set_constants():
         NormSet(sigma=0.5, theta=0.3)
 
 
+@pytest.mark.parametrize("theta", [0.25, 0.25 + 5e-15, 0.25 + 1e-14])
+def test_norm_set_clamps_c_theta_inside_the_admitted_slack(theta):
+    assert NormSet(sigma=0.5, theta=theta).c_theta == 0.0
+
+
+def test_norm_set_rejects_theta_past_the_slack():
+    with pytest.raises(ValueError, match="theta"):
+        NormSet(sigma=0.5, theta=0.25 + 2e-14)
+
+
 def test_grid_function_anchoring():
     gf = GridFunction(values=np.array([0.0, 1.0, 2.0]), anchored=True)
     assert gf.values[0] == 0.0

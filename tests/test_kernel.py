@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from parabolic_dtbc import (Kernel, NormSet, OracleConvergenceError,
-                            SchemeConfig, build_mesh, convolve, convolve_all,
-                            derive_params, kernel_by_legendre,
+from parabolic_dtbc import (Kernel, LaggedConvolution, NormSet,
+                            OracleConvergenceError, SchemeConfig, build_mesh,
+                            convolve_all, derive_params, kernel_by_legendre,
                             kernel_by_recurrence, kernel_gf_oracle,
                             params_from_ratios)
 from parabolic_dtbc import discrete_ops as ops
+from parabolic_dtbc.dtbc_kernel import BLOCK
 
 SQRT5 = np.sqrt(5.0)
 
@@ -169,19 +170,16 @@ def test_sigma_continuity_through_degenerate_weight():
 
 def test_convolve_basic_cases():
     k = kernel_by_recurrence(hand_params(), 10)  # h = 1
-    assert convolve(k, np.zeros(5), 4) == 0.0
-    assert convolve(k, np.array([1.0]), 0) == pytest.approx(k.R[0] / 2.0)
-    assert convolve(k, np.array([0.0, 1.0]), 1) == pytest.approx(k.R[0] / 2.0)
+    assert np.all(convolve_all(k, np.zeros(5)) == 0.0)
+    assert convolve_all(k, np.array([1.0]))[0] == pytest.approx(k.R[0] / 2.0)
+    assert convolve_all(k, np.array([0.0, 1.0]))[1] == pytest.approx(k.R[0] / 2.0)
 
 
 def test_convolve_length_validation():
     k = kernel_by_recurrence(hand_params(), 3)
-    with pytest.raises(ValueError, match="history"):
-        convolve(k, np.zeros(3), 3)
+    assert convolve_all(k, np.zeros(4)).shape == (4,)
     with pytest.raises(ValueError, match="kernel"):
-        convolve(k, np.zeros(6), 5)
-    with pytest.raises(ValueError):
-        convolve_all(k, np.zeros(6))
+        convolve_all(k, np.zeros(5))
 
 
 def test_convolve_all_matches_pointwise():
@@ -190,7 +188,36 @@ def test_convolve_all_matches_pointwise():
     phi = rng.uniform(-1.0, 1.0, size=65)
     batch = convolve_all(k, phi)
     for m in (0, 1, 5, 30, 64):
-        assert batch[m] == pytest.approx(convolve(k, phi, m), rel=1e-14)
+        direct = sum(float(k.R[q]) * float(phi[m - q]) for q in range(m + 1))
+        assert batch[m] == pytest.approx(direct / (2.0 * k.params.h), rel=1e-14)
+
+
+@pytest.mark.parametrize("M", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1,
+                               4096, 5000])
+def test_lagged_convolution_matches_direct_sum(M):
+    R = kernel_by_recurrence(example1_params(), M).R
+    phi = np.random.default_rng(M).uniform(-1.0, 1.0, size=M + 1)
+    # direct lagged sums sum_{q=1..m} R[q] phi[m-q] and their magnitudes
+    direct = np.convolve(R[1:], phi[:M])
+    magnitude = np.convolve(np.abs(R[1:]), np.abs(phi[:M]))
+    conv = LaggedConvolution(R)
+    hist = np.full(M + 1, np.nan)  # entries from level m on are never read
+    for m in range(1, M + 1):
+        hist[m - 1] = phi[m - 1]
+        dev = abs(conv.lagged(hist, m) - direct[m - 1])
+        assert dev <= 1e-12 * magnitude[m - 1], m
+
+
+def test_lagged_convolution_is_online():
+    R = kernel_by_recurrence(example2_params(), 3).R
+    hist = np.ones(4)
+    with pytest.raises(ValueError, match="expected level 1"):
+        LaggedConvolution(R).lagged(hist, 2)
+    conv = LaggedConvolution(R)
+    for m in (1, 2, 3):
+        conv.lagged(hist, m)
+    with pytest.raises(ValueError, match="kernel length 3"):
+        conv.lagged(hist, 4)
 
 
 def test_params_from_ratios_round_trip():

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from parabolic_dtbc import Mesh, build_mesh, example1, example2, sample
+from parabolic_dtbc import (Mesh, SchemeConfig, build_mesh, example1, example2,
+                            march, sample)
 from parabolic_dtbc.problem import ProblemSpec
 
 from _support import zero_problem
@@ -165,3 +168,31 @@ def test_mesh_arrays_are_frozen():
     mesh = build_mesh(1.0, 4, tau=0.1, M=1)
     with pytest.raises(ValueError):
         mesh.x[0] = 1.0
+
+
+def _poisoned(x, value):
+    # finite data with one non-finite sample inside the interior
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x - 0.3) < 0.06, value, np.ones_like(x))
+
+
+NON_FINITE_DATA = {
+    "rho": lambda p: replace(p, rho=lambda x: _poisoned(x, np.nan)),
+    "b": lambda p: replace(p, b=lambda x: _poisoned(x, np.inf)),
+    "c": lambda p: replace(p, c=lambda x: _poisoned(x, np.nan) - 1.0),
+    "u0": lambda p: replace(p, u0=lambda x: _poisoned(x, np.nan) - 1.0),
+    "f": lambda p: replace(p, f=lambda x, t: _poisoned(x, np.inf) - 1.0),
+    "g": lambda p: replace(p, g=lambda t: np.nan if t > 0.025 else 0.0),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_FINITE_DATA))
+def test_non_finite_data_rejected_where_it_enters(field):
+    prob = NON_FINITE_DATA[field](zero_problem())
+    mesh = build_mesh(1.0, 10, tau=0.01, M=5)
+    match = "t_m=0.03" if field == "g" else f"^{field} samples are not finite"
+    with pytest.raises(ValueError, match=match):
+        march(prob, mesh, SchemeConfig(0.5, 0.0, "dtbc"))
+    if field != "g":
+        with pytest.raises(ValueError, match=match):
+            sample(prob, mesh)

@@ -7,6 +7,7 @@ from parabolic_dtbc import (SchemeConfig, build_mesh, convolve_all,
                             derive_params, error_report, example1, example2,
                             kernel_by_recurrence, march, march_reference,
                             sample)
+from parabolic_dtbc.dtbc_kernel import BLOCK
 from parabolic_dtbc.stepper import (SolverError, TriFactor, level_matrix,
                                     scheme_weights)
 
@@ -216,13 +217,18 @@ def _forced_graded_problem():
 
 
 @pytest.mark.parametrize("mode", ["dtbc", "neumann"])
-@pytest.mark.parametrize("case", ["uniform", "graded"])
+@pytest.mark.parametrize("case", ["uniform", "graded", "long"])
 def test_every_level_satisfies_its_dense_system(case, mode):
     # assemble each level densely from the scheme weights and the kernel,
-    # with the boundary convolution summed in full, and check the level
+    # with the boundary convolution summed in full, and check the level;
+    # "long" spans six dyadic block sizes of the online convolution
     if case == "uniform":
         prob, _ = example2()
         mesh = build_mesh(1.0, 10, tau=0.01, M=30)
+    elif case == "long":
+        prob, _ = example2()
+        M = 33 * BLOCK
+        mesh = build_mesh(1.0, 10, tau=1.0 / M, M=M)
     else:
         prob, mesh = _forced_graded_problem()
     sigma, theta = 0.5, 1.0 / 12.0
