@@ -68,15 +68,18 @@ class TriFactor:
 
     Elimination is pivot-free (the schemes of interest are strictly
     dominant); a pivot collapsing below roundoff of the matrix scale
-    raises :class:`SolverError`.
+    raises :class:`SolverError`.  The factors are kept in the layout of
+    LAPACK ``gttrf`` with no row interchanges: ``dl`` the multipliers of
+    the unit lower factor, ``d`` the pivots, ``du`` the superdiagonal of
+    the upper factor.  :meth:`solve` hands them to LAPACK ``dgttrs``,
+    which needs n >= 3 (smaller sizes raise ValueError after the pivot
+    check).
     """
 
     def __init__(self, sub, diag, sup):
         n = diag.size
-        scale = float(np.nanmax(np.abs(diag)))
-        floor = 1e-14 * max(scale, 1e-300)
+        floor = 1e-14 * max(float(np.nanmax(np.abs(diag))), 1e-300)
         piv = [0.0] * n
-        gam = [0.0] * n
         sub = np.asarray(sub, dtype=float)
         diag = np.asarray(diag, dtype=float)
         sup = np.asarray(sup, dtype=float)
@@ -85,30 +88,30 @@ class TriFactor:
             raise SolverError("zero pivot in row 0 of the tridiagonal factorization")
         piv[0] = p
         for i in range(1, n):
-            gam[i - 1] = sup[i - 1] / p
-            p = diag[i] - sub[i] * gam[i - 1]
+            p = diag[i] - sub[i] * (sup[i - 1] / p)
             if abs(p) <= floor:
                 raise SolverError(f"zero pivot in row {i} of the tridiagonal "
                                   "factorization; invalid scheme parameters")
             piv[i] = p
-        self.n = n
-        self._sub = sub.tolist()
-        self._piv = piv
-        self._gam = gam
-        self.min_pivot = min(abs(v) for v in piv)
-        self.scale = scale
+        if n < 3:
+            raise ValueError(f"the tridiagonal solve needs n >= 3, got n={n}")
+        # deferred: importing scipy.linalg costs 60-75 ms and 5.7 MiB of RSS,
+        # which code paths that never march do not need
+        from scipy.linalg.lapack import dgttrs
+        self._dgttrs = dgttrs
+        self.d = np.array(piv)
+        self.dl = sub[1:] / self.d[:-1]
+        self.du = sup[:-1].copy()
+        self._du2 = np.zeros(n - 2)
+        self._ipiv = np.arange(1, n + 1, dtype=np.intc)
+        self.min_pivot = float(np.min(np.abs(self.d)))
 
     def solve(self, rhs) -> np.ndarray:
-        n, sub, piv, gam = self.n, self._sub, self._piv, self._gam
-        y = [0.0] * n
-        r = np.asarray(rhs, dtype=float).tolist()
-        y[0] = r[0] / piv[0]
-        for i in range(1, n):
-            y[i] = (r[i] - sub[i] * y[i - 1]) / piv[i]
-        x = y
-        for i in range(n - 2, -1, -1):
-            x[i] = y[i] - gam[i] * x[i + 1]
-        return np.array(x)
+        x, info = self._dgttrs(self.dl, self.d, self.du, self._du2, self._ipiv,
+                               rhs)
+        if info != 0:
+            raise SolverError(f"LAPACK dgttrs failed with info={info}")
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +179,10 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
     Dirichlet value, the old-level interior rows plus forcing, and the
     old-level boundary row plus the lagged convolution over the stored
     boundary history, summed online by :class:`LaggedConvolution`) and
-    solves.  Non-finite boundary data raises ValueError.  Dispatches to
+    solves with LAPACK ``dgttrs`` on the pivot-free factors of
+    :class:`TriFactor`.  Non-finite boundary data raises ValueError; a
+    trajectory that overflows to a non-finite value raises
+    :class:`SolverError` naming the first such level.  Dispatches to
     :func:`march_reference` when the configuration selects the
     enlarged-interval closure.
     """
@@ -223,6 +229,12 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
         U = factor.solve(rhs)
         traj[m] = U
         hist[m] = U[J]
+
+    # min/max propagate NaN and meet any infinity without a boolean temporary
+    if not (math.isfinite(traj.min()) and math.isfinite(traj.max())):
+        m = int(np.argmin(np.isfinite(traj).all(axis=1)))
+        raise SolverError(f"the trajectory is not finite from level {m} "
+                          f"(t_m={m * mesh.tau!r}); the data overflow the scheme")
 
     return SolveResult(U=traj, history=hist, mesh=mesh, config=config,
                        coeffs=coeffs, kernel=kernel,

@@ -106,18 +106,39 @@ class ErrorReport:
         assert self.max_abs_error >= 0.0
 
 
+EVAL_BLOCK_CELLS = 1 << 16
+
+
+def _level_blocks(n_levels: int, width: int):
+    """Ranges ``(lo, hi)`` of whole levels, at most EVAL_BLOCK_CELLS cells each
+    (one level per block when a level alone is wider)."""
+    step = max(1, EVAL_BLOCK_CELLS // width)
+    for lo in range(0, n_levels, step):
+        yield lo, min(lo + step, n_levels)
+
+
 def eval_on_grid(exact, x, t):
-    # x: (J+1,), t: (M,) -> (M, J+1); tolerate non-broadcasting callables
-    try:
-        vals = np.asarray(exact(x[None, :], t[:, None]), dtype=float)
-        if vals.shape == (t.size, x.size):
-            return vals
-    except (TypeError, ValueError):
-        pass
+    """Values of ``exact`` on the grid ``t`` x ``x``, shape (t.size, x.size).
+
+    The result is filled in blocks of whole levels of at most
+    EVAL_BLOCK_CELLS (2^16) cells, so a vectorized ``exact`` only ever
+    sees, and leaves temporaries of, one block.  A block on which the
+    callable raises TypeError/ValueError or returns the wrong shape is
+    evaluated point by point instead.
+    """
     vals = np.empty((t.size, x.size))
-    for i, ti in enumerate(t):
-        for j, xj in enumerate(x):
-            vals[i, j] = float(exact(float(xj), float(ti)))
+    for lo, hi in _level_blocks(t.size, x.size):
+        block = vals[lo:hi]
+        try:
+            got = np.asarray(exact(x[None, :], t[lo:hi, None]), dtype=float)
+            if got.shape == block.shape:
+                block[...] = got
+                continue
+        except (TypeError, ValueError):
+            pass
+        for i, ti in enumerate(t[lo:hi]):
+            for j, xj in enumerate(x):
+                block[i, j] = float(exact(float(xj), float(ti)))
     return vals
 
 
@@ -125,18 +146,26 @@ def error_report(trajectory, exact, mesh) -> ErrorReport:
     """Compare a computed trajectory with a reference solution on its grid.
 
     The metric is the max absolute nodal error over all nodes and all
-    levels m >= 1 (level 0 is data).
+    levels m >= 1 (level 0 is data); the reported location is the first
+    one in row-major order that attains it.  The error is reduced block by
+    block (see :func:`eval_on_grid`), so beyond the trajectory itself the
+    extra memory is O(M) plus one block of 2^16 cells, never the whole
+    exact grid.
     """
     traj = np.asarray(trajectory, dtype=float)
     if traj.shape != (mesh.M + 1, mesh.J + 1):
         raise ValueError("trajectory shape does not match the mesh")
     t = mesh.times()[1:]
-    E = np.abs(traj[1:] - eval_on_grid(exact, mesh.x, t))
-    flat = int(np.argmax(E))
-    i, j = np.unravel_index(flat, E.shape)
-    per_level = np.concatenate(([np.nan], E.max(axis=1)))
-    return ErrorReport(max_abs_error=float(E[i, j]),
-                       argmax_level=int(i) + 1, argmax_node=int(j),
+    per_level = np.empty(t.size + 1)
+    per_level[0] = np.nan
+    nodes = np.empty(t.size, dtype=np.intp)
+    for lo, hi in _level_blocks(t.size, mesh.J + 1):
+        E = np.abs(traj[1 + lo:1 + hi] - eval_on_grid(exact, mesh.x, t[lo:hi]))
+        nodes[lo:hi] = np.argmax(E, axis=1)
+        per_level[1 + lo:1 + hi] = E[np.arange(hi - lo), nodes[lo:hi]]
+    i = int(np.argmax(per_level[1:]))
+    return ErrorReport(max_abs_error=float(per_level[1 + i]),
+                       argmax_level=i + 1, argmax_node=int(nodes[i]),
                        per_level=per_level)
 
 

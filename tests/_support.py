@@ -62,3 +62,22 @@ def random_h0_problem(seed, knots, X0, X, variable=False):
                        rho_inf=1.0, b_inf=1.0, c_inf=0.0,
                        X0=X0, X=X, rho_lower=1.0, b_lower=1.0,
                        label="random-h0")
+
+
+def thomas_solve(factor, rhs):
+    """Pure-Python Thomas sweep on the pivot-free factors of a TriFactor.
+
+    Forward substitution with the unit lower factor (multipliers ``dl``),
+    then back substitution with the pivots ``d`` and the superdiagonal
+    ``du``: the direct reference for the LAPACK solve of ``TriFactor``.
+    Has the signature of ``TriFactor.solve`` so it can stand in for it.
+    """
+    dl, d, du = factor.dl.tolist(), factor.d.tolist(), factor.du.tolist()
+    n = len(d)
+    x = np.asarray(rhs, dtype=float).tolist()
+    for i in range(1, n):
+        x[i] -= dl[i - 1] * x[i - 1]
+    x[n - 1] /= d[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1]) / d[i]
+    return np.array(x)

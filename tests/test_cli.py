@@ -117,6 +117,30 @@ boundary = neumann
     assert any(line.startswith("10,") for line in rows)
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+def test_solve_overflowing_trajectory_exits_two(tmp_path, capsys):
+    # finite but huge boundary data overflow at the first level
+    write(tmp_path / "prob.py", """\
+from dataclasses import replace
+from parabolic_dtbc import example2
+PROBLEM = replace(example2()[0], g=lambda t: 1e307)
+""")
+    cfg = write(tmp_path / "run.cfg", f"""\
+problem = custom
+custom_path = {tmp_path / 'prob.py'}
+sigma = 1/2
+theta = 1/12
+tau = 0.001
+M = 5
+J = 50
+X = 1
+""")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "not finite from level 1 " in capsys.readouterr().err
+    assert not (out / "solution.csv").exists()
+
+
 def test_solve_reference_mode(tmp_path):
     write(tmp_path / "prob.py", CUSTOM_ZERO)
     cfg = write(tmp_path / "run.cfg", f"""\

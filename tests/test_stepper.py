@@ -11,7 +11,7 @@ from parabolic_dtbc.dtbc_kernel import BLOCK
 from parabolic_dtbc.stepper import (SolverError, TriFactor, level_matrix,
                                     scheme_weights)
 
-from _support import random_h0_problem, zero_problem
+from _support import random_h0_problem, thomas_solve, zero_problem
 
 
 def test_config_validation():
@@ -96,6 +96,44 @@ def test_tridiagonal_zero_pivot_detected():
     with pytest.raises(SolverError, match="pivot"):
         TriFactor(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                   np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("n", [3, 51, 2001])
+def test_tridiagonal_solve_matches_dense(n):
+    rng = np.random.default_rng(n)
+    sub = np.concatenate(([0.0], rng.uniform(-1.0, 1.0, size=n - 1)))
+    sup = np.concatenate((rng.uniform(-1.0, 1.0, size=n - 1), [0.0]))
+    diag = rng.uniform(3.0, 4.0, size=n)  # strictly dominant
+    A = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+    rhs = rng.uniform(-1.0, 1.0, size=n)
+    ref = np.linalg.solve(A, rhs)
+    solved = TriFactor(sub, diag, sup).solve(rhs)
+    assert np.max(np.abs(solved - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_tridiagonal_solve_needs_three_rows():
+    # LAPACK's gttrs wrapper rejects n <= 2; march always has n = J + 1 >= 3
+    with pytest.raises(ValueError, match="n >= 3"):
+        TriFactor(np.zeros(2), np.ones(2), np.zeros(2))
+
+
+def test_tridiagonal_solve_failure_is_a_solver_error(monkeypatch):
+    import scipy.linalg.lapack
+    monkeypatch.setattr(scipy.linalg.lapack, "dgttrs",
+                        lambda *args: (args[-1], -6))
+    factor = TriFactor(np.zeros(3), np.ones(3), np.zeros(3))
+    with pytest.raises(SolverError, match="info=-6"):
+        factor.solve(np.ones(3))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+def test_overflowing_trajectory_is_a_solver_failure():
+    # finite but huge boundary data overflow at the first level
+    prob, _ = example2()
+    prob = replace(prob, g=lambda t: 1e307)
+    mesh = build_mesh(1.0, 50, tau=1e-3, M=5)
+    with pytest.raises(SolverError, match="not finite from level 1 "):
+        march(prob, mesh, SchemeConfig(0.5, 1.0 / 12.0, "dtbc"))
 
 
 def test_zero_data_gives_zero_trajectory():
@@ -262,3 +300,22 @@ def test_every_level_satisfies_its_dense_system(case, mode):
         scale = (np.abs(A) @ np.abs(U) + np.abs(B) @ np.abs(V)
                  + np.abs(rhs) + abs(flux[m]))
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(scale), m
+
+
+@pytest.mark.parametrize("mode", ["dtbc", "neumann"])
+@pytest.mark.parametrize("case", ["uniform", "graded"])
+@pytest.mark.parametrize("theta", [0.0, 1.0 / 12.0, 0.25])
+@pytest.mark.parametrize("sigma", [0.5, 1.0])
+def test_lapack_solve_matches_python_sweep(sigma, theta, case, mode,
+                                           monkeypatch):
+    # the same march with every level solved by the pure-Python sweep
+    if case == "uniform":
+        prob, _ = example1()
+        mesh = build_mesh(2.5, 50, tau=0.005, M=100)
+    else:
+        prob, mesh = _forced_graded_problem()
+    cfg = SchemeConfig(sigma, theta, mode)
+    fast = march(prob, mesh, cfg).U
+    monkeypatch.setattr(TriFactor, "solve", thomas_solve)
+    direct = march(prob, mesh, cfg).U
+    assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))

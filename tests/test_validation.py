@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from scipy.special import erfc
 from parabolic_dtbc import (SchemeConfig, build_mesh, certify_dissipativity,
                             convolve_all, derive_params, diagnose_energy,
                             error_report, ExactSolution, iterated_erfc,
-                            kernel_by_recurrence, march, u1, u2)
+                            example2, kernel_by_recurrence, march, u1, u2)
+from parabolic_dtbc.validation import EVAL_BLOCK_CELLS, eval_on_grid
 
 from _support import random_h0_problem, zero_problem
 
@@ -119,6 +121,61 @@ def test_error_report_shape_validation():
     mesh = build_mesh(1.0, 10, tau=0.1, M=5)
     with pytest.raises(ValueError):
         error_report(np.zeros((3, 3)), ExactSolution("z", u2), mesh)
+
+
+def test_blocked_error_report_matches_full_grid():
+    # four blocks of whole levels, equal maxima planted in the second and
+    # third; the exact solution depends on x only, so both planted cells
+    # carry bitwise the same error
+    J = 50
+    rows = EVAL_BLOCK_CELLS // (J + 1)
+    M = 3 * rows + 17
+    mesh = build_mesh(1.0, J, tau=1.0 / M, M=M)
+    t = mesh.times()[1:]
+    assert np.array_equal(eval_on_grid(u2, mesh.x, t),
+                          u2(mesh.x[None, :], t[:, None]))
+    exact = ExactSolution("x-only", lambda x, t: np.cos(3.0 * x) + 0.0 * t)
+    rng = np.random.default_rng(5)
+    traj = np.cos(3.0 * mesh.x)[None, :] + rng.uniform(-1e-3, 1e-3,
+                                                       size=(M + 1, J + 1))
+    first, second = (rows + 40, 7), (2 * rows + 3, 7)
+    traj[first] = traj[second] = 2.0
+    rep = error_report(traj, exact, mesh)
+    E = np.abs(traj[1:] - exact(mesh.x[None, :], t[:, None]))
+    i, j = np.unravel_index(int(np.argmax(E)), E.shape)
+    assert (rep.argmax_level, rep.argmax_node) == (i + 1, j) == first
+    assert rep.max_abs_error == E[i, j] == E[second[0] - 1, second[1]]
+    assert np.array_equal(rep.per_level[1:], E.max(axis=1))
+    assert np.isnan(rep.per_level[0])
+
+
+def test_eval_on_grid_falls_back_to_pointwise_per_block():
+    # a scalar-only callable raises TypeError on arrays, across two blocks
+    J = 50
+    M = EVAL_BLOCK_CELLS // (J + 1) + 3
+    x = np.linspace(0.0, 1.0, J + 1)
+    t = np.linspace(0.0, 1.0, M)
+    vals = eval_on_grid(lambda xj, ti: math.cos(xj + ti), x, t)
+    assert vals.shape == (M, J + 1)
+    for i in (0, M // 2, M - 1):
+        assert vals[i].tolist() == [math.cos(float(xj) + float(t[i])) for xj in x]
+
+
+def test_error_report_memory_stays_bounded():
+    # O(M) bookkeeping plus a few block-sized temporaries of the ramp
+    # solution; evaluated on the whole grid at once they take about nine
+    # times the trajectory's size
+    _, exact = example2()
+    J, M = 50, 20000
+    mesh = build_mesh(1.0, J, tau=1.0 / M, M=M)
+    traj = np.zeros((M + 1, J + 1))
+    tracemalloc.start()
+    try:
+        error_report(traj, exact, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (4 * (M + 1) + 16 * EVAL_BLOCK_CELLS)
 
 
 def test_energy_diagnostics_zero_run():
