@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .validation import ExactSolution, u1, u2
+from .validation import ExactSolution, _level_blocks, u1, u2
 
 
 def _sample_x(fn: Callable, x: np.ndarray) -> np.ndarray:
@@ -192,7 +192,10 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
     already lies in the constant-coefficient region; coefficient samples
     there must equal the tail constants and u0, f must vanish below the
     problem's tail tolerance.  Non-finite samples of rho, b, c, u0 or f
-    raise ValueError naming the field.
+    raise ValueError naming the field.  ``f`` is called on blocks of whole
+    levels (the blocks of :func:`~parabolic_dtbc.validation.eval_on_grid`);
+    a block on which it raises TypeError/ValueError or returns the wrong
+    shape is sampled one level at a time instead.
     """
     x, J, M = mesh.x, mesh.J, mesh.M
     x_end = float(x[J])
@@ -235,8 +238,18 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
                          f"(tolerance {problem.tail_tol:g})")
 
     F = np.zeros((M + 1, J + 1))
-    for m in range(1, M + 1):
-        F[m] = _sample_xt(problem.f, x, m * mesh.tau)
+    t = mesh.times()[1:]
+    for lo, hi in _level_blocks(M, J + 1):
+        block = F[1 + lo:1 + hi]
+        try:
+            got = np.asarray(problem.f(x[None, :], t[lo:hi, None]), dtype=float)
+            if got.shape == block.shape:
+                block[...] = got
+                continue
+        except (TypeError, ValueError):
+            pass
+        for i, t_m in enumerate(t[lo:hi].tolist()):
+            block[i] = _sample_xt(problem.f, x, t_m)
     _check_finite("f", F)
     if np.max(np.abs(F[1:, tail_nodes])) > problem.tail_tol:
         raise ValueError("forcing does not vanish on the tail "
@@ -264,7 +277,7 @@ def _const(value: float) -> Callable:
 
 
 def _zero_xt(x, t):
-    return np.zeros(np.shape(x), dtype=float)
+    return np.zeros(np.broadcast(x, t).shape)
 
 
 def example1(x_star: float = 1.25, t0: float = 0.03125

@@ -214,21 +214,23 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
     hist[0] = coeffs.U0[J]
     rhs = np.zeros(J + 1)
     U = coeffs.U0
-    for m in range(1, M + 1):
-        g_m = float(problem.g(m * mesh.tau))
-        if not math.isfinite(g_m):
-            raise ValueError(f"boundary data g is not finite at t_m={m * mesh.tau!r}"
-                             f" (level {m})")
-        rhs[0] = g_m
-        rhs[1:J] = (a_lo * U[0:J - 1] + b_mid * U[1:J] + a_hi * U[2:J + 1]
-                    + hbar * coeffs.F[m, 1:J])
-        rhs_J = a_J * U[J - 1] + b_J * U[J]
-        if kernel is not None:
-            rhs_J += gain * conv.lagged(hist, m)
-        rhs[J] = rhs_J
-        U = factor.solve(rhs)
-        traj[m] = U
-        hist[m] = U[J]
+    # overflow shows as a non-finite trajectory, reported after the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, M + 1):
+            g_m = float(problem.g(m * mesh.tau))
+            if not math.isfinite(g_m):
+                raise ValueError(f"boundary data g is not finite at "
+                                 f"t_m={m * mesh.tau!r} (level {m})")
+            rhs[0] = g_m
+            rhs[1:J] = (a_lo * U[0:J - 1] + b_mid * U[1:J] + a_hi * U[2:J + 1]
+                        + hbar * coeffs.F[m, 1:J])
+            rhs_J = a_J * U[J - 1] + b_J * U[J]
+            if kernel is not None:
+                rhs_J += gain * conv.lagged(hist, m)
+            rhs[J] = rhs_J
+            U = factor.solve(rhs)
+            traj[m] = U
+            hist[m] = U[J]
 
     # min/max propagate NaN and meet any infinity without a boolean temporary
     if not (math.isfinite(traj.min()) and math.isfinite(traj.max())):

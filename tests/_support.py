@@ -1,8 +1,13 @@
-"""Shared problem builders for the test suite."""
+"""Shared problem builders and reference implementations for the test suite."""
+
+import csv
+import io
 
 import numpy as np
 
 from parabolic_dtbc import ProblemSpec
+from parabolic_dtbc.cli import _fmt
+from parabolic_dtbc.validation import eval_on_grid
 
 
 def _zeros(x):
@@ -81,3 +86,31 @@ def thomas_solve(factor, rhs):
     for i in range(n - 2, -1, -1):
         x[i] = (x[i] - du[i] * x[i + 1]) / d[i]
     return np.array(x)
+
+
+def reference_solution_csv(U, exact, mesh):
+    """Bytes of ``solution.csv`` written row by row with ``csv.writer``.
+
+    One ``writerow`` per node and level, every float through ``_fmt``:
+    the direct reference for the template writer of ``cli solve``.  The
+    ``#`` timestamp line is not included.
+    """
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle)
+    writer.writerow(["m", "t", "j", "x", "U", "exact", "error"])
+    times = mesh.times()
+    exact_grid = None
+    if exact is not None:
+        exact_grid = eval_on_grid(exact, mesh.x, times)
+    for m in range(mesh.M + 1):
+        for j in range(mesh.J + 1):
+            u = U[m, j]
+            if exact_grid is not None:
+                e = exact_grid[m, j]
+                row = [m, _fmt(times[m]), j, _fmt(mesh.x[j]),
+                       _fmt(u), _fmt(e), _fmt(u - e)]
+            else:
+                row = [m, _fmt(times[m]), j, _fmt(mesh.x[j]),
+                       _fmt(u), "", ""]
+            writer.writerow(row)
+    return handle.getvalue().encode("ascii")

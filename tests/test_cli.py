@@ -1,12 +1,18 @@
 import csv
+import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from parabolic_dtbc import dtbc_kernel
-from parabolic_dtbc.cli import main, read_config
+from parabolic_dtbc import (SchemeConfig, build_mesh, dtbc_kernel, example2,
+                            march, validation)
+from parabolic_dtbc.cli import (_load_problem, _make_mesh, _write_solution,
+                                main, read_config)
+
+from _support import reference_solution_csv
 
 CUSTOM_ZERO = """\
 import numpy as np
@@ -117,7 +123,7 @@ boundary = neumann
     assert any(line.startswith("10,") for line in rows)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::UserWarning", "error::RuntimeWarning")
 def test_solve_overflowing_trajectory_exits_two(tmp_path, capsys):
     # finite but huge boundary data overflow at the first level
     write(tmp_path / "prob.py", """\
@@ -176,6 +182,102 @@ J = 10
                      "--deterministic"]) == 0
     assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+
+CUSTOM_RAMP_NO_EXACT = """\
+import numpy as np
+from parabolic_dtbc import ProblemSpec
+
+PROBLEM = ProblemSpec(
+    rho=lambda x: np.ones(np.shape(x)),
+    b=lambda x: np.ones(np.shape(x)),
+    c=lambda x: np.zeros(np.shape(x)),
+    f=lambda x, t: np.zeros(np.broadcast(x, t).shape),
+    g=lambda t: float(t),
+    u0=lambda x: np.zeros(np.shape(x)),
+    rho_inf=1.0, b_inf=1.0, c_inf=0.0,
+    X0=0.5, X=1.0, rho_lower=1.0, b_lower=1.0,
+    label="ramp-no-exact")
+"""
+
+# negative ramp from initial data -0.0: U, exact and error take both signs
+# of zero and negative values
+CUSTOM_SIGNED_RAMP = """\
+import numpy as np
+from parabolic_dtbc import ExactSolution, ProblemSpec
+from parabolic_dtbc.validation import u2
+
+PROBLEM = ProblemSpec(
+    rho=lambda x: np.ones(np.shape(x)),
+    b=lambda x: np.ones(np.shape(x)),
+    c=lambda x: np.zeros(np.shape(x)),
+    f=lambda x, t: np.zeros(np.broadcast(x, t).shape),
+    g=lambda t: -float(t) ** 2,
+    u0=lambda x: np.full(np.shape(x), -0.0),
+    rho_inf=1.0, b_inf=1.0, c_inf=0.0,
+    X0=0.5, X=1.0, rho_lower=1.0, b_lower=1.0,
+    label="signed-ramp")
+EXACT = ExactSolution(label="signed-ramp", fn=lambda x, t: -u2(x, t))
+"""
+
+# name: (custom problem module or None, config lines, --deterministic,
+#        byte strings the output must contain)
+SOLUTION_CASES = {
+    "example2": (None, "problem = example2\nJ = 10\n", True, []),
+    "no-exact": (CUSTOM_RAMP_NO_EXACT, "J = 8\n", True, [b",,\r\n"]),
+    "graded-signed": (CUSTOM_SIGNED_RAMP,
+                      "nodes = 0, 0.02, 0.06, 0.12, 0.2, 0.3, 0.45, 0.6, "
+                      "0.8, 1\n", True,
+                      [b",-0.00000000000000000e+00,", b",0.00000000000000000e+00",
+                       b",-1.", b",2,5.99999999999999978e-02,"]),
+    "timestamped": (None, "problem = example2\nJ = 10\n", False, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLUTION_CASES))
+def test_solution_csv_matches_row_by_row_writer(tmp_path, case):
+    module, lines, deterministic, tokens = SOLUTION_CASES[case]
+    text = "sigma = 1/2\ntheta = 1/12\ntau = 0.01\nM = 20\n" + lines
+    if module is not None:
+        write(tmp_path / "prob.py", module)
+        text += f"problem = custom\ncustom_path = {tmp_path / 'prob.py'}\n"
+    cfg_file = write(tmp_path / "run.cfg", text)
+    out = tmp_path / "out"
+    argv = ["solve", "--config", str(cfg_file), "--out", str(out)]
+    assert main(argv + ["--deterministic"] * deterministic) == 0
+    written = (out / "solution.csv").read_bytes()
+    if not deterministic:
+        stamp, written = written.split(b"\n", 1)
+        assert stamp.startswith(b"# generated ")
+
+    cfg = read_config(cfg_file)
+    problem, exact = _load_problem(cfg)
+    mesh = _make_mesh(cfg, problem)
+    U = march(problem, mesh, SchemeConfig(cfg.sigma, cfg.theta)).U
+    assert written == reference_solution_csv(U, exact, mesh)
+    for token in tokens:
+        assert token in written
+
+
+def test_solution_writer_memory_stays_bounded(monkeypatch):
+    # O(J) template, format arguments and row strings plus the temporaries
+    # of one block of the ramp solution; a small block puts the whole
+    # exact grid (8 bytes per cell) well past the bound at a small M
+    monkeypatch.setattr(validation, "EVAL_BLOCK_CELLS", 1 << 10)
+    _, exact = example2()
+    J, M = 50, 1000
+    mesh = build_mesh(1.0, J, tau=1.0 / M, M=M)
+    U = np.zeros((M + 1, J + 1))
+    bound = 8 * (64 * (J + 1) + 16 * validation.EVAL_BLOCK_CELLS)
+    assert 8 * U.size > 2 * bound
+    with open(os.devnull, "w", newline="") as sink:
+        tracemalloc.start()
+        try:
+            _write_solution(sink, U, exact, mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_kernel_command_and_compare(tmp_path, capsys):

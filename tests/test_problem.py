@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from parabolic_dtbc import (Mesh, SchemeConfig, build_mesh, example1, example2,
                             march, sample)
 from parabolic_dtbc.problem import ProblemSpec
+from parabolic_dtbc.validation import _level_blocks
 
 from _support import zero_problem
 
@@ -86,6 +88,42 @@ def test_sample_is_deterministic():
     assert np.array_equal(c1.rho_h[1:], c2.rho_h[1:])
     assert np.array_equal(c1.U0, c2.U0)
     assert np.array_equal(c1.F, c2.F)
+
+
+def _one_d_forcing(x, t):
+    # iterates over the nodes, so a 2-D block of them raises TypeError
+    return np.array([math.sin(math.pi * xi) * t if xi < 0.5 else 0.0
+                     for xi in x])
+
+
+FORCINGS = {
+    "example1": lambda: example1()[0],
+    "example2": lambda: example2()[0],
+    "broadcasting": lambda: replace(zero_problem(), f=lambda x, t: np.where(
+        x < 0.5, np.sin(np.pi * x) * np.exp(-t), 0.0)),
+    "one-d-only": lambda: replace(zero_problem(), f=_one_d_forcing),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORCINGS))
+def test_forcing_blocks_match_per_level_sampling(name):
+    prob = FORCINGS[name]()
+    J, M = 50, 3000  # three level blocks, the last one partial
+    mesh = build_mesh(prob.X, J, tau=1e-4, M=M)
+    calls = []
+
+    def counted(x, t):
+        calls.append(np.shape(t))
+        return prob.f(x, t)
+
+    F = sample(replace(prob, f=counted), mesh).F
+    expected = np.array([np.zeros(J + 1)]
+                        + [prob.f(mesh.x, m * mesh.tau) for m in range(1, M + 1)])
+    assert F.tobytes() == expected.tobytes()
+    n_blocks = len(list(_level_blocks(M, J + 1)))
+    assert n_blocks == 3
+    # one call per block, plus one per level where the block call failed
+    assert len(calls) == n_blocks + (M if name == "one-d-only" else 0)
 
 
 def test_example1_tail_accepted_under_tolerance():

@@ -126,9 +126,10 @@ def test_tridiagonal_solve_failure_is_a_solver_error(monkeypatch):
         factor.solve(np.ones(3))
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::UserWarning", "error::RuntimeWarning")
 def test_overflowing_trajectory_is_a_solver_failure():
-    # finite but huge boundary data overflow at the first level
+    # finite but huge boundary data overflow at the first level; the
+    # SolverError is the only signal, no RuntimeWarning comes first
     prob, _ = example2()
     prob = replace(prob, g=lambda t: 1e307)
     mesh = build_mesh(1.0, 50, tau=1e-3, M=5)
