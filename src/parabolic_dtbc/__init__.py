@@ -9,7 +9,7 @@ energy-stability diagnostics used to validate the schemes, plus a small
 CSV-emitting command line front end.
 """
 
-from .discrete_ops import GridFunction, NormSet
+from .discrete_ops import NormSet
 from .dtbc_kernel import (BranchCutError, Kernel, KernelParams,
                           LaggedConvolution, OracleConvergenceError,
                           convolve_all, derive_params, kernel_by_legendre,
@@ -25,7 +25,7 @@ from .validation import (DissipativityReport, EnergyDiagnostics, ErrorReport,
 
 __all__ = [
     "BranchCutError", "DissipativityReport", "EnergyDiagnostics",
-    "ErrorReport", "ExactSolution", "GridFunction", "Kernel", "KernelParams",
+    "ErrorReport", "ExactSolution", "Kernel", "KernelParams",
     "LaggedConvolution", "Mesh", "NormSet", "OracleConvergenceError",
     "PRESETS", "ProblemSpec", "SampledCoefficients", "SchemeConfig",
     "SolveResult", "SolverError", "build_mesh", "certify_dissipativity",

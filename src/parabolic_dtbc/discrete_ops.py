@@ -1,15 +1,19 @@
-"""Spatial averages, inner products and the energy forms on a mesh.
+"""The averaged stencil and the energy forms on a mesh.
 
-All functions operate on grid vectors of length ``J + 1`` (node values
-``W_0 .. W_J``) together with a :class:`~parabolic_dtbc.problem.Mesh`
-supplying the step arrays.  Step arrays are 1-based: ``mesh.h[j]`` is the
-step ending at node ``j`` and ``mesh.hbar[j]`` the half-sum of the two
-steps around node ``j`` (index 0 of either array is NaN).
+Grid vectors hold node values ``W_0 .. W_J``; every function here reduces
+over the last axis, so an argument may be one vector of length ``J + 1``
+or a block of levels of shape ``(n, J + 1)``, and a form then returns one
+value per level.  A :class:`~parabolic_dtbc.problem.Mesh` supplies the
+step arrays.  Step arrays are 1-based: ``mesh.h[j]`` is the step ending
+at node ``j`` and ``mesh.hbar[j]`` the half-sum of the two steps around
+node ``j`` (index 0 of either array is NaN).
 
 The energy analysis of the scheme lives on top of two bilinear forms:
 a weighted-mass form (:func:`form_mass`) and an elliptic form
 (:func:`form_elliptic`).  Both are restricted to vectors vanishing at the
 left boundary and are symmetric for averaging weights ``theta <= 1/4``.
+:class:`EnergyForm` holds the stencil weights of one form, so a caller
+that applies it to many levels computes them once.
 """
 
 from __future__ import annotations
@@ -19,33 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dtbc_kernel import check_weights
-
-
-def _check_lengths(mesh, *vectors) -> None:
-    for v in vectors:
-        if np.asarray(v).shape != (mesh.J + 1,):
-            raise ValueError(
-                f"grid vector of length {len(v)} does not match mesh with J={mesh.J}")
-
-
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Node values ``W_0 .. W_J`` with an optional left-anchored flag.
-
-    ``anchored=True`` asserts membership in the subspace of vectors that
-    vanish at the left boundary node, which the bilinear forms require.
-    """
-
-    values: np.ndarray
-    anchored: bool = False
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("grid function must be a 1-d vector")
-        if self.anchored and values[0] != 0.0:
-            raise ValueError("anchored grid function must vanish at the first node")
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -70,139 +47,97 @@ class NormSet:
             self, "K_sigma", 2.0 * (self.sigma + abs(1.0 - self.sigma)))
 
 
-# ---------------------------------------------------------------------------
-# pointwise averages (references for the vectorized stencil)
-# ---------------------------------------------------------------------------
+class EnergyForm:
+    """Bilinear form of the energy analysis with its stencil weights.
 
-def avg_s_theta(W, mesh, theta: float, j: int) -> float:
-    """Three-point average with weight theta; theta=0 is the identity."""
-    if not 1 <= j <= mesh.J - 1:
-        raise IndexError(f"three-point average needs 1 <= j <= J-1, got j={j}")
-    h, hbar = mesh.h, mesh.hbar
-    return (theta * (h[j] / hbar[j]) * W[j - 1]
-            + (1.0 - 2.0 * theta) * W[j]
-            + theta * (h[j + 1] / hbar[j]) * W[j + 1])
+    Q(U, W) = sum_{j=1..J} b_j (U_j - U_{j-1}) (W_j - W_{j-1}) / h_j
+            + sum_{j=1..J-1} hbar_j W_j (C_theta U)_j
+            + kappa_end (theta U_{J-1} + (1/2 - theta) U_J) W_J h_J,
 
-
-def c_theta_apply(kappa, W, mesh, theta: float, j: int) -> float:
-    """Averaged multiplication by a midpoint-sampled coefficient kappa.
-
-    Reduces to :func:`avg_s_theta` when ``kappa`` is identically one.
+    where C_theta is the averaged multiplication by the midpoint-sampled
+    coefficient ``kappa`` and the flux sum is present only when ``b_h`` is
+    given.  The weights are computed once here, so one instance serves any
+    number of levels; every method reduces over the last axis.
     """
-    if not 1 <= j <= mesh.J - 1:
-        raise IndexError(f"averaged multiplication needs 1 <= j <= J-1, got j={j}")
-    h, hbar = mesh.h, mesh.hbar
-    s_hat = (h[j] * kappa[j] + h[j + 1] * kappa[j + 1]) / (2.0 * hbar[j])
-    return (theta * (h[j] / hbar[j]) * kappa[j] * W[j - 1]
-            + (1.0 - 2.0 * theta) * s_hat * W[j]
-            + theta * (h[j + 1] / hbar[j]) * kappa[j + 1] * W[j + 1])
+
+    def __init__(self, mesh, theta: float, kappa, kappa_end: float, b_h=None):
+        check_weights(None, theta)
+        J = mesh.J
+        h, hb = mesh.h, mesh.hbar[1:J]
+        s_hat = (h[1:J] * kappa[1:J] + h[2:J + 1] * kappa[2:J + 1]) / (2.0 * hb)
+        self._lo = theta * (h[1:J] / hb) * kappa[1:J]
+        self._mid = (1.0 - 2.0 * theta) * s_hat
+        self._hi = theta * (h[2:J + 1] / hb) * kappa[2:J + 1]
+        self._hbar = hb
+        self._end = (theta, 0.5 - theta, kappa_end * h[J])
+        self._flux = None if b_h is None else b_h[1:] / h[1:]
+
+    def averaged(self, W):
+        """(C_theta W)_j at the interior nodes j = 1..J-1."""
+        return (self._lo * W[..., :-2] + self._mid * W[..., 1:-1]
+                + self._hi * W[..., 2:])
+
+    def flux(self, U, W):
+        """sum_j b_j (U_j - U_{j-1}) (W_j - W_{j-1}) / h_j."""
+        dU = np.diff(U, axis=-1)
+        dW = dU if W is U else np.diff(W, axis=-1)
+        return (dU * dW) @ self._flux
+
+    def evaluate(self, U, W):
+        """Q(U, W), one value per level."""
+        inner, outer, end = self._end
+        val = (self.averaged(U) * W[..., 1:-1]) @ self._hbar
+        val += end * (inner * U[..., -2] + outer * U[..., -1]) * W[..., -1]
+        if self._flux is not None:
+            val += self.flux(U, W)
+        return val
 
 
-def s_theta_minus(W, theta: float) -> float:
-    """Inner half of the three-point average at the last node."""
-    return theta * W[-2] + (0.5 - theta) * W[-1]
+def _check_args(mesh, coefficients, U, W):
+    U = np.asarray(U, dtype=float)
+    W = U if W is U else np.asarray(W, dtype=float)
+    for v in coefficients:
+        if np.shape(v) != (mesh.J + 1,):
+            raise ValueError(
+                f"coefficient of length {len(v)} does not match mesh with J={mesh.J}")
+    if U.shape != W.shape or U.shape[-1:] != (mesh.J + 1,):
+        raise ValueError(f"form arguments of shapes {U.shape} and {W.shape} "
+                         f"do not match mesh with J={mesh.J}")
+    if np.any(U[..., 0] != 0.0) or np.any(W[..., 0] != 0.0):
+        raise ValueError("form arguments must vanish at the first node")
+    return U, W
 
-
-# ---------------------------------------------------------------------------
-# vectorized stencil application (interior nodes 1..J-1)
-# ---------------------------------------------------------------------------
 
 def c_theta_interior(kappa, W, mesh, theta: float) -> np.ndarray:
-    """Averaged multiplication on all interior nodes at once.
+    """Averaged multiplication by a midpoint-sampled coefficient kappa.
 
-    Returns a vector of length J+1 whose entries 1..J-1 are filled; the
-    boundary slots are NaN.
+    Same shape as ``W``; along the last axis, entries 1..J-1 are filled
+    and the boundary slots are NaN.
     """
-    J = mesh.J
-    h, hbar = mesh.h, mesh.hbar
-    out = np.full(J + 1, np.nan)
-    hb = hbar[1:J]
-    s_hat = (h[1:J] * kappa[1:J] + h[2:J + 1] * kappa[2:J + 1]) / (2.0 * hb)
-    out[1:J] = (theta * (h[1:J] / hb) * kappa[1:J] * W[0:J - 1]
-                + (1.0 - 2.0 * theta) * s_hat * W[1:J]
-                + theta * (h[2:J + 1] / hb) * kappa[2:J + 1] * W[2:J + 1])
+    W = np.asarray(W, dtype=float)
+    out = np.full(W.shape, np.nan)
+    out[..., 1:-1] = EnergyForm(mesh, theta, kappa, kappa[mesh.J]).averaged(W)
     return out
 
 
-# ---------------------------------------------------------------------------
-# inner products and norms
-# ---------------------------------------------------------------------------
-
-def inner_omega(V, W, mesh) -> float:
-    """Interior product: sum over j = 1..J-1 of V_j W_j hbar_j."""
-    _check_lengths(mesh, V, W)
-    J = mesh.J
-    return float(np.dot(V[1:J] * W[1:J], mesh.hbar[1:J]))
-
-
-def inner_tilde(V, W, mesh) -> float:
-    """Step product: sum over j = 1..J of V_j W_j h_j."""
-    _check_lengths(mesh, V, W)
-    return float(np.dot(V[1:] * W[1:], mesh.h[1:]))
-
-
-def inner_bar(V, W, mesh) -> float:
-    """Interior product plus the half-cell contribution of the last node."""
-    _check_lengths(mesh, V, W)
-    J = mesh.J
-    return inner_omega(V, W, mesh) + V[J] * W[J] * mesh.h_tail / 2.0
-
-
-def norm_bar(W, mesh) -> float:
-    return float(np.sqrt(inner_bar(W, W, mesh)))
-
-
-# ---------------------------------------------------------------------------
-# bilinear forms of the energy analysis
-# ---------------------------------------------------------------------------
-
-def _require_anchored(*vectors) -> None:
-    for v in vectors:
-        if v[0] != 0.0:
-            raise ValueError("form arguments must vanish at the first node")
-
-
-def form_mass(U, W, kappa, mesh, theta: float) -> float:
+def form_mass(U, W, kappa, mesh, theta: float):
     """Weighted-mass form: interior averaged product plus end-node term.
 
     Symmetric in (U, W) for theta <= 1/4 and nonnegative on the diagonal
-    for kappa >= 0.  Arguments must vanish at the first node.
+    for kappa >= 0.  Arguments must vanish at the first node.  Returns a
+    float for grid vectors and one value per level for blocks of levels.
     """
-    check_weights(None, theta)
-    _check_lengths(mesh, U, W, kappa)
-    _require_anchored(U, W)
-    J = mesh.J
-    cu = c_theta_interior(kappa, U, mesh, theta)
-    val = float(np.dot(cu[1:J] * W[1:J], mesh.hbar[1:J]))
-    val += kappa[J] * s_theta_minus(U, theta) * W[J] * mesh.h[J]
-    return val
+    U, W = _check_args(mesh, (kappa,), U, W)
+    return EnergyForm(mesh, theta, kappa, kappa[mesh.J]).evaluate(U, W)
 
 
-def norm_mass(W, kappa, mesh, theta: float) -> float:
-    """Seminorm induced by :func:`form_mass`; tiny negative roundoff is clipped."""
-    q = form_mass(W, W, kappa, mesh, theta)
-    scale = float(np.max(np.abs(W))) ** 2 + 1.0
-    if q < -1e-12 * scale:
-        raise ValueError("mass form is not nonnegative; check kappa >= 0, theta <= 1/4")
-    return float(np.sqrt(max(q, 0.0)))
-
-
-def form_elliptic(U, W, b_h, c_h, c_inf, mesh, theta: float) -> float:
+def form_elliptic(U, W, b_h, c_h, c_inf, mesh, theta: float):
     """Elliptic form: flux product, averaged reaction, and end-node reaction.
 
     Symmetric in (U, W) provided ``c_inf`` equals the last midpoint sample
     ``c_h[J]``, which holds whenever the tail step lies inside the
-    constant-coefficient region (enforced at sampling time).
+    constant-coefficient region (enforced at sampling time).  Returns a
+    float for grid vectors and one value per level for blocks of levels.
     """
-    check_weights(None, theta)
-    _check_lengths(mesh, U, W, b_h, c_h)
-    _require_anchored(U, W)
-    J = mesh.J
-    dU = (U[1:] - U[:-1]) / mesh.h[1:]
-    dW = (W[1:] - W[:-1]) / mesh.h[1:]
-    val = float(np.dot(b_h[1:] * dU * dW, mesh.h[1:]))
-    cu = c_theta_interior(c_h, U, mesh, theta)
-    val += float(np.dot(cu[1:J] * W[1:J], mesh.hbar[1:J]))
-    val += c_inf * s_theta_minus(U, theta) * W[J] * mesh.h[J]
-    return val
-
+    U, W = _check_args(mesh, (b_h, c_h), U, W)
+    return EnergyForm(mesh, theta, c_h, c_inf, b_h).evaluate(U, W)

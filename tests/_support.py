@@ -2,10 +2,12 @@
 
 import csv
 import io
+import math
 
 import numpy as np
 
-from parabolic_dtbc import ProblemSpec
+from parabolic_dtbc import EnergyDiagnostics, ProblemSpec
+from parabolic_dtbc import discrete_ops as ops
 from parabolic_dtbc.cli import _fmt
 from parabolic_dtbc.validation import eval_on_grid
 
@@ -114,3 +116,165 @@ def reference_solution_csv(U, exact, mesh):
                        _fmt(u), "", ""]
             writer.writerow(row)
     return handle.getvalue().encode("ascii")
+
+
+def c_theta_apply(kappa, W, mesh, theta, j):
+    """Averaged multiplication by a midpoint-sampled kappa at one node j.
+
+    The pointwise reference for the stencil of ``discrete_ops``.
+    """
+    if not 1 <= j <= mesh.J - 1:
+        raise IndexError(f"averaged multiplication needs 1 <= j <= J-1, got j={j}")
+    h, hbar = mesh.h, mesh.hbar
+    s_hat = (h[j] * kappa[j] + h[j + 1] * kappa[j + 1]) / (2.0 * hbar[j])
+    return (theta * (h[j] / hbar[j]) * kappa[j] * W[j - 1]
+            + (1.0 - 2.0 * theta) * s_hat * W[j]
+            + theta * (h[j + 1] / hbar[j]) * kappa[j + 1] * W[j + 1])
+
+
+def norm_bar(W, mesh):
+    """Half-cell norm: interior nodes weighted by hbar_j, the last by h_J / 2."""
+    J = mesh.J
+    return math.sqrt(float(np.dot(W[1:J] ** 2, mesh.hbar[1:J]))
+                     + W[J] ** 2 * mesh.h_tail / 2.0)
+
+
+def convolve_direct(kernel, history):
+    """Boundary convolution at every level by the direct O(n^2) sum.
+
+    The reference for the FFT convolution ``convolve_all``.
+    """
+    history = np.asarray(history, dtype=float)
+    n = history.size
+    full = np.convolve(kernel.R[:n], history)[:n]
+    return full / (2.0 * kernel.params.h)
+
+
+def dissipativity_sums_reference(kernel, probes):
+    """Worst normalized quadratic sums of the convolution, probe by probe.
+
+    Each row of ``probes`` is one sequence starting at zero; rows of zero
+    norm are skipped.  The direct reference for ``certify_dissipativity``.
+    """
+    sigma, tau = kernel.params.sigma, kernel.params.tau
+    worst_w = worst_i = -math.inf
+    for phi in probes:
+        S = convolve_direct(kernel, phi)
+        avg = sigma * phi[1:] + (1.0 - sigma) * phi[:-1]
+        inc = phi[1:] - phi[:-1]
+        norm2 = float(np.dot(phi[1:], phi[1:])) * tau
+        if norm2 == 0.0:
+            continue
+        worst_w = max(worst_w, float(np.dot(S[1:], avg)) * tau / norm2)
+        worst_i = max(worst_i, float(np.dot(S[1:], inc)) / norm2)
+    return worst_w, worst_i
+
+
+def diagnose_energy_reference(result, problem):
+    """Energy identities and bounds by a Python loop over the levels.
+
+    Five form evaluations on grid vectors per level and the direct
+    convolution: the reference for the block evaluation of
+    ``diagnose_energy``, with the same fields.
+    """
+    U = result.U
+    mesh = result.mesh
+    coeffs = result.coeffs
+    cfg = result.config
+    kernel = result.kernel
+    sigma, theta = cfg.sigma, cfg.theta
+    tau, M, J = mesh.tau, mesh.M, mesh.J
+    b_inf, c_inf = problem.b_inf, problem.c_inf
+
+    if np.max(np.abs(U[:, 0])) > 1e-13 * (1.0 + np.max(np.abs(U))):
+        raise ValueError("energy diagnostics require zero left boundary data")
+
+    rho_h, b_h, c_h, F = coeffs.rho_h, coeffs.b_h, coeffs.c_h, coeffs.F
+    norms = ops.NormSet(sigma=sigma, theta=theta)
+
+    def mass2(V):
+        return ops.form_mass(V, V, rho_h, mesh, theta)
+
+    def ell2(V):
+        return ops.form_elliptic(V, V, b_h, c_h, c_inf, mesh, theta)
+
+    if kernel is not None:
+        S = convolve_direct(kernel, result.history)
+    else:
+        S = np.zeros(M + 1)
+
+    mass2_0 = mass2(U[0])
+    ell2_0 = ell2(U[0])
+    h_in = mesh.hbar[1:J]
+
+    acc_dmass = acc_flux = acc_react = acc_S1 = acc_F1 = 0.0
+    acc_dmass_t = acc_dell = acc_S2 = acc_F2 = acc_Fnorm = acc_Fnorm2 = 0.0
+    worst_first = 0.0
+    worst_second = 0.0
+    max_mass = math.sqrt(max(mass2_0, 0.0))
+    max_ell = math.sqrt(max(ell2_0, 0.0))
+
+    for m in range(1, M + 1):
+        Um, Up = U[m], U[m - 1]
+        Us = sigma * Um + (1.0 - sigma) * Up
+        dU = (Um - Up) / tau
+        n_dU_mass = mass2(dU)
+        n_dU_ell = ell2(dU)
+        dUs = (Us[1:] - Us[:-1]) / mesh.h[1:]
+        flux = float(np.dot(b_h[1:] * dUs * dUs, mesh.h[1:]))
+        react = ops.form_mass(Us, Us, c_h, mesh, theta)
+        f_row = F[m]
+        acc_dmass += n_dU_mass * tau * tau
+        acc_flux += flux * tau
+        acc_react += react * tau
+        acc_S1 += S[m] * Us[J] * tau
+        acc_F1 += float(np.dot(f_row[1:J] * Us[1:J], h_in)) * tau
+        acc_dmass_t += n_dU_mass * tau
+        acc_dell += n_dU_ell * tau * tau
+        acc_S2 += S[m] * dU[J] * tau
+        acc_F2 += float(np.dot(f_row[1:J] * dU[1:J], h_in)) * tau
+        fnorm2 = float(np.dot(f_row[1:J] ** 2, h_in))
+        acc_Fnorm += math.sqrt(fnorm2) * tau
+        acc_Fnorm2 += fnorm2 * tau
+
+        mass2_m = mass2(Um)
+        ell2_m = ell2(Um)
+        max_mass = max(max_mass, math.sqrt(max(mass2_m, 0.0)))
+        max_ell = max(max_ell, math.sqrt(max(ell2_m, 0.0)))
+
+        terms1 = (0.5 * mass2_m, (sigma - 0.5) * acc_dmass, acc_flux,
+                  acc_react, -b_inf * acc_S1, 0.5 * mass2_0, acc_F1)
+        res1 = abs(sum(terms1[:5]) - terms1[5] - terms1[6])
+        scale1 = max(abs(v) for v in terms1)
+        if scale1 > 0.0:
+            worst_first = max(worst_first, res1 / scale1)
+
+        terms2 = (acc_dmass_t, 0.5 * ell2_m, (sigma - 0.5) * acc_dell,
+                  -b_inf * acc_S2, 0.5 * ell2_0, acc_F2)
+        res2 = abs(sum(terms2[:4]) - terms2[4] - terms2[5])
+        scale2 = max(abs(v) for v in terms2)
+        if scale2 > 0.0:
+            worst_second = max(worst_second, res2 / scale2)
+
+    rho_low = problem.rho_lower
+    lhs_sb = max(max_mass,
+                 math.sqrt(2.0 * max(acc_flux + acc_react
+                                     + (sigma - 0.5) * acc_dmass, 0.0)))
+    rhs_sb = math.sqrt(max(mass2_0, 0.0))
+    lhs_sbA = max(max_ell,
+                  math.sqrt(2.0 * max(acc_dmass_t
+                                      + (sigma - 0.5) * acc_dell, 0.0)))
+    rhs_sbA = math.sqrt(max(ell2_0, 0.0))
+    if acc_Fnorm > 0.0:
+        if norms.c_theta <= 0.0:
+            rhs_sb = math.inf
+            rhs_sbA = math.inf
+        else:
+            rhs_sb += norms.K_sigma / math.sqrt(norms.c_theta * rho_low) * acc_Fnorm
+            rhs_sbA += math.sqrt(2.0 / (norms.c_theta * rho_low)) \
+                * math.sqrt(acc_Fnorm2)
+
+    return EnergyDiagnostics(first_equality_rel=float(worst_first),
+                             second_equality_rel=float(worst_second),
+                             sb_slack=float(rhs_sb - lhs_sb),
+                             sbA_slack=float(rhs_sbA - lhs_sbA))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from parabolic_dtbc import GridFunction, NormSet, build_mesh
+from parabolic_dtbc import NormSet, build_mesh
 from parabolic_dtbc import discrete_ops as ops
+
+from _support import c_theta_apply, norm_bar
 
 
 def uniform_mesh(J=10, X=1.0):
@@ -23,28 +25,42 @@ def rng_vector(mesh, seed, anchored=False):
     return W
 
 
+def unit_kappa(mesh):
+    ones = np.ones(mesh.J + 1)
+    ones[0] = np.nan  # midpoint-indexed
+    return ones
+
+
 def test_theta_zero_average_is_identity():
     mesh = graded_mesh()
     W = rng_vector(mesh, 1)
-    for j in range(1, mesh.J):
-        assert ops.avg_s_theta(W, mesh, 0.0, j) == W[j]
+    field = ops.c_theta_interior(unit_kappa(mesh), W, mesh, 0.0)
+    assert np.array_equal(field[1:-1], W[1:-1])
+    assert np.isnan(field[0]) and np.isnan(field[-1])
 
 
 def test_three_point_average_symmetric_case():
     mesh = build_mesh(1.0, tau=1.0, M=1, nodes=[0.0, 0.5, 1.0])
     W = np.array([1.0, 2.0, 3.0])
-    assert ops.avg_s_theta(W, mesh, 1.0 / 6.0, 1) == pytest.approx(2.0)
+    field = ops.c_theta_interior(unit_kappa(mesh), W, mesh, 1.0 / 6.0)
+    assert field[1] == pytest.approx(2.0)
 
 
 def test_averaged_multiplication_by_one_is_average():
+    # with kappa = 1 the stencil is the three-point average
+    # theta (h_j/hbar_j) W_{j-1} + (1 - 2 theta) W_j + theta (h_{j+1}/hbar_j) W_{j+1}
     mesh = graded_mesh()
     W = rng_vector(mesh, 2)
-    ones = np.ones(mesh.J + 1)
-    ones[0] = np.nan  # midpoint-indexed
+    h, hbar = mesh.h, mesh.hbar
     for theta in (-0.5, 0.0, 1.0 / 6.0, 0.25):
+        field = ops.c_theta_interior(unit_kappa(mesh), W, mesh, theta)
         for j in range(1, mesh.J):
-            assert ops.c_theta_apply(ones, W, mesh, theta, j) == pytest.approx(
-                ops.avg_s_theta(W, mesh, theta, j), abs=1e-15)
+            average = (theta * (h[j] / hbar[j]) * W[j - 1]
+                       + (1.0 - 2.0 * theta) * W[j]
+                       + theta * (h[j + 1] / hbar[j]) * W[j + 1])
+            assert field[j] == pytest.approx(average, abs=1e-15)
+            assert c_theta_apply(unit_kappa(mesh), W, mesh, theta, j) \
+                == pytest.approx(average, abs=1e-15)
 
 
 def test_vectorized_stencil_matches_pointwise():
@@ -56,26 +72,43 @@ def test_vectorized_stencil_matches_pointwise():
         field = ops.c_theta_interior(kappa, W, mesh, theta)
         for j in range(1, mesh.J):
             assert field[j] == pytest.approx(
-                ops.c_theta_apply(kappa, W, mesh, theta, j), abs=1e-15)
+                c_theta_apply(kappa, W, mesh, theta, j), abs=1e-15)
 
 
-def test_inner_products_basic_identities():
+def test_stencil_and_forms_reduce_over_the_last_axis():
+    # a block of levels gives, row by row, the values of single vectors
+    mesh = graded_mesh()
+    rng = np.random.default_rng(5)
+    U = rng.uniform(-1.0, 1.0, size=(7, mesh.J + 1))
+    W = rng.uniform(-1.0, 1.0, size=(7, mesh.J + 1))
+    U[:, 0] = W[:, 0] = 0.0
+    b_h = np.concatenate(([np.nan], rng.uniform(0.5, 2.0, size=mesh.J)))
+    c_h = np.concatenate(([np.nan], rng.uniform(0.0, 1.0, size=mesh.J)))
+    for theta in (-0.5, 0.0, 1.0 / 12.0, 0.25):
+        field = ops.c_theta_interior(b_h, U, mesh, theta)
+        mass = ops.form_mass(U, W, b_h, mesh, theta)
+        ell = ops.form_elliptic(U, W, b_h, c_h, c_h[-1], mesh, theta)
+        assert field.shape == U.shape and mass.shape == ell.shape == (7,)
+        for i in range(7):
+            assert np.array_equal(field[i], ops.c_theta_interior(b_h, U[i], mesh, theta),
+                                  equal_nan=True)
+            assert mass[i] == pytest.approx(
+                ops.form_mass(U[i], W[i], b_h, mesh, theta), abs=1e-14)
+            assert ell[i] == pytest.approx(
+                ops.form_elliptic(U[i], W[i], b_h, c_h, c_h[-1], mesh, theta),
+                abs=1e-13)
+
+
+def test_forms_reject_mismatched_shapes():
     mesh = uniform_mesh(J=10)
-    ones = np.ones(mesh.J + 1)
-    assert ops.inner_tilde(ones, ones, mesh) == pytest.approx(1.0)
-    zeros = np.zeros(mesh.J + 1)
-    W = rng_vector(mesh, 6)
-    assert ops.inner_omega(zeros, W, mesh) == 0.0
-    assert ops.inner_tilde(zeros, W, mesh) == 0.0
-    assert ops.inner_bar(zeros, W, mesh) == 0.0
-    gap = ops.inner_bar(W, W, mesh) - ops.inner_omega(W, W, mesh)
-    assert gap == pytest.approx(W[-1] ** 2 * mesh.h_tail / 2.0)
-
-
-def test_inner_product_rejects_mismatched_lengths():
-    mesh = uniform_mesh(J=10)
-    with pytest.raises(ValueError):
-        ops.inner_omega(np.zeros(5), np.zeros(5), mesh)
+    kappa = unit_kappa(mesh)
+    with pytest.raises(ValueError, match="do not match"):
+        ops.form_mass(np.zeros(5), np.zeros(5), kappa, mesh, 0.0)
+    with pytest.raises(ValueError, match="do not match"):
+        ops.form_mass(np.zeros((2, 11)), np.zeros((3, 11)), kappa, mesh, 0.0)
+    with pytest.raises(ValueError, match="coefficient"):
+        ops.form_elliptic(np.zeros(11), np.zeros(11), kappa[:5], kappa,
+                          1.0, mesh, 0.0)
 
 
 def test_mass_form_symmetry():
@@ -142,8 +175,8 @@ def test_mass_norm_equivalence_inequality():
             W = rng.uniform(-1.0, 1.0, size=mesh.J + 1)
             W[0] = 0.0
             rho = np.concatenate(([np.nan], rng.uniform(0.5, 2.0, size=mesh.J)))
-            n_mass = ops.norm_mass(W, rho, mesh, theta)
-            n_bar = ops.norm_bar(W, mesh)
+            n_mass = np.sqrt(ops.form_mass(W, W, rho, mesh, theta))
+            n_bar = norm_bar(W, mesh)
             rho_min, rho_max = np.min(rho[1:]), np.max(rho[1:])
             assert n_mass <= np.sqrt(upper_c * rho_max) * n_bar + 1e-12
             if theta < 0.25:
@@ -172,9 +205,3 @@ def test_norm_set_rejects_theta_past_the_slack():
     with pytest.raises(ValueError, match="theta"):
         NormSet(sigma=0.5, theta=0.25 + 2e-14)
 
-
-def test_grid_function_anchoring():
-    gf = GridFunction(values=np.array([0.0, 1.0, 2.0]), anchored=True)
-    assert gf.values[0] == 0.0
-    with pytest.raises(ValueError):
-        GridFunction(values=np.array([0.5, 1.0]), anchored=True)

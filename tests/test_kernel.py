@@ -9,6 +9,8 @@ from parabolic_dtbc import (Kernel, LaggedConvolution, NormSet,
 from parabolic_dtbc import discrete_ops as ops
 from parabolic_dtbc.dtbc_kernel import BLOCK
 
+from _support import convolve_direct
+
 SQRT5 = np.sqrt(5.0)
 
 
@@ -186,10 +188,31 @@ def test_convolve_all_matches_pointwise():
     k = kernel_by_recurrence(example2_params(), 64)
     rng = np.random.default_rng(3)
     phi = rng.uniform(-1.0, 1.0, size=65)
-    batch = convolve_all(k, phi)
+    direct = convolve_direct(k, phi)
+    fast = convolve_all(k, phi)
     for m in (0, 1, 5, 30, 64):
-        direct = sum(float(k.R[q]) * float(phi[m - q]) for q in range(m + 1))
-        assert batch[m] == pytest.approx(direct / (2.0 * k.params.h), rel=1e-14)
+        terms = [float(k.R[q]) * float(phi[m - q]) for q in range(m + 1)]
+        pointwise = sum(terms) / (2.0 * k.params.h)
+        bound = 1e-13 * sum(abs(t) for t in terms) / (2.0 * k.params.h)
+        assert direct[m] == pytest.approx(pointwise, rel=1e-14)
+        assert abs(fast[m] - pointwise) <= bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 4097])
+def test_fft_convolution_matches_direct_sum(n):
+    k = kernel_by_recurrence(example1_params(), max(n - 1, 1))
+    phi = np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
+    fast = convolve_all(k, phi)
+    assert fast.shape == (n,)
+    # sum_q |R_q| |phi_{m-q}| / (2 h) per level, the scale of the roundoff
+    size = np.convolve(np.abs(k.R[:n]), np.abs(phi))[:n] / (2.0 * k.params.h)
+    assert np.all(np.abs(fast - convolve_direct(k, phi)) <= 1e-13 * size)
+    # a block of histories is convolved row by row
+    block = np.stack([phi, -2.0 * phi, np.zeros(n)])
+    rows = convolve_all(k, block)
+    assert rows.shape == (3, n)
+    assert np.all(np.abs(rows[1] + 2.0 * fast) <= 1e-13 * size)
+    assert np.all(rows[2] == 0.0)
 
 
 @pytest.mark.parametrize("M", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1,

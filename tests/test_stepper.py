@@ -3,15 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from parabolic_dtbc import (SchemeConfig, build_mesh, convolve_all,
-                            derive_params, error_report, example1, example2,
+from parabolic_dtbc import (SchemeConfig, build_mesh, derive_params, error_report, example1, example2,
                             kernel_by_recurrence, march, march_reference,
                             sample)
 from parabolic_dtbc.dtbc_kernel import BLOCK
 from parabolic_dtbc.stepper import (SolverError, TriFactor, level_matrix,
                                     scheme_weights)
 
-from _support import random_h0_problem, thomas_solve, zero_problem
+from _support import (convolve_direct, random_h0_problem, thomas_solve,
+                      zero_problem)
 
 
 def test_config_validation():
@@ -290,7 +290,7 @@ def test_every_level_satisfies_its_dense_system(case, mode):
     if mode == "dtbc":
         assert np.array_equal(res.history, res.U[:, J])
         # b_inf / (2 h) * sum_{q=0..m} R_q Phi_{m-q}, the closure's flux term
-        flux = prob.b_inf * convolve_all(res.kernel, res.history)
+        flux = prob.b_inf * convolve_direct(res.kernel, res.history)
     for m in range(1, mesh.M + 1):
         U, V = res.U[m], res.U[m - 1]
         rhs = B @ V

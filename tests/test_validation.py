@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from parabolic_dtbc import (SchemeConfig, build_mesh, certify_dissipativity,
                             convolve_all, derive_params, diagnose_energy,
                             error_report, ExactSolution, iterated_erfc,
                             example2, kernel_by_recurrence, march, u1, u2)
+from parabolic_dtbc import validation
 from parabolic_dtbc.validation import EVAL_BLOCK_CELLS, eval_on_grid
 
-from _support import random_h0_problem, zero_problem
+from _support import (diagnose_energy_reference, dissipativity_sums_reference,
+                      random_h0_problem, zero_problem)
 
 # 30-digit reference values for the complementary error function,
 # computed with arbitrary-precision arithmetic while writing this test
@@ -209,6 +212,90 @@ def test_energy_diagnostics_require_zero_boundary():
         diagnose_energy(res, prob)
 
 
+def _diagnostic_run(case, sigma, theta, mode):
+    """Zero-boundary run with variable coefficients, forced unless
+    ``case`` is "unforced", on a uniform or a graded mesh."""
+    if case == "graded":
+        nodes = np.concatenate(([0.0, 0.05, 0.15, 0.3, 0.5],
+                                np.arange(0.6, 1.0001, 0.1)))
+        mesh = build_mesh(1.0, tau=0.01, M=61, nodes=nodes)
+    else:
+        mesh = build_mesh(1.0, 20, tau=0.02, M=61)
+    prob = random_h0_problem(7, mesh.x, 0.5, 1.0, variable=True)
+    if case != "unforced":
+        def f(x, t):
+            x = np.asarray(x, dtype=float)
+            return np.where(x < 0.5, np.sin(2.0 * np.pi * x) * np.cos(3.0 * t),
+                            0.0)
+        prob = replace(prob, f=f)
+    return prob, march(prob, mesh, SchemeConfig(sigma, theta, mode))
+
+
+@pytest.mark.parametrize("mode", ["dtbc", "neumann"])
+@pytest.mark.parametrize("case", ["unforced", "uniform", "graded"])
+@pytest.mark.parametrize("theta", [0.0, 1.0 / 12.0, 0.25])
+@pytest.mark.parametrize("sigma", [0.5, 1.0])
+def test_block_diagnostics_match_the_level_loop(sigma, theta, case, mode,
+                                                monkeypatch):
+    prob, res = _diagnostic_run(case, sigma, theta, mode)
+    assert np.any(res.coeffs.F != 0.0) == (case != "unforced")
+    # three levels per block: the 61 levels span 21 blocks, the last partial
+    monkeypatch.setattr(validation, "EVAL_BLOCK_CELLS", 3 * (res.mesh.J + 1))
+    fast = diagnose_energy(res, prob)
+    ref = diagnose_energy_reference(res, prob)
+    for field in fields(fast):
+        got, want = getattr(fast, field.name), getattr(ref, field.name)
+        assert got == want or abs(got - want) <= 1e-13, field.name
+    if case != "unforced" and theta == 0.25:
+        # c_theta = 0: the forced bounds are vacuous
+        assert fast.sb_slack == fast.sbA_slack == math.inf
+
+
+def test_energy_diagnostics_fields_are_floats():
+    for case in ("unforced", "uniform"):
+        prob, res = _diagnostic_run(case, 0.5, 1.0 / 12.0, "dtbc")
+        diag = diagnose_energy(res, prob)
+        for field in fields(diag):
+            assert type(getattr(diag, field.name)) is float, field.name
+    params = derive_params(1.0, 1.0, 0.0, 0.1, 0.01, 0.5, 0.0)
+    rep = certify_dissipativity(kernel_by_recurrence(params, 50), trials=5, M=50)
+    assert type(rep.worst_weighted) is type(rep.worst_increment) is float
+    assert type(rep.passed) is bool
+
+
+def test_unforced_bound_slacks_tie_exactly_at_zero():
+    # with zero forcing both bounds compare the initial energy with itself:
+    # the slack of a decaying run is exactly 0.0, never a roundoff negative
+    prob, _ = example2()
+    mesh = build_mesh(1.0, 50, tau=1e-3, M=1000)
+    run = random_h0_problem(11, mesh.x, prob.X0, 1.0)
+    for sigma, theta in ((0.5, 1.0 / 12.0), (1.0, 0.25)):
+        for mode in ("dtbc", "neumann"):
+            diag = diagnose_energy(
+                march(run, mesh, SchemeConfig(sigma, theta, mode)), run)
+            assert diag.sb_slack == 0.0 and diag.sbA_slack == 0.0
+
+
+def test_diagnose_energy_memory_stays_bounded(monkeypatch):
+    # O(M) bookkeeping (the boundary sums and their FFT) plus a few
+    # block-sized temporaries; one difference of the whole trajectory alone
+    # would be over twice the bound
+    monkeypatch.setattr(validation, "EVAL_BLOCK_CELLS", 1 << 10)
+    J, M = 50, 4000
+    mesh = build_mesh(1.0, J, tau=1.0 / M, M=M)
+    prob = random_h0_problem(3, mesh.x, 0.5, 1.0)
+    res = march(prob, mesh, SchemeConfig(0.5, 1.0 / 12.0, "dtbc"))
+    tracemalloc.start()
+    try:
+        diagnose_energy(res, prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * (16 * (M + 1) + 16 * validation.EVAL_BLOCK_CELLS)
+    assert 2 * bound < res.U.nbytes
+    assert peak <= bound
+
+
 def test_zero_probe_gives_exactly_zero_sums():
     params = derive_params(1.0, 1.0, 0.0, 0.1, 0.01, 0.5, 0.0)
     kernel = kernel_by_recurrence(params, 50)
@@ -224,6 +311,25 @@ def test_dissipativity_smoke():
     assert rep.worst_weighted < 0.0
     assert rep.worst_increment < 0.0
     assert rep.n_sequences == 53
+
+
+@pytest.mark.parametrize("trials", [0, 40])
+def test_batched_dissipativity_matches_probe_loop(trials):
+    params = derive_params(1.0, 1.0, 0.0, 0.1, 0.01, 0.75, 1.0 / 12.0)
+    kernel = kernel_by_recurrence(params, 120)
+    M = 100
+    rep = certify_dissipativity(kernel, trials=trials, M=M, seed=3)
+    # the same probes: random rows, then spike, alternating signs and ramp
+    probes = np.zeros((trials + 3, M + 1))
+    probes[:trials, 1:] = np.random.default_rng(3).uniform(-1.0, 1.0,
+                                                           size=(trials, M))
+    probes[trials, 1 + M // 3] = 1.0
+    probes[trials + 1, 1:] = (-1.0) ** np.arange(M)
+    probes[trials + 2, 1:] = np.arange(1, M + 1) / M
+    worst_w, worst_i = dissipativity_sums_reference(kernel, probes)
+    assert rep.n_sequences == trials + 3
+    assert abs(rep.worst_weighted - worst_w) <= 1e-13
+    assert abs(rep.worst_increment - worst_i) <= 1e-13
 
 
 def test_dissipativity_rejects_short_kernel():
