@@ -10,11 +10,10 @@ CSV-emitting command line front end.
 """
 
 from .discrete_ops import NormSet
-from .dtbc_kernel import (BranchCutError, Kernel, KernelParams,
-                          LaggedConvolution, OracleConvergenceError,
-                          convolve_all, derive_params, kernel_by_legendre,
-                          kernel_by_recurrence, kernel_gf_oracle,
-                          params_from_ratios)
+from .dtbc_kernel import (Kernel, KernelParams, LaggedConvolution,
+                          OracleConvergenceError, convolve_all, derive_params,
+                          kernel_by_legendre, kernel_by_recurrence,
+                          kernel_gf_oracle, params_from_ratios)
 from .problem import (Mesh, PRESETS, ProblemSpec, SampledCoefficients,
                       build_mesh, example1, example2, sample)
 from .stepper import (SchemeConfig, SolveResult, SolverError, march,
@@ -24,9 +23,9 @@ from .validation import (DissipativityReport, EnergyDiagnostics, ErrorReport,
                          diagnose_energy, error_report, iterated_erfc, u1, u2)
 
 __all__ = [
-    "BranchCutError", "DissipativityReport", "EnergyDiagnostics",
-    "ErrorReport", "ExactSolution", "Kernel", "KernelParams",
-    "LaggedConvolution", "Mesh", "NormSet", "OracleConvergenceError",
+    "DissipativityReport", "EnergyDiagnostics", "ErrorReport",
+    "ExactSolution", "Kernel", "KernelParams", "LaggedConvolution", "Mesh",
+    "NormSet", "OracleConvergenceError",
     "PRESETS", "ProblemSpec", "SampledCoefficients", "SchemeConfig",
     "SolveResult", "SolverError", "build_mesh", "certify_dissipativity",
     "convolve_all", "derive_params", "diagnose_energy", "error_report",

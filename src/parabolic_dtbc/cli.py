@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import validation
-from .dtbc_kernel import (BranchCutError, OracleConvergenceError, derive_params,
+from .dtbc_kernel import (OracleConvergenceError, derive_params,
                           kernel_by_legendre, kernel_by_recurrence,
                           kernel_gf_oracle)
 from .problem import PRESETS, ProblemSpec, build_mesh, sample
@@ -167,7 +167,11 @@ def _load_problem(cfg: RunConfig):
     module_spec = importlib.util.spec_from_file_location("_custom_problem",
                                                          spec_path)
     module = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(module)
+    try:
+        module_spec.loader.exec_module(module)
+    except Exception as exc:
+        raise ConfigError(f"custom problem file {spec_path} failed to load: "
+                          f"{type(exc).__name__}: {exc}") from exc
     problem = getattr(module, "PROBLEM", None)
     if not isinstance(problem, ProblemSpec):
         raise ConfigError(f"{spec_path} must define PROBLEM as a ProblemSpec")
@@ -432,10 +436,10 @@ def main(argv=None) -> int:
         if args.command == "kernel":
             return cmd_kernel(cfg, out, args.deterministic, args.compare)
         return cmd_diagnose(cfg, out, args.deterministic, args.seed)
-    except (ConfigError, ValueError, OSError, ImportError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, BranchCutError, OracleConvergenceError) as exc:
+    except (SolverError, OracleConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -82,10 +82,11 @@ class ProblemSpec:
     label: str = "custom"
 
     def __post_init__(self):
-        if not (self.rho_inf > 0.0 and self.b_inf > 0.0):
-            raise ValueError("tail constants rho_inf and b_inf must be positive")
-        if self.c_inf < 0.0:
-            raise ValueError("tail constant c_inf must be nonnegative")
+        if not (0.0 < self.rho_inf < math.inf and 0.0 < self.b_inf < math.inf):
+            raise ValueError("tail constants rho_inf and b_inf must be positive "
+                             "and finite")
+        if not 0.0 <= self.c_inf < math.inf:
+            raise ValueError("tail constant c_inf must be nonnegative and finite")
         if not (self.rho_lower > 0.0 and self.b_lower > 0.0):
             raise ValueError("lower bounds rho_lower and b_lower must be positive")
         if not 0.0 < self.X0 < self.X:
@@ -226,7 +227,7 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
                              ("b", b_h[1:], problem.b_inf),
                              ("c", c_h[1:], problem.c_inf)):
         dev = np.max(np.abs(arr[tail_mid] - const)) if np.any(tail_mid) else 0.0
-        if dev > 1e-12 * (1.0 + abs(const)):
+        if not dev <= 1e-12 * (1.0 + abs(const)):
             raise ValueError(f"coefficient {name} is not constant on the tail "
                              f"(max deviation {dev:.3g})")
 

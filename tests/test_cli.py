@@ -324,13 +324,36 @@ def test_kernel_compare_unconverged_oracle_exits_two(tmp_path, monkeypatch,
     assert "did not converge" in capsys.readouterr().err
 
 
-def test_kernel_compare_without_mpmath_exits_one(tmp_path, monkeypatch,
-                                                 capsys):
+def test_kernel_compare_runs_without_mpmath(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, "mpmath", None)  # import raises
     cfg = write(tmp_path / "run.cfg", KERNEL_COMPARE_CFG)
     assert main(["kernel", "--config", str(cfg), "--out", str(tmp_path),
-                 "--compare"]) == 1
-    assert "oracle" in capsys.readouterr().err
+                 "--compare", "--deterministic"]) == 0
+    with (tmp_path / "kernel.csv").open() as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 6
+    assert max(abs(float(row["delta_oracle"])) for row in rows) <= 1e-12
+
+
+@pytest.mark.parametrize("source, error", [
+    ("import no_such_module_for_this_test\n", "ModuleNotFoundError"),
+    ("PROBLEM = (\n", "SyntaxError"),
+], ids=["import", "syntax"])
+def test_broken_custom_problem_exits_one(tmp_path, capsys, source, error):
+    prob = write(tmp_path / "prob.py", source)
+    cfg = write(tmp_path / "run.cfg", f"""\
+problem = custom
+custom_path = {prob}
+sigma = 1/2
+theta = 0
+tau = 0.05
+M = 10
+J = 8
+""")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1  # one line, no traceback
+    assert str(prob) in err and error in err
 
 
 def test_kernel_command_single_entry(tmp_path):

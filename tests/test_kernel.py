@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,12 @@ def test_derive_params_rejects_bad_inputs():
         derive_params(1.0, 1.0, 0.0, -0.1, 0.01, 0.5, 0.0)
     with pytest.raises(ValueError):
         derive_params(1.0, 1.0, -0.5, 0.1, 0.01, 0.5, 0.0)
+    for bad in (np.nan, np.inf):
+        for args in ((bad, 1.0, 0.0, 0.1, 0.01), (1.0, bad, 0.0, 0.1, 0.01),
+                     (1.0, 1.0, bad, 0.1, 0.01), (1.0, 1.0, 0.0, bad, 0.01),
+                     (1.0, 1.0, 0.0, 0.1, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                derive_params(*args, 0.5, 0.0)
 
 
 def test_recurrence_head_values():
@@ -126,9 +134,24 @@ def test_oracle_matches_recurrence_hand_case():
 def test_oracle_argument_validation():
     p = hand_params()
     with pytest.raises(ValueError):
-        kernel_gf_oracle(p, 5, radius=1.5)
-    with pytest.raises(ValueError):
         kernel_gf_oracle(p, -1)
+    # alpha z^2 - 2 beta z + 1 = (1 - z)(1 - 2 z) has a root at z = 1/2,
+    # outside the admitted regime
+    with pytest.raises(ValueError, match="branch point"):
+        kernel_gf_oracle(replace(p, alpha=2.0, beta=1.5), 5)
+
+
+def test_oracle_matches_recurrence_to_m_200():
+    # the 48 parameter sets of acceptance criterion 1; a contour radius of
+    # 0.8 instead of 0.98 stops converging here
+    for sigma in (0.5, 1.0):
+        for theta in (0.0, 1.0 / 12.0, 1.0 / 6.0, 0.25):
+            for d0 in (0.0, 0.1):
+                for d1 in (0.1, 1.0, 10.0):
+                    p = params_from_ratios(d0, d1, sigma, theta)
+                    dev = np.abs(kernel_gf_oracle(p, 200)
+                                 - kernel_by_recurrence(p, 200).R)
+                    assert np.max(dev) <= 1e-12 * p.scale, (sigma, theta, d0, d1)
 
 
 def test_oracle_gives_up_past_its_point_budget():
@@ -152,9 +175,13 @@ def test_weight_range_check_shared_by_every_entry_point():
         build(0.5 - 2e-15, 0.25 + 2e-15)  # inside the roundoff slack
         with pytest.raises(ValueError, match="theta"):
             build(0.5, 0.25 + 1e-13)
+        for bad in (np.nan, -np.inf):
+            with pytest.raises(ValueError, match="theta"):
+                build(0.5, bad)
     for build in entry_points[:3]:
-        with pytest.raises(ValueError, match="sigma"):
-            build(0.5 - 1e-13, 0.0)
+        for bad in (0.5 - 1e-13, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                build(bad, 0.0)
 
 
 def test_sigma_continuity_through_degenerate_weight():

@@ -200,6 +200,16 @@ def test_problem_spec_validation():
         ProblemSpec(rho=prob.rho, b=prob.b, c=prob.c, f=prob.f, g=prob.g,
                     u0=prob.u0, rho_inf=1.0, b_inf=1.0, c_inf=0.0,
                     X0=1.5, X=1.0, rho_lower=1.0, b_lower=1.0)
+    for bad in (np.nan, np.inf):
+        for field in ("rho_inf", "b_inf", "c_inf"):
+            with pytest.raises(ValueError, match="finite"):
+                replace(prob, **{field: bad})
+    # the tail check of sample is NaN-safe too, for a spec built around
+    # the validation above
+    unchecked = replace(prob)
+    object.__setattr__(unchecked, "c_inf", np.nan)
+    with pytest.raises(ValueError, match="not constant on the tail"):
+        sample(unchecked, build_mesh(1.0, 4, tau=0.1, M=1))
 
 
 def test_mesh_arrays_are_frozen():
