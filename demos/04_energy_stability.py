@@ -26,7 +26,7 @@ problem = ProblemSpec(
     rho=lambda x: np.ones(np.shape(x)),
     b=lambda x: np.ones(np.shape(x)),
     c=lambda x: np.zeros(np.shape(x)),
-    f=lambda x, t: np.zeros(np.shape(x)),
+    f=None,
     g=lambda t: 0.0,
     u0=lambda x: np.interp(x, knots, values),
     rho_inf=1.0, b_inf=1.0, c_inf=0.0,

@@ -10,7 +10,8 @@ Subcommands:
 
 Configurations are line-oriented ``key = value`` files with ``#``
 comments; fractions such as ``1/12`` are accepted for the scheme weights.
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success, 1 validation error, 2 numerical failure or a failed
+diagnostic check.
 """
 
 from __future__ import annotations
@@ -271,8 +272,9 @@ def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool,
     if cfg.emit_kernel and result.kernel is not None:
         _dump_kernel(result.kernel.params, min(cfg.m_max, mesh.M),
                      out / "kernel.csv", deterministic, compare=False)
-    if cfg.run_diagnostics:
-        _run_diagnostics(cfg, problem, mesh, out, deterministic, seed=seed)
+    if cfg.run_diagnostics and not _run_diagnostics(cfg, problem, mesh, out,
+                                                    deterministic, seed=seed):
+        return 2
     return 0
 
 
@@ -349,7 +351,7 @@ def _run_diagnostics(cfg: RunConfig, problem: ProblemSpec, mesh, out: Path,
 
     The energy identities require vanishing left data, so the companion
     run keeps the configuration's coefficients and mesh but replaces the
-    data by g = 0, f = 0 and seeded random initial values supported away
+    data by g = 0, no forcing and seeded random initial values supported away
     from the tail.
     """
     params = derive_params(problem.rho_inf, problem.b_inf, problem.c_inf,
@@ -365,7 +367,7 @@ def _run_diagnostics(cfg: RunConfig, problem: ProblemSpec, mesh, out: Path,
     knots = mesh.x.copy()
     companion = ProblemSpec(
         rho=problem.rho, b=problem.b, c=problem.c,
-        f=lambda x, t: np.zeros(np.broadcast(x, t).shape),
+        f=None,
         g=lambda t: 0.0,
         u0=lambda x: np.interp(x, knots, vals),
         rho_inf=problem.rho_inf, b_inf=problem.b_inf, c_inf=problem.c_inf,

@@ -57,18 +57,18 @@ class ProblemSpec:
     """Continuous problem data plus the constants its tail settles into.
 
     ``rho``, ``b``, ``c`` are callables of x (density, diffusivity,
-    reaction), ``f`` of (x, t), ``g`` of t, ``u0`` of x.  For x >= X0 the
-    coefficients must equal their tail constants and f, u0 must vanish;
-    u0 and f are allowed to be merely below ``tail_tol`` there, since
-    physically relevant initial data often only decays.  ``rho_lower`` and
-    ``b_lower`` are positive lower bounds used by the stability
-    diagnostics.
+    reaction), ``f`` of (x, t) or None for an unforced problem, ``g`` of t,
+    ``u0`` of x.  For x >= X0 the coefficients must equal their tail
+    constants and f, u0 must vanish; u0 and f are allowed to be merely
+    below ``tail_tol`` there, since physically relevant initial data often
+    only decays.  ``rho_lower`` and ``b_lower`` are positive lower bounds
+    used by the stability diagnostics.
     """
 
     rho: Callable
     b: Callable
     c: Callable
-    f: Callable
+    f: Callable | None
     g: Callable
     u0: Callable
     rho_inf: float
@@ -171,19 +171,20 @@ class SampledCoefficients:
 
     ``rho_h[j]``, ``b_h[j]``, ``c_h[j]`` hold the coefficient value at the
     cell midpoint x_{j-1/2} for 1 <= j <= J (slot 0 is NaN).
-    ``F[m, j] = f(x_j, t_m)`` for m >= 1 (row 0 is zero) and
-    ``U0[j] = u0(x_j)``.
+    ``F[m, j] = f(x_j, t_m)`` for m >= 1 (row 0 is zero), or None when the
+    problem is unforced (``f`` is None); ``U0[j] = u0(x_j)``.
     """
 
     rho_h: np.ndarray
     b_h: np.ndarray
     c_h: np.ndarray
-    F: np.ndarray
+    F: np.ndarray | None
     U0: np.ndarray
 
     def __post_init__(self):
         for arr in (self.rho_h, self.b_h, self.c_h, self.F, self.U0):
-            arr.setflags(write=False)
+            if arr is not None:
+                arr.setflags(write=False)
 
 
 def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
@@ -196,7 +197,8 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
     raise ValueError naming the field.  ``f`` is called on blocks of whole
     levels (the blocks of :func:`~parabolic_dtbc.validation.eval_on_grid`);
     a block on which it raises TypeError/ValueError or returns the wrong
-    shape is sampled one level at a time instead.
+    shape is sampled one level at a time instead.  An unforced problem
+    (``f`` is None) gets no forcing grid: ``F`` is None.
     """
     x, J, M = mesh.x, mesh.J, mesh.M
     x_end = float(x[J])
@@ -238,23 +240,26 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
         raise ValueError("initial data does not vanish on the tail "
                          f"(tolerance {problem.tail_tol:g})")
 
-    F = np.zeros((M + 1, J + 1))
-    t = mesh.times()[1:]
-    for lo, hi in _level_blocks(M, J + 1):
-        block = F[1 + lo:1 + hi]
-        try:
-            got = np.asarray(problem.f(x[None, :], t[lo:hi, None]), dtype=float)
-            if got.shape == block.shape:
-                block[...] = got
-                continue
-        except (TypeError, ValueError):
-            pass
-        for i, t_m in enumerate(t[lo:hi].tolist()):
-            block[i] = _sample_xt(problem.f, x, t_m)
-    _check_finite("f", F)
-    if np.max(np.abs(F[1:, tail_nodes])) > problem.tail_tol:
-        raise ValueError("forcing does not vanish on the tail "
-                         f"(tolerance {problem.tail_tol:g})")
+    F = None
+    if problem.f is not None:
+        F = np.zeros((M + 1, J + 1))
+        t = mesh.times()[1:]
+        for lo, hi in _level_blocks(M, J + 1):
+            block = F[1 + lo:1 + hi]
+            try:
+                got = np.asarray(problem.f(x[None, :], t[lo:hi, None]),
+                                 dtype=float)
+                if got.shape == block.shape:
+                    block[...] = got
+                    continue
+            except (TypeError, ValueError):
+                pass
+            for i, t_m in enumerate(t[lo:hi].tolist()):
+                block[i] = _sample_xt(problem.f, x, t_m)
+        _check_finite("f", F)
+        if np.max(np.abs(F[1:, tail_nodes])) > problem.tail_tol:
+            raise ValueError("forcing does not vanish on the tail "
+                             f"(tolerance {problem.tail_tol:g})")
 
     try:
         g0 = float(problem.g(0.0))
@@ -277,10 +282,6 @@ def _const(value: float) -> Callable:
     return lambda x: np.full(np.shape(x), value, dtype=float)
 
 
-def _zero_xt(x, t):
-    return np.zeros(np.broadcast(x, t).shape)
-
-
 def example1(x_star: float = 1.25, t0: float = 0.03125
              ) -> tuple[ProblemSpec, ExactSolution]:
     """Gaussian pulse on the homogeneous heat equation, truncated at X = 2.5.
@@ -292,7 +293,7 @@ def example1(x_star: float = 1.25, t0: float = 0.03125
     exact = ExactSolution(label="example1",
                           fn=lambda x, t: u1(x, t, x_star=x_star, t0=t0))
     prob = ProblemSpec(
-        rho=_const(1.0), b=_const(1.0), c=_const(0.0), f=_zero_xt,
+        rho=_const(1.0), b=_const(1.0), c=_const(0.0), f=None,
         g=lambda t: u1(0.0, t, x_star=x_star, t0=t0),
         u0=lambda x: u1(x, 0.0, x_star=x_star, t0=t0),
         rho_inf=1.0, b_inf=1.0, c_inf=0.0,
@@ -309,7 +310,7 @@ def example2() -> tuple[ProblemSpec, ExactSolution]:
     """
     exact = ExactSolution(label="example2", fn=u2)
     prob = ProblemSpec(
-        rho=_const(1.0), b=_const(1.0), c=_const(0.0), f=_zero_xt,
+        rho=_const(1.0), b=_const(1.0), c=_const(0.0), f=None,
         g=lambda t: float(t) ** 2,
         u0=_const(0.0),
         rho_inf=1.0, b_inf=1.0, c_inf=0.0,

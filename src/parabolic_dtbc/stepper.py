@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .dtbc_kernel import (Kernel, LaggedConvolution, check_weights,
                           derive_params, kernel_by_recurrence)
@@ -106,12 +107,20 @@ class TriFactor:
         self._ipiv = np.arange(1, n + 1, dtype=np.intc)
         self.min_pivot = float(np.min(np.abs(self.d)))
 
-    def solve(self, rhs) -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Overwrite ``rhs`` with the solution and return it.
+
+        ``rhs`` must be a contiguous float64 vector (a row of a C-ordered
+        array will do): LAPACK works on it in place, so no copy is made.
+        """
         x, info = self._dgttrs(self.dl, self.d, self.du, self._du2, self._ipiv,
-                               rhs)
+                               rhs, overwrite_b=1)
         if info != 0:
             raise SolverError(f"LAPACK dgttrs failed with info={info}")
-        return x
+        if x is not rhs:
+            raise TypeError("the in-place solve needs a contiguous float64 "
+                            "vector")
+        return rhs
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,12 +184,17 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
     """March the scheme from the initial data to the final level.
 
     The matrix, the old-level operator and the boundary gain are built and
-    factored once; each level then only forms its right-hand side (the
-    Dirichlet value, the old-level interior rows plus forcing, and the
-    old-level boundary row plus the lagged convolution over the stored
-    boundary history, summed online by :class:`LaggedConvolution`) and
-    solves with LAPACK ``dgttrs`` on the pivot-free factors of
-    :class:`TriFactor`.  Non-finite boundary data raises ValueError; a
+    factored once, and ``g`` is sampled at every level before the first one
+    is marched.  Each level is then assembled and solved inside its own row
+    of the preallocated trajectory: the old-level interior product is one
+    multiplication of the stacked weights with a read-only three-row window
+    over the previous level, summed into the row; the row gets the forcing
+    (when ``f`` is given), the Dirichlet value, and the boundary row formed
+    from Python floats plus the lagged convolution over the stored boundary
+    history (summed online by :class:`LaggedConvolution`); and
+    :meth:`TriFactor.solve` overwrites it with the new level (LAPACK
+    ``dgttrs`` on the pivot-free factors).  Non-finite boundary data raises
+    ValueError naming the first such level before any level is marched; a
     trajectory that overflows to a non-finite value raises
     :class:`SolverError` naming the first such level.  Dispatches to
     :func:`march_reference` when the configuration selects the
@@ -191,6 +205,13 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
 
     t_begin = time.perf_counter()
     coeffs = sample(problem, mesh)
+    times = mesh.times()[1:].tolist()
+    g_levels = [float(problem.g(t)) for t in times]
+    g_arr = np.array(g_levels)
+    if not (math.isfinite(g_arr.min()) and math.isfinite(g_arr.max())):
+        m = int(np.argmin(np.isfinite(g_arr)))
+        raise ValueError(f"boundary data g is not finite at "
+                         f"t_m={times[m]!r} (level {m + 1})")
     kernel = None
     if config.boundary == "dtbc":
         params = derive_params(problem.rho_inf, problem.b_inf, problem.c_inf,
@@ -200,37 +221,44 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
     J, M = mesh.J, mesh.M
     factor = TriFactor(*level_matrix(coeffs, mesh, config, kernel))
     a_old, b_old = scheme_weights(coeffs, mesh, config.sigma - 1.0, config.theta)
-    a_lo, a_hi = a_old[1:J], a_old[2:J + 1]
-    b_mid = b_old[1:J] + b_old[2:J + 1]
-    a_J, b_J = a_old[J], b_old[J]
-    hbar = mesh.hbar[1:J]
+    weights = np.stack((a_old[1:J], b_old[1:J] + b_old[2:J + 1], a_old[2:J + 1]))
+    a_J, b_J = a_old[J].item(), b_old[J].item()
+    F = coeffs.F
+    if F is not None:
+        hbar = mesh.hbar[1:J]
+        forcing = np.empty(J - 1)
     if kernel is not None:
         gain = kernel.params.b_inf / (2.0 * mesh.h_tail)
-        conv = LaggedConvolution(kernel.R)
+        lagged = LaggedConvolution(kernel.R).lagged
 
     traj = np.empty((M + 1, J + 1))
     traj[0] = coeffs.U0
     hist = np.empty(M + 1)  # boundary column, the convolution's history
     hist[0] = coeffs.U0[J]
-    rhs = np.zeros(J + 1)
-    U = coeffs.U0
+    # old[m] is level m as the three rows U[0:J-1], U[1:J], U[2:J+1]; level
+    # m is assembled in its row of traj from old[m-1], then solved in place
+    row_step, node_step = traj.strides
+    old = as_strided(traj, shape=(M, 3, J - 1),
+                     strides=(row_step, node_step, node_step), writeable=False)
+    prod = np.empty((3, J - 1))
+    lo, mid, hi = prod
     # overflow shows as a non-finite trajectory, reported after the loop
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, M + 1):
-            g_m = float(problem.g(m * mesh.tau))
-            if not math.isfinite(g_m):
-                raise ValueError(f"boundary data g is not finite at "
-                                 f"t_m={m * mesh.tau!r} (level {m})")
-            rhs[0] = g_m
-            rhs[1:J] = (a_lo * U[0:J - 1] + b_mid * U[1:J] + a_hi * U[2:J + 1]
-                        + hbar * coeffs.F[m, 1:J])
-            rhs_J = a_J * U[J - 1] + b_J * U[J]
+        for m, (g_m, row, inner, window) in enumerate(
+                zip(g_levels, traj[1:], traj[1:, 1:J], old), 1):
+            np.multiply(weights, window, out=prod)
+            np.add(lo, mid, out=inner)
+            np.add(inner, hi, out=inner)
+            if F is not None:
+                np.multiply(hbar, F[m, 1:J], out=forcing)
+                np.add(inner, forcing, out=inner)
+            row[0] = g_m
+            rhs_J = a_J * traj.item(m - 1, J - 1) + b_J * traj.item(m - 1, J)
             if kernel is not None:
-                rhs_J += gain * conv.lagged(hist, m)
-            rhs[J] = rhs_J
-            U = factor.solve(rhs)
-            traj[m] = U
-            hist[m] = U[J]
+                rhs_J += gain * lagged(hist, m)
+            row[J] = rhs_J
+            factor.solve(row)
+            hist[m] = row[J]
 
     # min/max propagate NaN and meet any infinity without a boolean temporary
     if not (math.isfinite(traj.min()) and math.isfinite(traj.max())):

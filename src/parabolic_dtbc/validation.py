@@ -216,7 +216,8 @@ def diagnose_energy(result, problem) -> EnergyDiagnostics:
     Every per-level term is a 2-D array expression over one block of whole
     levels of at most EVAL_BLOCK_CELLS (2^16) cells, with the stencil
     weights of the forms computed once per call; the running sums are
-    cumulative sums carried from block to block.  Beyond the trajectory,
+    cumulative sums carried from block to block; an unforced run (no
+    ``F`` grid) skips the forcing products.  Beyond the trajectory,
     the memory is O(M) (the boundary sums S and the transients of their FFT,
     some 100 (M+1) bytes) plus a few block-sized temporaries.
     """
@@ -262,26 +263,28 @@ def diagnose_energy(result, problem) -> EnergyDiagnostics:
 
     for lo, hi in _level_blocks(M, J + 1):
         Um, Up = U[lo + 1:hi + 1], U[lo:hi]   # levels m = lo+1..hi
-        f = F[lo + 1:hi + 1, 1:J]
         S_m = S[lo + 1:hi + 1]
-        acc = np.empty((11, hi - lo))
+        acc = np.zeros((11, hi - lo))  # forcing rows stay 0 when unforced
         dU = (Um - Up) / tau
         n_dU_mass = mass.evaluate(dU, dU)
         acc[0] = n_dU_mass * tau * tau
         acc[5] = n_dU_mass * tau
         acc[6] = ell.evaluate(dU, dU) * tau * tau
         acc[7] = S_m * dU[:, J] * tau
-        acc[8] = (f * dU[:, 1:J]) @ h_in * tau
+        if F is not None:
+            f = F[lo + 1:hi + 1, 1:J]
+            acc[8] = (f * dU[:, 1:J]) @ h_in * tau
         del dU
         Us = sigma * Um + (1.0 - sigma) * Up
         acc[1] = ell.flux(Us, Us) * tau
         acc[2] = react.evaluate(Us, Us) * tau
         acc[3] = S_m * Us[:, J] * tau
-        acc[4] = (f * Us[:, 1:J]) @ h_in * tau
+        if F is not None:
+            acc[4] = (f * Us[:, 1:J]) @ h_in * tau
+            fnorm2 = (f * f) @ h_in
+            acc[9] = np.sqrt(fnorm2) * tau
+            acc[10] = fnorm2 * tau
         del Us
-        fnorm2 = (f * f) @ h_in
-        acc[9] = np.sqrt(fnorm2) * tau
-        acc[10] = fnorm2 * tau
         acc[:, 0] += totals
         np.cumsum(acc, axis=1, out=acc)
         totals = acc[:, -1].copy()

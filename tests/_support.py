@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 
-from parabolic_dtbc import EnergyDiagnostics, ProblemSpec
+from parabolic_dtbc import (EnergyDiagnostics, ProblemSpec, derive_params,
+                            kernel_by_recurrence, sample)
 from parabolic_dtbc import discrete_ops as ops
 from parabolic_dtbc.cli import _fmt
+from parabolic_dtbc.dtbc_kernel import LaggedConvolution
+from parabolic_dtbc.stepper import TriFactor, level_matrix, scheme_weights
 from parabolic_dtbc.validation import eval_on_grid
 
 
@@ -20,13 +23,14 @@ def _ones(x):
     return np.ones(np.shape(x))
 
 
-def _zero_xt(x, t):
-    return np.zeros(np.shape(x))
+def zero_forcing(x, t):
+    """Identically zero forcing, broadcast over a (levels, nodes) block."""
+    return np.zeros(np.broadcast(x, t).shape)
 
 
 def zero_problem(X0=0.5, X=1.0):
     """Homogeneous heat problem with identically zero data."""
-    return ProblemSpec(rho=_ones, b=_ones, c=_zeros, f=_zero_xt,
+    return ProblemSpec(rho=_ones, b=_ones, c=_zeros, f=zero_forcing,
                        g=lambda t: 0.0, u0=_zeros,
                        rho_inf=1.0, b_inf=1.0, c_inf=0.0,
                        X0=X0, X=X, rho_lower=1.0, b_lower=1.0, label="zero")
@@ -64,7 +68,7 @@ def random_h0_problem(seed, knots, X0, X, variable=False):
     else:
         rho, b, c = _ones, _ones, _zeros
 
-    return ProblemSpec(rho=rho, b=b, c=c, f=_zero_xt,
+    return ProblemSpec(rho=rho, b=b, c=c, f=zero_forcing,
                        g=lambda t: 0.0, u0=u0,
                        rho_inf=1.0, b_inf=1.0, c_inf=0.0,
                        X0=X0, X=X, rho_lower=1.0, b_lower=1.0,
@@ -77,17 +81,68 @@ def thomas_solve(factor, rhs):
     Forward substitution with the unit lower factor (multipliers ``dl``),
     then back substitution with the pivots ``d`` and the superdiagonal
     ``du``: the direct reference for the LAPACK solve of ``TriFactor``.
-    Has the signature of ``TriFactor.solve`` so it can stand in for it.
+    Has the signature and the in-place contract of ``TriFactor.solve``
+    (``rhs`` is overwritten with the solution and returned), so it can
+    stand in for it.
     """
     dl, d, du = factor.dl.tolist(), factor.d.tolist(), factor.du.tolist()
     n = len(d)
-    x = np.asarray(rhs, dtype=float).tolist()
+    x = rhs.tolist()
     for i in range(1, n):
         x[i] -= dl[i - 1] * x[i - 1]
     x[n - 1] /= d[n - 1]
     for i in range(n - 2, -1, -1):
         x[i] = (x[i] - du[i] * x[i + 1]) / d[i]
-    return np.array(x)
+    rhs[:] = x
+    return rhs
+
+
+def march_loop_reference(problem, mesh, config):
+    """``march`` as a per-level loop with a fresh right-hand side per level.
+
+    Each level samples ``g``, forms the interior rows as one expression
+    with the forcing added, the boundary row as numpy scalars, solves into
+    a new vector and copies it into the trajectory; ``problem.f`` must be
+    given.  Returns ``(U, history, min_pivot)``: the direct reference for
+    the in-place level of ``march``.
+    """
+    coeffs = sample(problem, mesh)
+    kernel = None
+    if config.boundary == "dtbc":
+        params = derive_params(problem.rho_inf, problem.b_inf, problem.c_inf,
+                               mesh.h_tail, mesh.tau, config.sigma, config.theta)
+        kernel = kernel_by_recurrence(params, mesh.M)
+
+    J, M = mesh.J, mesh.M
+    F = coeffs.F
+    factor = TriFactor(*level_matrix(coeffs, mesh, config, kernel))
+    a_old, b_old = scheme_weights(coeffs, mesh, config.sigma - 1.0, config.theta)
+    a_lo, a_hi = a_old[1:J], a_old[2:J + 1]
+    b_mid = b_old[1:J] + b_old[2:J + 1]
+    a_J, b_J = a_old[J], b_old[J]
+    hbar = mesh.hbar[1:J]
+    if kernel is not None:
+        gain = kernel.params.b_inf / (2.0 * mesh.h_tail)
+        conv = LaggedConvolution(kernel.R)
+
+    traj = np.empty((M + 1, J + 1))
+    traj[0] = coeffs.U0
+    hist = np.empty(M + 1)
+    hist[0] = coeffs.U0[J]
+    U = coeffs.U0
+    for m in range(1, M + 1):
+        rhs = np.zeros(J + 1)
+        rhs[0] = float(problem.g(m * mesh.tau))
+        rhs[1:J] = (a_lo * U[0:J - 1] + b_mid * U[1:J] + a_hi * U[2:J + 1]
+                    + hbar * F[m, 1:J])
+        rhs_J = a_J * U[J - 1] + b_J * U[J]
+        if kernel is not None:
+            rhs_J += gain * conv.lagged(hist, m)
+        rhs[J] = rhs_J
+        U = factor.solve(rhs)
+        traj[m] = U
+        hist[m] = U[J]
+    return traj, hist, factor.min_pivot
 
 
 def reference_solution_csv(U, exact, mesh):
@@ -190,6 +245,8 @@ def diagnose_energy_reference(result, problem):
         raise ValueError("energy diagnostics require zero left boundary data")
 
     rho_h, b_h, c_h, F = coeffs.rho_h, coeffs.b_h, coeffs.c_h, coeffs.F
+    if F is None:
+        F = np.zeros((M + 1, J + 1))
     norms = ops.NormSet(sigma=sigma, theta=theta)
 
     def mass2(V):

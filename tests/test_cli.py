@@ -2,13 +2,14 @@ import csv
 import os
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from parabolic_dtbc import (SchemeConfig, build_mesh, dtbc_kernel, example2,
-                            march, validation)
+from parabolic_dtbc import (SchemeConfig, build_mesh, cli, diagnose_energy,
+                            dtbc_kernel, example2, march, validation)
 from parabolic_dtbc.cli import (_load_problem, _make_mesh, _write_solution,
                                 main, read_config)
 
@@ -437,6 +438,38 @@ run_diagnostics = true
                      "--deterministic", "--seed", "7"]) == 0
         written[command] = (out / "diagnostics.csv").read_bytes()
     assert written["solve"] == written["diagnose"]
+
+
+def test_solve_with_failing_diagnostics_exits_two(tmp_path, monkeypatch):
+    # as diagnose does, but only after every output has been written
+    def failing(result, problem):
+        return replace(diagnose_energy(result, problem), first_equality_rel=1.0)
+
+    monkeypatch.setattr(cli, "diagnose_energy", failing)
+    cfg = write(tmp_path / "run.cfg", """\
+problem = example2
+sigma = 1/2
+theta = 1/12
+tau = 0.01
+M = 20
+J = 10
+trials = 20
+emit_kernel = true
+run_diagnostics = true
+""")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out),
+                 "--deterministic"]) == 2
+    for name in ("solution.csv", "report.csv", "kernel.csv"):
+        assert (out / name).stat().st_size > 0, name
+    rows = {row[0]: row[3]
+            for row in csv.reader((out / "diagnostics.csv").open())}
+    assert rows["first_energy_equality_rel"] == "false"
+    assert [ok for name, ok in rows.items()
+            if name not in ("check", "first_energy_equality_rel")] == ["true"] * 5
+    monkeypatch.undo()
+    assert main(["solve", "--config", str(cfg), "--out", str(out),
+                 "--deterministic"]) == 0
 
 
 def test_missing_config_key_exits_one(tmp_path):

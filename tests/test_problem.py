@@ -7,9 +7,10 @@ import pytest
 from parabolic_dtbc import (Mesh, SchemeConfig, build_mesh, example1, example2,
                             march, sample)
 from parabolic_dtbc.problem import ProblemSpec
+from parabolic_dtbc.stepper import TriFactor
 from parabolic_dtbc.validation import _level_blocks
 
-from _support import zero_problem
+from _support import zero_forcing, zero_problem
 
 
 def test_uniform_mesh_example1_grid():
@@ -87,7 +88,7 @@ def test_sample_is_deterministic():
     c2 = sample(prob, mesh)
     assert np.array_equal(c1.rho_h[1:], c2.rho_h[1:])
     assert np.array_equal(c1.U0, c2.U0)
-    assert np.array_equal(c1.F, c2.F)
+    assert c1.F is None and c2.F is None
 
 
 def _one_d_forcing(x, t):
@@ -97,8 +98,9 @@ def _one_d_forcing(x, t):
 
 
 FORCINGS = {
-    "example1": lambda: example1()[0],
-    "example2": lambda: example2()[0],
+    # the presets' data with the zero forcing they carried before f = None
+    "example1": lambda: replace(example1()[0], f=zero_forcing),
+    "example2": lambda: replace(example2()[0], f=zero_forcing),
     "broadcasting": lambda: replace(zero_problem(), f=lambda x, t: np.where(
         x < 0.5, np.sin(np.pi * x) * np.exp(-t), 0.0)),
     "one-d-only": lambda: replace(zero_problem(), f=_one_d_forcing),
@@ -124,6 +126,14 @@ def test_forcing_blocks_match_per_level_sampling(name):
     assert n_blocks == 3
     # one call per block, plus one per level where the block call failed
     assert len(calls) == n_blocks + (M if name == "one-d-only" else 0)
+
+
+def test_unforced_problem_has_no_forcing_grid():
+    for prob in (example1()[0], example2()[0], replace(zero_problem(), f=None)):
+        assert prob.f is None
+        mesh = build_mesh(prob.X, 50, tau=1e-3, M=20)
+        assert sample(prob, mesh).F is None
+        assert march(prob, mesh, SchemeConfig(0.5, 1.0 / 12.0)).coeffs.F is None
 
 
 def test_example1_tail_accepted_under_tolerance():
@@ -235,7 +245,7 @@ NON_FINITE_DATA = {
 
 
 @pytest.mark.parametrize("field", sorted(NON_FINITE_DATA))
-def test_non_finite_data_rejected_where_it_enters(field):
+def test_non_finite_data_rejected_where_it_enters(field, monkeypatch):
     prob = NON_FINITE_DATA[field](zero_problem())
     mesh = build_mesh(1.0, 10, tau=0.01, M=5)
     match = "t_m=0.03" if field == "g" else f"^{field} samples are not finite"
@@ -244,3 +254,13 @@ def test_non_finite_data_rejected_where_it_enters(field):
     if field != "g":
         with pytest.raises(ValueError, match=match):
             sample(prob, mesh)
+    else:
+        # g is sampled at every level before the first solve: a g that is
+        # NaN only at the last level stops the march before it starts
+        solves = []
+        monkeypatch.setattr(TriFactor, "solve",
+                            lambda factor, rhs: solves.append(rhs))
+        last = replace(prob, g=lambda t: np.nan if t > 0.045 else 0.0)
+        with pytest.raises(ValueError, match=r"t_m=0\.05 \(level 5\)"):
+            march(last, mesh, SchemeConfig(0.5, 0.0, "dtbc"))
+        assert solves == []

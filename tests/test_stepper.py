@@ -10,7 +10,8 @@ from parabolic_dtbc.dtbc_kernel import BLOCK
 from parabolic_dtbc.stepper import (SolverError, TriFactor, level_matrix,
                                     scheme_weights)
 
-from _support import (convolve_direct, random_h0_problem, thomas_solve,
+from _support import (convolve_direct, march_loop_reference,
+                      random_h0_problem, thomas_solve, zero_forcing,
                       zero_problem)
 
 
@@ -74,8 +75,28 @@ def test_tridiagonal_identity_system():
     n = 7
     rhs = np.arange(1.0, n + 1.0)
     factor = TriFactor(np.zeros(n), np.ones(n), np.zeros(n))
-    assert np.array_equal(factor.solve(rhs), rhs)
+    assert np.array_equal(factor.solve(rhs.copy()), rhs)
     assert factor.min_pivot == 1.0
+
+
+def test_tridiagonal_solve_works_in_place():
+    # a row of a C-ordered trajectory is overwritten with its solution
+    n = 6
+    sub = np.full(n, -1.0)
+    sup = np.full(n, -1.0)
+    diag = np.full(n, 4.0)
+    factor = TriFactor(sub, diag, sup)
+    traj = np.arange(3.0 * n).reshape(3, n)
+    rhs = traj[1].copy()
+    row = traj[1]
+    assert factor.solve(row) is row
+    A = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+    assert np.max(np.abs(A @ traj[1] - rhs)) <= 1e-13 * np.max(np.abs(rhs))
+    assert np.array_equal(traj[[0, 2]], np.arange(3.0 * n).reshape(3, n)[[0, 2]])
+    # a strided or integer vector cannot be solved in place
+    for bad in (np.arange(2.0 * n)[::2], np.arange(n)):
+        with pytest.raises(TypeError, match="in-place"):
+            factor.solve(bad)
 
 
 def test_tridiagonal_manufactured_solution():
@@ -120,7 +141,7 @@ def test_tridiagonal_solve_needs_three_rows():
 def test_tridiagonal_solve_failure_is_a_solver_error(monkeypatch):
     import scipy.linalg.lapack
     monkeypatch.setattr(scipy.linalg.lapack, "dgttrs",
-                        lambda *args: (args[-1], -6))
+                        lambda *args, **kwargs: (args[-1], -6))
     factor = TriFactor(np.zeros(3), np.ones(3), np.zeros(3))
     with pytest.raises(SolverError, match="info=-6"):
         factor.solve(np.ones(3))
@@ -273,7 +294,7 @@ def test_every_level_satisfies_its_dense_system(case, mode):
     sigma, theta = 0.5, 1.0 / 12.0
     res = march(prob, mesh, SchemeConfig(sigma, theta, mode))
     coeffs, J = res.coeffs, mesh.J
-    assert np.any(coeffs.F != 0.0) == (case == "graded")
+    assert (coeffs.F is not None) == (case == "graded")
     a_new, b_new = scheme_weights(coeffs, mesh, sigma, theta)
     a_old, b_old = scheme_weights(coeffs, mesh, sigma - 1.0, theta)
     A = np.zeros((J + 1, J + 1))
@@ -295,7 +316,8 @@ def test_every_level_satisfies_its_dense_system(case, mode):
         U, V = res.U[m], res.U[m - 1]
         rhs = B @ V
         rhs[0] = prob.g(m * mesh.tau)
-        rhs[1:J] += mesh.hbar[1:J] * coeffs.F[m, 1:J]
+        if coeffs.F is not None:
+            rhs[1:J] += mesh.hbar[1:J] * coeffs.F[m, 1:J]
         lhs = A @ U
         lhs[J] -= flux[m]
         scale = (np.abs(A) @ np.abs(U) + np.abs(B) @ np.abs(V)
@@ -317,6 +339,44 @@ def test_lapack_solve_matches_python_sweep(sigma, theta, case, mode,
         prob, mesh = _forced_graded_problem()
     cfg = SchemeConfig(sigma, theta, mode)
     fast = march(prob, mesh, cfg).U
-    monkeypatch.setattr(TriFactor, "solve", thomas_solve)
+    sweeps = []
+
+    def counted(factor, rhs):
+        sweeps.append(rhs.size)
+        return thomas_solve(factor, rhs)
+
+    monkeypatch.setattr(TriFactor, "solve", counted)
     direct = march(prob, mesh, cfg).U
+    # the sweep stood in for every level's solve, so the check is not void
+    assert sweeps == [mesh.J + 1] * mesh.M
     assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+LEVEL_LOOP_CASES = {
+    "long": lambda: (example2()[0],
+                     build_mesh(1.0, 10, tau=1.0 / (33 * BLOCK), M=33 * BLOCK)),
+    "forced-graded": _forced_graded_problem,
+    "unforced": lambda: (
+        replace(random_h0_problem(5, np.linspace(0.0, 1.0, 11), 0.5, 1.0,
+                                  variable=True), f=None),
+        build_mesh(1.0, 10, tau=0.01, M=300)),
+}
+
+
+@pytest.mark.parametrize("mode", ["dtbc", "neumann"])
+@pytest.mark.parametrize("case", sorted(LEVEL_LOOP_CASES))
+@pytest.mark.parametrize("theta", [0.0, 1.0 / 12.0, 0.25])
+@pytest.mark.parametrize("sigma", [0.5, 1.0])
+def test_march_matches_the_level_loop_reference(sigma, theta, case, mode):
+    # the in-place level is bit for bit the per-level loop; an unforced
+    # problem (f is None) marches as the loop does with a zero forcing
+    prob, mesh = LEVEL_LOOP_CASES[case]()
+    cfg = SchemeConfig(sigma, theta, mode)
+    res = march(prob, mesh, cfg)
+    assert (res.coeffs.F is None) == (case != "forced-graded")
+    if prob.f is None:
+        prob = replace(prob, f=zero_forcing)
+    U, history, min_pivot = march_loop_reference(prob, mesh, cfg)
+    assert res.U.tobytes() == U.tobytes()
+    assert res.history.tobytes() == history.tobytes()
+    assert res.min_pivot == min_pivot

@@ -276,6 +276,26 @@ def test_unforced_bound_slacks_tie_exactly_at_zero():
             assert diag.sb_slack == 0.0 and diag.sbA_slack == 0.0
 
 
+@pytest.mark.parametrize("mode", ["dtbc", "neumann"])
+def test_unforced_diagnostics_skip_the_forcing(mode, monkeypatch):
+    # a run without an F grid gives the fields of the same run with a zero
+    # forcing grid, bit for bit, and agrees with the level loop
+    monkeypatch.setattr(validation, "EVAL_BLOCK_CELLS", 3 * 21)
+    mesh = build_mesh(1.0, 20, tau=0.02, M=61)
+    zero = random_h0_problem(9, mesh.x, 0.5, 1.0, variable=True)
+    unforced = replace(zero, f=None)
+    cfg = SchemeConfig(0.5, 1.0 / 12.0, mode)
+    res = march(unforced, mesh, cfg)
+    assert res.coeffs.F is None
+    fast = diagnose_energy(res, unforced)
+    gridded = diagnose_energy(march(zero, mesh, cfg), zero)
+    ref = diagnose_energy_reference(res, unforced)
+    for field in fields(fast):
+        got = getattr(fast, field.name)
+        assert got == getattr(gridded, field.name), field.name
+        assert abs(got - getattr(ref, field.name)) <= 1e-13, field.name
+
+
 def test_diagnose_energy_memory_stays_bounded(monkeypatch):
     # O(M) bookkeeping (the boundary sums and their FFT) plus a few
     # block-sized temporaries; one difference of the whole trajectory alone
