@@ -21,7 +21,7 @@ import csv
 import importlib.util
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,8 +31,8 @@ from . import validation
 from .dtbc_kernel import (OracleConvergenceError, derive_params,
                           kernel_by_legendre, kernel_by_recurrence,
                           kernel_gf_oracle)
-from .problem import PRESETS, ProblemSpec, build_mesh, sample
-from .stepper import SchemeConfig, SolverError, march, march_reference
+from .problem import PRESETS, ProblemSpec, build_mesh
+from .stepper import SchemeConfig, SolverError, march
 from .validation import certify_dissipativity, diagnose_energy, error_report
 
 FLOAT_FMT = "%.17e"
@@ -45,8 +45,15 @@ class ConfigError(ValueError):
 def _parse_number(text: str) -> float:
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"cannot parse number {text!r}") from exc
+
+
+def _parse_count(text: str) -> int:
+    value = _parse_number(text)
+    if not (value.is_integer() and value >= 0):
+        raise ConfigError(f"expected a nonnegative integer, got {text!r}")
+    return int(value)
 
 
 def _parse_bool(text: str) -> bool:
@@ -58,13 +65,24 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"cannot parse boolean {text!r}")
 
 
-def _parse_list(text: str) -> list[float]:
-    return [_parse_number(part) for part in text.split(",") if part.strip()]
+def _parse_list(parse):
+    return lambda text: [parse(part) for part in text.split(",") if part.strip()]
+
+
+# one parser per field type of RunConfig, keyed by the annotation text
+# (a string, by the __future__ import) with " | None" stripped
+_PARSERS = {"str": str, "float": _parse_number, "int": _parse_count,
+            "bool": _parse_bool, "list[float]": _parse_list(_parse_number),
+            "list[int]": _parse_list(_parse_count)}
 
 
 @dataclass
 class RunConfig:
-    """Validated run configuration assembled from a config file."""
+    """Validated run configuration assembled from a config file.
+
+    The fields are the config keys: a key is parsed by the parser of its
+    field's annotated type and is required when its field has no default.
+    """
 
     problem: str
     sigma: float
@@ -85,6 +103,15 @@ class RunConfig:
     table_M: list[int] = field(default_factory=list)
     table_theta: list[float] = field(default_factory=list)
 
+    def __post_init__(self):
+        self.boundary = self.boundary.lower()
+
+    def scheme(self) -> SchemeConfig:
+        """The scheme weights and boundary closure of this run."""
+        return SchemeConfig(sigma=self.sigma, theta=self.theta,
+                            boundary=self.boundary,
+                            extension_factor=self.extension_factor)
+
 
 def read_config(path: str | Path) -> RunConfig:
     """Parse and validate a ``key = value`` configuration file."""
@@ -98,50 +125,18 @@ def read_config(path: str | Path) -> RunConfig:
         key, value = (part.strip() for part in stripped.split("=", 1))
         raw[key] = value
 
-    known = {"problem", "custom_path", "sigma", "theta", "tau", "M", "X", "J",
-             "nodes", "boundary", "extension_factor", "emit_snapshots",
-             "emit_kernel", "run_diagnostics", "m_max", "trials",
-             "table_M", "table_theta"}
-    unknown = set(raw) - known
+    schema = fields(RunConfig)
+    unknown = set(raw) - {f.name for f in schema}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("problem", "sigma", "theta", "tau", "M"):
-        if key not in raw:
-            raise ConfigError(f"missing required config key {key!r}")
-
-    cfg = RunConfig(
-        problem=raw["problem"],
-        sigma=_parse_number(raw["sigma"]),
-        theta=_parse_number(raw["theta"]),
-        tau=_parse_number(raw["tau"]),
-        M=int(_parse_number(raw["M"])),
-    )
-    if "X" in raw:
-        cfg.X = _parse_number(raw["X"])
-    if "J" in raw:
-        cfg.J = int(_parse_number(raw["J"]))
-    if "nodes" in raw:
-        cfg.nodes = _parse_list(raw["nodes"])
-    if "boundary" in raw:
-        cfg.boundary = raw["boundary"].strip().lower()
-    if "extension_factor" in raw:
-        cfg.extension_factor = _parse_number(raw["extension_factor"])
-    if "custom_path" in raw:
-        cfg.custom_path = raw["custom_path"]
-    if "emit_snapshots" in raw:
-        cfg.emit_snapshots = _parse_bool(raw["emit_snapshots"])
-    if "emit_kernel" in raw:
-        cfg.emit_kernel = _parse_bool(raw["emit_kernel"])
-    if "run_diagnostics" in raw:
-        cfg.run_diagnostics = _parse_bool(raw["run_diagnostics"])
-    if "m_max" in raw:
-        cfg.m_max = int(_parse_number(raw["m_max"]))
-    if "trials" in raw:
-        cfg.trials = int(_parse_number(raw["trials"]))
-    if "table_M" in raw:
-        cfg.table_M = [int(v) for v in _parse_list(raw["table_M"])]
-    if "table_theta" in raw:
-        cfg.table_theta = _parse_list(raw["table_theta"])
+    values = {}
+    for f in schema:
+        if f.name in raw:
+            parse = _PARSERS[f.type.removesuffix(" | None")]
+            values[f.name] = parse(raw[f.name])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required config key {f.name!r}")
+    cfg = RunConfig(**values)
 
     if cfg.problem not in PRESETS and cfg.problem != "custom":
         raise ConfigError(f"unknown problem {cfg.problem!r}; "
@@ -149,8 +144,7 @@ def read_config(path: str | Path) -> RunConfig:
     if cfg.problem == "custom" and not cfg.custom_path:
         raise ConfigError("custom problem needs custom_path")
     try:
-        SchemeConfig(sigma=cfg.sigma, theta=cfg.theta, boundary=cfg.boundary,
-                     extension_factor=cfg.extension_factor)
+        cfg.scheme()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.tau <= 0 or cfg.M < 1:
@@ -236,10 +230,7 @@ def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool,
               seed: int) -> int:
     problem, exact = _load_problem(cfg)
     mesh = _make_mesh(cfg, problem)
-    scheme = SchemeConfig(sigma=cfg.sigma, theta=cfg.theta,
-                          boundary=cfg.boundary,
-                          extension_factor=cfg.extension_factor)
-    result = march(problem, mesh, scheme)
+    result = march(problem, mesh, cfg.scheme())
 
     report = None
     if exact is not None:
@@ -291,17 +282,9 @@ def cmd_table(cfg: RunConfig, out: Path, deterministic: bool) -> int:
         for theta in cfg.table_theta:
             row = [_fmt(theta)]
             for M in cfg.table_M:
-                cell_cfg = RunConfig(problem=cfg.problem, sigma=cfg.sigma,
-                                     theta=theta, tau=horizon / M, M=M,
-                                     X=cfg.X, J=cfg.J, nodes=cfg.nodes,
-                                     boundary=cfg.boundary,
-                                     extension_factor=cfg.extension_factor,
-                                     custom_path=cfg.custom_path)
-                mesh = _make_mesh(cell_cfg, problem)
-                scheme = SchemeConfig(sigma=cfg.sigma, theta=theta,
-                                      boundary=cfg.boundary,
-                                      extension_factor=cfg.extension_factor)
-                result = march(problem, mesh, scheme)
+                cell = replace(cfg, theta=theta, tau=horizon / M, M=M)
+                mesh = _make_mesh(cell, problem)
+                result = march(problem, mesh, cell.scheme())
                 row.append(_fmt(error_report(result.U, exact, mesh).max_abs_error))
             writer.writerow(row)
     return 0
@@ -356,8 +339,9 @@ def _run_diagnostics(cfg: RunConfig, problem: ProblemSpec, mesh, out: Path,
     """
     params = derive_params(problem.rho_inf, problem.b_inf, problem.c_inf,
                            mesh.h_tail, cfg.tau, cfg.sigma, cfg.theta)
-    kernel = kernel_by_recurrence(params, max(cfg.M, 200))
-    dissip = certify_dissipativity(kernel, trials=cfg.trials, M=200,
+    levels = 200  # horizon of the dissipativity certificate
+    kernel = kernel_by_recurrence(params, levels)
+    dissip = certify_dissipativity(kernel, trials=cfg.trials, M=levels,
                                    seed=seed)
 
     rng = np.random.default_rng(seed)
@@ -365,17 +349,11 @@ def _run_diagnostics(cfg: RunConfig, problem: ProblemSpec, mesh, out: Path,
     vals[0] = 0.0
     vals[mesh.x >= problem.X0 - 1e-12] = 0.0
     knots = mesh.x.copy()
-    companion = ProblemSpec(
-        rho=problem.rho, b=problem.b, c=problem.c,
-        f=None,
-        g=lambda t: 0.0,
-        u0=lambda x: np.interp(x, knots, vals),
-        rho_inf=problem.rho_inf, b_inf=problem.b_inf, c_inf=problem.c_inf,
-        X0=problem.X0, X=problem.X,
-        rho_lower=problem.rho_lower, b_lower=problem.b_lower,
-        label=problem.label + "-diagnostic")
+    companion = replace(problem, f=None, g=lambda t: 0.0,
+                        u0=lambda x: np.interp(x, knots, vals),
+                        label=problem.label + "-diagnostic")
     boundary = cfg.boundary if cfg.boundary in ("dtbc", "neumann") else "dtbc"
-    scheme = SchemeConfig(sigma=cfg.sigma, theta=cfg.theta, boundary=boundary)
+    scheme = replace(cfg, boundary=boundary, extension_factor=None).scheme()
     result = march(companion, mesh, scheme)
     energy = diagnose_energy(result, companion)
 

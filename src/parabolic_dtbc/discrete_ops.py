@@ -1,19 +1,19 @@
-"""The averaged stencil and the energy forms on a mesh.
+"""The energy forms of the scheme on a mesh, and the constants of its bounds.
 
-Grid vectors hold node values ``W_0 .. W_J``; every function here reduces
-over the last axis, so an argument may be one vector of length ``J + 1``
-or a block of levels of shape ``(n, J + 1)``, and a form then returns one
+Grid vectors hold node values ``W_0 .. W_J``; the forms reduce over the
+last axis, so an argument may be one vector of length ``J + 1`` or a
+block of levels of shape ``(n, J + 1)``, and a form then returns one
 value per level.  A :class:`~parabolic_dtbc.problem.Mesh` supplies the
 step arrays.  Step arrays are 1-based: ``mesh.h[j]`` is the step ending
 at node ``j`` and ``mesh.hbar[j]`` the half-sum of the two steps around
 node ``j`` (index 0 of either array is NaN).
 
-The energy analysis of the scheme lives on top of two bilinear forms:
-a weighted-mass form (:func:`form_mass`) and an elliptic form
-(:func:`form_elliptic`).  Both are restricted to vectors vanishing at the
-left boundary and are symmetric for averaging weights ``theta <= 1/4``.
-:class:`EnergyForm` holds the stencil weights of one form, so a caller
-that applies it to many levels computes them once.
+The energy analysis rests on two bilinear forms, both an
+:class:`EnergyForm`: the weighted-mass form (``rho_h``, end value
+``rho_h[J]``) and the elliptic form (``c_h``, end value ``c_inf``, flux
+weights ``b_h``).  Both take vectors vanishing at the first node and are
+symmetric for averaging weights ``theta <= 1/4``.  :class:`NormSet` holds
+the constants of the a-priori bounds.
 """
 
 from __future__ import annotations
@@ -91,53 +91,3 @@ class EnergyForm:
         if self._flux is not None:
             val += self.flux(U, W)
         return val
-
-
-def _check_args(mesh, coefficients, U, W):
-    U = np.asarray(U, dtype=float)
-    W = U if W is U else np.asarray(W, dtype=float)
-    for v in coefficients:
-        if np.shape(v) != (mesh.J + 1,):
-            raise ValueError(
-                f"coefficient of length {len(v)} does not match mesh with J={mesh.J}")
-    if U.shape != W.shape or U.shape[-1:] != (mesh.J + 1,):
-        raise ValueError(f"form arguments of shapes {U.shape} and {W.shape} "
-                         f"do not match mesh with J={mesh.J}")
-    if np.any(U[..., 0] != 0.0) or np.any(W[..., 0] != 0.0):
-        raise ValueError("form arguments must vanish at the first node")
-    return U, W
-
-
-def c_theta_interior(kappa, W, mesh, theta: float) -> np.ndarray:
-    """Averaged multiplication by a midpoint-sampled coefficient kappa.
-
-    Same shape as ``W``; along the last axis, entries 1..J-1 are filled
-    and the boundary slots are NaN.
-    """
-    W = np.asarray(W, dtype=float)
-    out = np.full(W.shape, np.nan)
-    out[..., 1:-1] = EnergyForm(mesh, theta, kappa, kappa[mesh.J]).averaged(W)
-    return out
-
-
-def form_mass(U, W, kappa, mesh, theta: float):
-    """Weighted-mass form: interior averaged product plus end-node term.
-
-    Symmetric in (U, W) for theta <= 1/4 and nonnegative on the diagonal
-    for kappa >= 0.  Arguments must vanish at the first node.  Returns a
-    float for grid vectors and one value per level for blocks of levels.
-    """
-    U, W = _check_args(mesh, (kappa,), U, W)
-    return EnergyForm(mesh, theta, kappa, kappa[mesh.J]).evaluate(U, W)
-
-
-def form_elliptic(U, W, b_h, c_h, c_inf, mesh, theta: float):
-    """Elliptic form: flux product, averaged reaction, and end-node reaction.
-
-    Symmetric in (U, W) provided ``c_inf`` equals the last midpoint sample
-    ``c_h[J]``, which holds whenever the tail step lies inside the
-    constant-coefficient region (enforced at sampling time).  Returns a
-    float for grid vectors and one value per level for blocks of levels.
-    """
-    U, W = _check_args(mesh, (b_h, c_h), U, W)
-    return EnergyForm(mesh, theta, c_h, c_inf, b_h).evaluate(U, W)

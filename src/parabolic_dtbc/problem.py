@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .validation import ExactSolution, _level_blocks, u1, u2
+from .validation import ExactSolution, eval_on_grid, u1, u2
 
 
 def _sample_x(fn: Callable, x: np.ndarray) -> np.ndarray:
@@ -32,18 +32,6 @@ def _sample_x(fn: Callable, x: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError):
         pass
     return np.array([float(fn(float(xi))) for xi in x])
-
-
-def _sample_xt(fn: Callable, x: np.ndarray, t: float) -> np.ndarray:
-    try:
-        y = np.asarray(fn(x, t), dtype=float)
-        if y.shape == x.shape:
-            return y.copy()
-        if y.shape == ():
-            return np.full(x.shape, float(y))
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(float(xi), float(t))) for xi in x])
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
@@ -194,11 +182,11 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
     already lies in the constant-coefficient region; coefficient samples
     there must equal the tail constants and u0, f must vanish below the
     problem's tail tolerance.  Non-finite samples of rho, b, c, u0 or f
-    raise ValueError naming the field.  ``f`` is called on blocks of whole
-    levels (the blocks of :func:`~parabolic_dtbc.validation.eval_on_grid`);
-    a block on which it raises TypeError/ValueError or returns the wrong
-    shape is sampled one level at a time instead.  An unforced problem
-    (``f`` is None) gets no forcing grid: ``F`` is None.
+    raise ValueError naming the field.  ``F[1:]`` is filled in place by
+    :func:`~parabolic_dtbc.validation.eval_on_grid`: one call of ``f`` per
+    block of whole levels, falling back to one call per level and then
+    to one per point where a call fails.  An unforced problem (``f`` is
+    None) gets no forcing grid: ``F`` is None.
     """
     x, J, M = mesh.x, mesh.J, mesh.M
     x_end = float(x[J])
@@ -243,19 +231,7 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
     F = None
     if problem.f is not None:
         F = np.zeros((M + 1, J + 1))
-        t = mesh.times()[1:]
-        for lo, hi in _level_blocks(M, J + 1):
-            block = F[1 + lo:1 + hi]
-            try:
-                got = np.asarray(problem.f(x[None, :], t[lo:hi, None]),
-                                 dtype=float)
-                if got.shape == block.shape:
-                    block[...] = got
-                    continue
-            except (TypeError, ValueError):
-                pass
-            for i, t_m in enumerate(t[lo:hi].tolist()):
-                block[i] = _sample_xt(problem.f, x, t_m)
+        eval_on_grid(problem.f, x, mesh.times()[1:], out=F[1:])
         _check_finite("f", F)
         if np.max(np.abs(F[1:, tail_nodes])) > problem.tail_tol:
             raise ValueError("forcing does not vanish on the tail "

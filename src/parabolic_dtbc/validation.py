@@ -118,28 +118,40 @@ def _level_blocks(n_levels: int, width: int):
         yield lo, min(lo + step, n_levels)
 
 
-def eval_on_grid(exact, x, t):
-    """Values of ``exact`` on the grid ``t`` x ``x``, shape (t.size, x.size).
+def _call(fn, x, t, shapes):
+    """``fn(x, t)`` as a float array when its shape is one of ``shapes``;
+    None when it is not or the call raises TypeError/ValueError."""
+    try:
+        got = np.asarray(fn(x, t), dtype=float)
+    except (TypeError, ValueError):
+        return None
+    return got if got.shape in shapes else None
 
-    The result is filled in blocks of whole levels of at most
-    EVAL_BLOCK_CELLS (2^16) cells, so a vectorized ``exact`` only ever
-    sees, and leaves temporaries of, one block.  A block on which the
-    callable raises TypeError/ValueError or returns the wrong shape is
-    evaluated point by point instead.
+
+def eval_on_grid(fn, x, t, out=None):
+    """Values of ``fn`` on the grid ``t`` x ``x``, shape (t.size, x.size).
+
+    The grid, or ``out`` when given (filled in place and returned), is
+    filled in blocks of whole levels of at most EVAL_BLOCK_CELLS (2^16)
+    cells, one call ``fn(x[None, :], t[lo:hi, None])`` per block, so a
+    vectorized ``fn`` only ever sees, and leaves temporaries of, one
+    block.  A block on which that call raises TypeError/ValueError or
+    returns the wrong shape is evaluated one level at a time,
+    ``fn(x, t_m)``, a scalar result filling its level; a level that fails
+    too is evaluated point by point.
     """
-    vals = np.empty((t.size, x.size))
+    vals = np.empty((t.size, x.size)) if out is None else out
     for lo, hi in _level_blocks(t.size, x.size):
         block = vals[lo:hi]
-        try:
-            got = np.asarray(exact(x[None, :], t[lo:hi, None]), dtype=float)
-            if got.shape == block.shape:
-                block[...] = got
-                continue
-        except (TypeError, ValueError):
-            pass
-        for i, ti in enumerate(t[lo:hi]):
-            for j, xj in enumerate(x):
-                block[i, j] = float(exact(float(xj), float(ti)))
+        got = _call(fn, x[None, :], t[lo:hi, None], (block.shape,))
+        if got is not None:
+            block[...] = got
+            continue
+        for row, t_m in zip(block, t[lo:hi].tolist()):
+            got = _call(fn, x, t_m, (x.shape, ()))
+            if got is None:
+                got = [float(fn(xj, t_m)) for xj in x.tolist()]
+            row[...] = got
     return vals
 
 

@@ -248,12 +248,15 @@ def diagnose_energy_reference(result, problem):
     if F is None:
         F = np.zeros((M + 1, J + 1))
     norms = ops.NormSet(sigma=sigma, theta=theta)
+    mass = ops.EnergyForm(mesh, theta, rho_h, rho_h[J])
+    ell = ops.EnergyForm(mesh, theta, c_h, c_inf, b_h)
+    react_form = ops.EnergyForm(mesh, theta, c_h, c_h[J])
 
     def mass2(V):
-        return ops.form_mass(V, V, rho_h, mesh, theta)
+        return mass.evaluate(V, V)
 
     def ell2(V):
-        return ops.form_elliptic(V, V, b_h, c_h, c_inf, mesh, theta)
+        return ell.evaluate(V, V)
 
     if kernel is not None:
         S = convolve_direct(kernel, result.history)
@@ -279,7 +282,7 @@ def diagnose_energy_reference(result, problem):
         n_dU_ell = ell2(dU)
         dUs = (Us[1:] - Us[:-1]) / mesh.h[1:]
         flux = float(np.dot(b_h[1:] * dUs * dUs, mesh.h[1:]))
-        react = ops.form_mass(Us, Us, c_h, mesh, theta)
+        react = react_form.evaluate(Us, Us)
         f_row = F[m]
         acc_dmass += n_dU_mass * tau * tau
         acc_flux += flux * tau

@@ -1,8 +1,10 @@
 import csv
 import os
+import re
 import sys
 import tracemalloc
-from dataclasses import replace
+import typing
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,8 @@ import pytest
 
 from parabolic_dtbc import (SchemeConfig, build_mesh, cli, diagnose_energy,
                             dtbc_kernel, example2, march, validation)
-from parabolic_dtbc.cli import (_load_problem, _make_mesh, _write_solution,
-                                main, read_config)
+from parabolic_dtbc.cli import (ConfigError, RunConfig, _load_problem,
+                                _make_mesh, _write_solution, main, read_config)
 
 from _support import reference_solution_csv
 
@@ -76,11 +78,79 @@ def test_config_rejects_bad_input(tmp_path):
     with pytest.raises(ValueError):
         read_config(unknown)
     for extra in ("boundary = weird\n", "boundary = reference\n",
-                  "boundary = reference\nextension_factor = 1.5\n"):
+                  "boundary = reference\nextension_factor = 1.5\n",
+                  "X = 1e400\n"):
         cfg = write(tmp_path / "mode.cfg", "problem = example2\nsigma = 1\n"
                     "theta = 0\ntau = 0.01\nM = 10\nJ = 10\n" + extra)
         with pytest.raises(ValueError):
             read_config(cfg)
+
+
+# a value for every config key; integral numbers may be written as floats
+EVERY_KEY = {
+    "problem": "example2", "sigma": "1/2", "theta": "1/12", "tau": "1/100",
+    "M": "20", "X": "1", "J": "10.0", "nodes": "0, 0.5, 1",
+    "boundary": "Neumann", "extension_factor": "2", "custom_path": "unused.py",
+    "emit_snapshots": "no", "emit_kernel": "yes", "run_diagnostics": "on",
+    "m_max": "7", "trials": "3e1", "table_M": "5, 10", "table_theta": "0, 1/12",
+}
+
+
+def config_text(**keys) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
+def is_instance(value, hint) -> bool:
+    """``value`` has the annotated type ``hint`` exactly (no bool for int)."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(is_instance(v, args[0])
+                                               for v in value)
+    if args:  # X | None
+        return is_instance(value, args[0])
+    return type(value) is hint
+
+
+def test_every_run_config_field_is_a_key_parsed_to_its_type(tmp_path):
+    schema = fields(RunConfig)
+    assert set(EVERY_KEY) == {f.name for f in schema}
+    cfg = read_config(write(tmp_path / "run.cfg", config_text(**EVERY_KEY)))
+    for name, hint in typing.get_type_hints(RunConfig).items():
+        assert is_instance(getattr(cfg, name), hint), name
+    assert (cfg.J, cfg.trials, cfg.table_M) == (10, 30, [5, 10])
+    assert cfg.boundary == "neumann" and cfg.emit_snapshots is False
+    assert cfg.table_theta == [0.0, 1.0 / 12.0]
+    # a key is required exactly when its field has no default
+    required = [f.name for f in schema
+                if f.default is MISSING and f.default_factory is MISSING]
+    assert required == ["problem", "sigma", "theta", "tau", "M"]
+    for name in required:
+        keys = {k: v for k, v in EVERY_KEY.items() if k != name}
+        with pytest.raises(ConfigError, match=f"missing required .*{name}"):
+            read_config(write(tmp_path / "run.cfg", config_text(**keys)))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("M", "10.7"), ("J", "10.9"), ("m_max", "-1"), ("trials", "-5"),
+    ("table_M", "5, 10.5"), ("M", "1/2"),
+])
+def test_integer_keys_reject_fractions_and_negatives(tmp_path, capsys, key,
+                                                     value):
+    keys = {"problem": "example2", "sigma": "1/2", "theta": "0",
+            "tau": "0.01", "M": "10", "J": "10", key: value}
+    cfg = write(tmp_path / "run.cfg", config_text(**keys))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "nonnegative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_config_table_lists_exactly_the_run_config_fields():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| key "):].split("\n\n", 1)[0]
+    keys = [key for line in table.splitlines()[2:]
+            for key in re.findall(r"`(\w+)`", line.split("|")[1])]
+    assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
 
 
 def test_solve_example1_reports_expected_error(tmp_path):
@@ -411,7 +481,8 @@ trials = 50
     out = tmp_path / "out"
     assert main(["diagnose", "--config", str(cfg), "--out", str(out),
                  "--deterministic", "--seed", "3"]) == 0
-    rows = list(csv.reader((out / "diagnostics.csv").open()))
+    with (out / "diagnostics.csv").open() as handle:
+        rows = list(csv.reader(handle))
     assert rows[0] == ["check", "value", "threshold", "pass"]
     assert len(rows) == 7
     assert all(row[3] == "true" for row in rows[1:])
@@ -462,8 +533,8 @@ run_diagnostics = true
                  "--deterministic"]) == 2
     for name in ("solution.csv", "report.csv", "kernel.csv"):
         assert (out / name).stat().st_size > 0, name
-    rows = {row[0]: row[3]
-            for row in csv.reader((out / "diagnostics.csv").open())}
+    with (out / "diagnostics.csv").open() as handle:
+        rows = {row[0]: row[3] for row in csv.reader(handle)}
     assert rows["first_energy_equality_rel"] == "false"
     assert [ok for name, ok in rows.items()
             if name not in ("check", "first_energy_equality_rel")] == ["true"] * 5

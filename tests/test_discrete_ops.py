@@ -31,19 +31,26 @@ def unit_kappa(mesh):
     return ones
 
 
+def mass_form(kappa, mesh, theta):
+    return ops.EnergyForm(mesh, theta, kappa, kappa[mesh.J])
+
+
+def elliptic_form(b_h, c_h, c_inf, mesh, theta):
+    return ops.EnergyForm(mesh, theta, c_h, c_inf, b_h)
+
+
 def test_theta_zero_average_is_identity():
     mesh = graded_mesh()
     W = rng_vector(mesh, 1)
-    field = ops.c_theta_interior(unit_kappa(mesh), W, mesh, 0.0)
-    assert np.array_equal(field[1:-1], W[1:-1])
-    assert np.isnan(field[0]) and np.isnan(field[-1])
+    field = mass_form(unit_kappa(mesh), mesh, 0.0).averaged(W)
+    assert np.array_equal(field, W[1:-1])
 
 
 def test_three_point_average_symmetric_case():
     mesh = build_mesh(1.0, tau=1.0, M=1, nodes=[0.0, 0.5, 1.0])
     W = np.array([1.0, 2.0, 3.0])
-    field = ops.c_theta_interior(unit_kappa(mesh), W, mesh, 1.0 / 6.0)
-    assert field[1] == pytest.approx(2.0)
+    field = mass_form(unit_kappa(mesh), mesh, 1.0 / 6.0).averaged(W)
+    assert field.shape == (1,) and field[0] == pytest.approx(2.0)
 
 
 def test_averaged_multiplication_by_one_is_average():
@@ -53,12 +60,12 @@ def test_averaged_multiplication_by_one_is_average():
     W = rng_vector(mesh, 2)
     h, hbar = mesh.h, mesh.hbar
     for theta in (-0.5, 0.0, 1.0 / 6.0, 0.25):
-        field = ops.c_theta_interior(unit_kappa(mesh), W, mesh, theta)
+        field = mass_form(unit_kappa(mesh), mesh, theta).averaged(W)
         for j in range(1, mesh.J):
             average = (theta * (h[j] / hbar[j]) * W[j - 1]
                        + (1.0 - 2.0 * theta) * W[j]
                        + theta * (h[j + 1] / hbar[j]) * W[j + 1])
-            assert field[j] == pytest.approx(average, abs=1e-15)
+            assert field[j - 1] == pytest.approx(average, abs=1e-15)
             assert c_theta_apply(unit_kappa(mesh), W, mesh, theta, j) \
                 == pytest.approx(average, abs=1e-15)
 
@@ -69,9 +76,9 @@ def test_vectorized_stencil_matches_pointwise():
     rng = np.random.default_rng(4)
     kappa = np.concatenate(([np.nan], rng.uniform(0.5, 2.0, size=mesh.J)))
     for theta in (-0.5, 0.0, 1.0 / 6.0, 0.25):
-        field = ops.c_theta_interior(kappa, W, mesh, theta)
+        field = mass_form(kappa, mesh, theta).averaged(W)
         for j in range(1, mesh.J):
-            assert field[j] == pytest.approx(
+            assert field[j - 1] == pytest.approx(
                 c_theta_apply(kappa, W, mesh, theta, j), abs=1e-15)
 
 
@@ -85,30 +92,19 @@ def test_stencil_and_forms_reduce_over_the_last_axis():
     b_h = np.concatenate(([np.nan], rng.uniform(0.5, 2.0, size=mesh.J)))
     c_h = np.concatenate(([np.nan], rng.uniform(0.0, 1.0, size=mesh.J)))
     for theta in (-0.5, 0.0, 1.0 / 12.0, 0.25):
-        field = ops.c_theta_interior(b_h, U, mesh, theta)
-        mass = ops.form_mass(U, W, b_h, mesh, theta)
-        ell = ops.form_elliptic(U, W, b_h, c_h, c_h[-1], mesh, theta)
-        assert field.shape == U.shape and mass.shape == ell.shape == (7,)
+        mass_q = mass_form(b_h, mesh, theta)
+        ell_q = elliptic_form(b_h, c_h, c_h[-1], mesh, theta)
+        field = mass_q.averaged(U)
+        mass = mass_q.evaluate(U, W)
+        ell = ell_q.evaluate(U, W)
+        assert field.shape == (7, mesh.J - 1)
+        assert mass.shape == ell.shape == (7,)
         for i in range(7):
-            assert np.array_equal(field[i], ops.c_theta_interior(b_h, U[i], mesh, theta),
-                                  equal_nan=True)
-            assert mass[i] == pytest.approx(
-                ops.form_mass(U[i], W[i], b_h, mesh, theta), abs=1e-14)
-            assert ell[i] == pytest.approx(
-                ops.form_elliptic(U[i], W[i], b_h, c_h, c_h[-1], mesh, theta),
-                abs=1e-13)
-
-
-def test_forms_reject_mismatched_shapes():
-    mesh = uniform_mesh(J=10)
-    kappa = unit_kappa(mesh)
-    with pytest.raises(ValueError, match="do not match"):
-        ops.form_mass(np.zeros(5), np.zeros(5), kappa, mesh, 0.0)
-    with pytest.raises(ValueError, match="do not match"):
-        ops.form_mass(np.zeros((2, 11)), np.zeros((3, 11)), kappa, mesh, 0.0)
-    with pytest.raises(ValueError, match="coefficient"):
-        ops.form_elliptic(np.zeros(11), np.zeros(11), kappa[:5], kappa,
-                          1.0, mesh, 0.0)
+            assert np.array_equal(field[i], mass_q.averaged(U[i]))
+            assert mass[i] == pytest.approx(mass_q.evaluate(U[i], W[i]),
+                                            abs=1e-14)
+            assert ell[i] == pytest.approx(ell_q.evaluate(U[i], W[i]),
+                                           abs=1e-13)
 
 
 def test_mass_form_symmetry():
@@ -121,8 +117,9 @@ def test_mass_form_symmetry():
             U[0] = W[0] = 0.0
             kappa = np.concatenate(([np.nan],
                                     rng.uniform(0.5, 2.0, size=mesh.J)))
-            lhs = ops.form_mass(U, W, kappa, mesh, theta)
-            rhs = ops.form_mass(W, U, kappa, mesh, theta)
+            form = mass_form(kappa, mesh, theta)
+            lhs = form.evaluate(U, W)
+            rhs = form.evaluate(W, U)
             assert abs(lhs - rhs) <= 1e-13
 
 
@@ -137,8 +134,9 @@ def test_elliptic_form_symmetry():
             b_h = np.concatenate(([np.nan], rng.uniform(0.5, 2.0, size=mesh.J)))
             c_h = np.concatenate(([np.nan], rng.uniform(0.0, 1.0, size=mesh.J)))
             c_inf = c_h[-1]  # tail constant equals the last midpoint sample
-            lhs = ops.form_elliptic(U, W, b_h, c_h, c_inf, mesh, theta)
-            rhs = ops.form_elliptic(W, U, b_h, c_h, c_inf, mesh, theta)
+            form = elliptic_form(b_h, c_h, c_inf, mesh, theta)
+            lhs = form.evaluate(U, W)
+            rhs = form.evaluate(W, U)
             assert abs(lhs - rhs) <= 1e-13
 
 
@@ -147,20 +145,15 @@ def test_forms_vanish_on_zero_argument():
     z = np.zeros(mesh.J + 1)
     W = rng_vector(mesh, 9, anchored=True)
     kappa = np.concatenate(([np.nan], np.full(mesh.J, 1.3)))
-    assert ops.form_mass(z, W, kappa, mesh, 0.1) == 0.0
-    assert ops.form_elliptic(z, W, kappa, kappa, 1.3, mesh, 0.1) == 0.0
+    assert mass_form(kappa, mesh, 0.1).evaluate(z, W) == 0.0
+    assert elliptic_form(kappa, kappa, 1.3, mesh, 0.1).evaluate(z, W) == 0.0
 
 
-def test_forms_reject_large_theta_and_unanchored_arguments():
+def test_forms_reject_large_theta():
     mesh = uniform_mesh()
-    W = rng_vector(mesh, 10, anchored=True)
     kappa = np.concatenate(([np.nan], np.ones(mesh.J)))
-    with pytest.raises(ValueError):
-        ops.form_mass(W, W, kappa, mesh, 0.3)
-    bad = W.copy()
-    bad[0] = 1.0
-    with pytest.raises(ValueError):
-        ops.form_mass(bad, W, kappa, mesh, 0.0)
+    with pytest.raises(ValueError, match="theta"):
+        mass_form(kappa, mesh, 0.3)
 
 
 def test_mass_norm_equivalence_inequality():
@@ -175,7 +168,7 @@ def test_mass_norm_equivalence_inequality():
             W = rng.uniform(-1.0, 1.0, size=mesh.J + 1)
             W[0] = 0.0
             rho = np.concatenate(([np.nan], rng.uniform(0.5, 2.0, size=mesh.J)))
-            n_mass = np.sqrt(ops.form_mass(W, W, rho, mesh, theta))
+            n_mass = np.sqrt(mass_form(rho, mesh, theta).evaluate(W, W))
             n_bar = norm_bar(W, mesh)
             rho_min, rho_max = np.min(rho[1:]), np.max(rho[1:])
             assert n_mass <= np.sqrt(upper_c * rho_max) * n_bar + 1e-12

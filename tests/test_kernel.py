@@ -162,14 +162,12 @@ def test_oracle_gives_up_past_its_point_budget():
 
 def test_weight_range_check_shared_by_every_entry_point():
     mesh = build_mesh(1.0, 4, tau=0.1, M=1)
-    W = np.zeros(5)
     kappa = np.concatenate(([np.nan], np.ones(4)))
     entry_points = (
         lambda s, t: derive_params(1.0, 1.0, 0.0, 0.1, 0.01, s, t),
         lambda s, t: SchemeConfig(sigma=s, theta=t),
         lambda s, t: NormSet(sigma=s, theta=t),
-        lambda s, t: ops.form_mass(W, W, kappa, mesh, t),
-        lambda s, t: ops.form_elliptic(W, W, kappa, kappa, 1.0, mesh, t),
+        lambda s, t: ops.EnergyForm(mesh, t, kappa, 1.0, kappa),
     )
     for build in entry_points:
         build(0.5 - 2e-15, 0.25 + 2e-15)  # inside the roundoff slack

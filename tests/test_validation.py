@@ -153,15 +153,38 @@ def test_blocked_error_report_matches_full_grid():
 
 
 def test_eval_on_grid_falls_back_to_pointwise_per_block():
-    # a scalar-only callable raises TypeError on arrays, across two blocks
+    # each callable fails on both blocks; one that also fails on a level
+    # is evaluated point by point, and every value is the pointwise one
     J = 50
     M = EVAL_BLOCK_CELLS // (J + 1) + 3
     x = np.linspace(0.0, 1.0, J + 1)
     t = np.linspace(0.0, 1.0, M)
-    vals = eval_on_grid(lambda xj, ti: math.cos(xj + ti), x, t)
-    assert vals.shape == (M, J + 1)
-    for i in (0, M // 2, M - 1):
-        assert vals[i].tolist() == [math.cos(float(xj) + float(t[i])) for xj in x]
+
+    def per_level(xs, ti):
+        # an x-vector with a scalar t
+        if np.ndim(ti):
+            raise TypeError("scalar t only")
+        return np.array([math.cos(xj + ti) for xj in xs.tolist()])
+
+    cases = [  # callable, its pointwise values, calls beyond the two blocks
+        (lambda xj, ti: math.cos(xj + ti), lambda xj, ti: math.cos(xj + ti),
+         M + M * (J + 1)),
+        (per_level, lambda xj, ti: math.cos(xj + ti), M),
+        (lambda xs, ti: math.cos(ti), lambda xj, ti: math.cos(ti), M),
+    ]
+    for fn, point, extra_calls in cases:
+        calls = []
+
+        def counted(xs, ts):
+            calls.append(1)
+            return fn(xs, ts)
+
+        vals = eval_on_grid(counted, x, t)
+        assert vals.shape == (M, J + 1)
+        assert len(calls) == 2 + extra_calls
+        for i in (0, M // 2, M - 1):
+            assert vals[i].tolist() == [point(float(xj), float(t[i]))
+                                        for xj in x]
 
 
 def test_error_report_memory_stays_bounded():
