@@ -13,25 +13,25 @@ from .discrete_ops import NormSet
 from .dtbc_kernel import (Kernel, KernelParams, LaggedConvolution,
                           OracleConvergenceError, convolve_all, derive_params,
                           kernel_by_legendre, kernel_by_recurrence,
-                          kernel_gf_oracle, params_from_ratios)
+                          kernel_gf_oracle)
 from .problem import (Mesh, PRESETS, ProblemSpec, SampledCoefficients,
                       build_mesh, example1, example2, sample)
 from .stepper import (SchemeConfig, SolveResult, SolverError, march,
                       march_reference)
 from .validation import (DissipativityReport, EnergyDiagnostics, ErrorReport,
-                         ExactSolution, certify_dissipativity,
-                         diagnose_energy, error_report, iterated_erfc, u1, u2)
+                         certify_dissipativity, diagnose_energy, error_report,
+                         iterated_erfc, u1, u2)
 
 __all__ = [
-    "DissipativityReport", "EnergyDiagnostics", "ErrorReport",
-    "ExactSolution", "Kernel", "KernelParams", "LaggedConvolution", "Mesh",
-    "NormSet", "OracleConvergenceError",
+    "DissipativityReport", "EnergyDiagnostics", "ErrorReport", "Kernel",
+    "KernelParams", "LaggedConvolution", "Mesh", "NormSet",
+    "OracleConvergenceError",
     "PRESETS", "ProblemSpec", "SampledCoefficients", "SchemeConfig",
     "SolveResult", "SolverError", "build_mesh", "certify_dissipativity",
     "convolve_all", "derive_params", "diagnose_energy", "error_report",
     "example1", "example2", "iterated_erfc", "kernel_by_legendre",
     "kernel_by_recurrence", "kernel_gf_oracle", "march", "march_reference",
-    "params_from_ratios", "sample", "u1", "u2",
+    "sample", "u1", "u2",
 ]
 
 __version__ = "0.1.0"

@@ -116,6 +116,7 @@ class RunConfig:
 def read_config(path: str | Path) -> RunConfig:
     """Parse and validate a ``key = value`` configuration file."""
     raw: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -123,7 +124,10 @@ def read_config(path: str | Path) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        raw[key] = value
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats the one "
+                              f"on line {line_of[key]}")
+        raw[key], line_of[key] = value, lineno
 
     schema = fields(RunConfig)
     unknown = set(raw) - {f.name for f in schema}
@@ -149,6 +153,8 @@ def read_config(path: str | Path) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     if cfg.tau <= 0 or cfg.M < 1:
         raise ConfigError("need tau > 0 and M >= 1")
+    if any(M < 1 for M in cfg.table_M):
+        raise ConfigError(f"table_M entries must be >= 1, got {cfg.table_M}")
     return cfg
 
 

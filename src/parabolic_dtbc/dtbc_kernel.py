@@ -135,21 +135,6 @@ def derive_params(rho_inf: float, b_inf: float, c_inf: float,
                         alpha=alpha, beta=beta, delta=delta, sigma0=sigma0)
 
 
-def params_from_ratios(d0: float, d1: float, sigma: float, theta: float,
-                       h: float = 1.0, tau: float = 1.0) -> KernelParams:
-    """Build parameters directly from the step ratios d0, d1.
-
-    Synthesizes tail constants reproducing the requested ratios with unit
-    diffusivity; convenient for parameter sweeps.
-    """
-    if d1 <= 0.0 or d0 < 0.0:
-        raise ValueError("need d1 > 0 and d0 >= 0")
-    a1 = 2.0 / d1
-    rho_inf = 2.0 * a1 * tau / (h * h)
-    c_inf = 2.0 * d0 * a1 / (h * h)
-    return derive_params(rho_inf, 1.0, c_inf, h, tau, sigma, theta)
-
-
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """Real convolution kernel ``R[0..M]`` with its generating parameters."""

@@ -10,6 +10,7 @@ arrays, and midpoint sampling of the coefficient callables.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,21 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .validation import ExactSolution, eval_on_grid, u1, u2
-
-
-def _sample_x(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar function of x on an array, vectorized when possible."""
-    x = np.asarray(x, dtype=float)
-    try:
-        y = np.asarray(fn(x), dtype=float)
-        if y.shape == x.shape:
-            return y.copy()
-        if y.shape == ():
-            return np.full(x.shape, float(y))
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(float(xi))) for xi in x])
+from .validation import eval_on_grid, u1, u2
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
@@ -155,22 +142,25 @@ def build_mesh(X: float, J: int | None = None, *, tau: float, M: int,
 
 @dataclass(frozen=True, eq=False)
 class SampledCoefficients:
-    """Midpoint coefficient samples with gridded forcing and initial data.
+    """Midpoint coefficient samples with gridded forcing, boundary and
+    initial data.
 
     ``rho_h[j]``, ``b_h[j]``, ``c_h[j]`` hold the coefficient value at the
     cell midpoint x_{j-1/2} for 1 <= j <= J (slot 0 is NaN).
     ``F[m, j] = f(x_j, t_m)`` for m >= 1 (row 0 is zero), or None when the
-    problem is unforced (``f`` is None); ``U0[j] = u0(x_j)``.
+    problem is unforced (``f`` is None); ``G[m] = g(t_m)`` for m >= 1
+    (slot 0 is NaN); ``U0[j] = u0(x_j)``.
     """
 
     rho_h: np.ndarray
     b_h: np.ndarray
     c_h: np.ndarray
     F: np.ndarray | None
+    G: np.ndarray
     U0: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.rho_h, self.b_h, self.c_h, self.F, self.U0):
+        for arr in (self.rho_h, self.b_h, self.c_h, self.F, self.G, self.U0):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -182,11 +172,14 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
     already lies in the constant-coefficient region; coefficient samples
     there must equal the tail constants and u0, f must vanish below the
     problem's tail tolerance.  Non-finite samples of rho, b, c, u0 or f
-    raise ValueError naming the field.  ``F[1:]`` is filled in place by
-    :func:`~parabolic_dtbc.validation.eval_on_grid`: one call of ``f`` per
-    block of whole levels, falling back to one call per level and then
-    to one per point where a call fails.  An unforced problem (``f`` is
-    None) gets no forcing grid: ``F`` is None.
+    raise ValueError naming the field, and a non-finite ``g(t_m)`` raises
+    ValueError naming the first such level.  Every x-dependent callable
+    goes through :func:`~parabolic_dtbc.validation.eval_on_grid`: rho, b
+    and c at the cell midpoints and u0 at the nodes as one level, ``f``
+    into ``F[1:]`` in place, one call per block of whole levels; each
+    falls back to one call per level and then to one per point where a
+    call fails.  An unforced problem (``f`` is None) gets no forcing grid:
+    ``F`` is None.  ``g`` is scalar: one call ``float(g(t_m))`` per level.
     """
     x, J, M = mesh.x, mesh.J, mesh.M
     x_end = float(x[J])
@@ -197,11 +190,13 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
             f"tail step h_J={mesh.h[J]:.6g} exceeds x_J - X0="
             f"{x_end - problem.X0:.6g}; refine the mesh near the right end")
 
+    def one_level(fn, nodes):
+        return eval_on_grid(lambda xs, _t: fn(xs), nodes, np.zeros(1))[0]
+
     xm = 0.5 * (x[:-1] + x[1:])
     nan0 = np.array([np.nan])
-    rho_h = np.concatenate((nan0, _sample_x(problem.rho, xm)))
-    b_h = np.concatenate((nan0, _sample_x(problem.b, xm)))
-    c_h = np.concatenate((nan0, _sample_x(problem.c, xm)))
+    rho_h, b_h, c_h = (np.concatenate((nan0, one_level(fn, xm)))
+                       for fn in (problem.rho, problem.b, problem.c))
     for name, arr in (("rho", rho_h), ("b", b_h), ("c", c_h)):
         _check_finite(name, arr[1:])
 
@@ -221,21 +216,29 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
             raise ValueError(f"coefficient {name} is not constant on the tail "
                              f"(max deviation {dev:.3g})")
 
-    U0 = _sample_x(problem.u0, x)
+    U0 = one_level(problem.u0, x)
     _check_finite("u0", U0)
     tail_nodes = x >= problem.X0 - 1e-12
     if np.max(np.abs(U0[tail_nodes])) > problem.tail_tol:
         raise ValueError("initial data does not vanish on the tail "
                          f"(tolerance {problem.tail_tol:g})")
 
+    t = mesh.times()[1:]
     F = None
     if problem.f is not None:
         F = np.zeros((M + 1, J + 1))
-        eval_on_grid(problem.f, x, mesh.times()[1:], out=F[1:])
+        eval_on_grid(problem.f, x, t, out=F[1:])
         _check_finite("f", F)
         if np.max(np.abs(F[1:, tail_nodes])) > problem.tail_tol:
             raise ValueError("forcing does not vanish on the tail "
                              f"(tolerance {problem.tail_tol:g})")
+
+    times = t.tolist()
+    G = np.array([np.nan] + [float(problem.g(t_m)) for t_m in times])
+    if not (math.isfinite(G[1:].min()) and math.isfinite(G[1:].max())):
+        m = int(np.argmin(np.isfinite(G[1:])))
+        raise ValueError(f"boundary data g is not finite at "
+                         f"t_m={times[m]!r} (level {m + 1})")
 
     try:
         g0 = float(problem.g(0.0))
@@ -247,7 +250,7 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
             f" vs g(0)={g0:.6g}; proceeding with the sampled initial value",
             stacklevel=2)
 
-    return SampledCoefficients(rho_h=rho_h, b_h=b_h, c_h=c_h, F=F, U0=U0)
+    return SampledCoefficients(rho_h=rho_h, b_h=b_h, c_h=c_h, F=F, G=G, U0=U0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +262,13 @@ def _const(value: float) -> Callable:
 
 
 def example1(x_star: float = 1.25, t0: float = 0.03125
-             ) -> tuple[ProblemSpec, ExactSolution]:
+             ) -> tuple[ProblemSpec, Callable]:
     """Gaussian pulse on the homogeneous heat equation, truncated at X = 2.5.
 
     The initial profile does not vanish identically beyond the truncation
     point; its values there stay below 1e-5 and are treated as zero under
     the tail tolerance (about 3.7e-6 at x = 2.5 for the default pulse).
     """
-    exact = ExactSolution(label="example1",
-                          fn=lambda x, t: u1(x, t, x_star=x_star, t0=t0))
     prob = ProblemSpec(
         rho=_const(1.0), b=_const(1.0), c=_const(0.0), f=None,
         g=lambda t: u1(0.0, t, x_star=x_star, t0=t0),
@@ -275,16 +276,15 @@ def example1(x_star: float = 1.25, t0: float = 0.03125
         rho_inf=1.0, b_inf=1.0, c_inf=0.0,
         X0=2.45, X=2.5, rho_lower=1.0, b_lower=1.0,
         label="example1")
-    return prob, exact
+    return prob, functools.partial(u1, x_star=x_star, t0=t0)
 
 
-def example2() -> tuple[ProblemSpec, ExactSolution]:
+def example2() -> tuple[ProblemSpec, Callable]:
     """Quadratic boundary ramp g = t^2 with zero initial data, X = 1.
 
     The solution is markedly nonzero at the truncation point, which makes
     this the stress test for the boundary closure.
     """
-    exact = ExactSolution(label="example2", fn=u2)
     prob = ProblemSpec(
         rho=_const(1.0), b=_const(1.0), c=_const(0.0), f=None,
         g=lambda t: float(t) ** 2,
@@ -292,7 +292,7 @@ def example2() -> tuple[ProblemSpec, ExactSolution]:
         rho_inf=1.0, b_inf=1.0, c_inf=0.0,
         X0=0.1, X=1.0, rho_lower=1.0, b_lower=1.0,
         label="example2")
-    return prob, exact
+    return prob, u2
 
 
 PRESETS = {"example1": example1, "example2": example2}

@@ -184,20 +184,20 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
     """March the scheme from the initial data to the final level.
 
     The matrix, the old-level operator and the boundary gain are built and
-    factored once, and ``g`` is sampled at every level before the first one
-    is marched.  Each level is then assembled and solved inside its own row
-    of the preallocated trajectory: the old-level interior product is one
-    multiplication of the stacked weights with a read-only three-row window
-    over the previous level, summed into the row; the row gets the forcing
-    (when ``f`` is given), the Dirichlet value, and the boundary row formed
-    from Python floats plus the lagged convolution over the stored boundary
-    history (summed online by :class:`LaggedConvolution`); and
-    :meth:`TriFactor.solve` overwrites it with the new level (LAPACK
-    ``dgttrs`` on the pivot-free factors).  Non-finite boundary data raises
-    ValueError naming the first such level before any level is marched; a
-    trajectory that overflows to a non-finite value raises
-    :class:`SolverError` naming the first such level.  Dispatches to
-    :func:`march_reference` when the configuration selects the
+    factored once, after :func:`~parabolic_dtbc.problem.sample` has sampled
+    the data, ``g`` at every level included.  Each level is then assembled
+    and solved inside its own row of the preallocated trajectory: the
+    old-level interior product is one multiplication of the stacked
+    weights with a read-only three-row window over the previous level,
+    summed into the row; the row gets the forcing (when ``f`` is given),
+    the Dirichlet value, and the boundary row formed from Python floats
+    plus the lagged convolution over the stored boundary history (summed
+    online by :class:`LaggedConvolution`); and :meth:`TriFactor.solve`
+    overwrites it with the new level (LAPACK ``dgttrs`` on the pivot-free
+    factors).  Non-finite data raises ValueError from ``sample`` before any
+    level is marched; a trajectory that overflows to a non-finite value
+    raises :class:`SolverError` naming the first such level.  Dispatches
+    to :func:`march_reference` when the configuration selects the
     enlarged-interval closure.
     """
     if config.boundary == "reference":
@@ -205,13 +205,6 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
 
     t_begin = time.perf_counter()
     coeffs = sample(problem, mesh)
-    times = mesh.times()[1:].tolist()
-    g_levels = [float(problem.g(t)) for t in times]
-    g_arr = np.array(g_levels)
-    if not (math.isfinite(g_arr.min()) and math.isfinite(g_arr.max())):
-        m = int(np.argmin(np.isfinite(g_arr)))
-        raise ValueError(f"boundary data g is not finite at "
-                         f"t_m={times[m]!r} (level {m + 1})")
     kernel = None
     if config.boundary == "dtbc":
         params = derive_params(problem.rho_inf, problem.b_inf, problem.c_inf,
@@ -245,7 +238,7 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
     # overflow shows as a non-finite trajectory, reported after the loop
     with np.errstate(over="ignore", invalid="ignore"):
         for m, (g_m, row, inner, window) in enumerate(
-                zip(g_levels, traj[1:], traj[1:, 1:J], old), 1):
+                zip(coeffs.G[1:].tolist(), traj[1:], traj[1:, 1:J], old), 1):
             np.multiply(weights, window, out=prod)
             np.add(lo, mid, out=inner)
             np.add(inner, hi, out=inner)

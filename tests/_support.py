@@ -7,12 +7,47 @@ import math
 import numpy as np
 
 from parabolic_dtbc import (EnergyDiagnostics, ProblemSpec, derive_params,
-                            kernel_by_recurrence, sample)
+                            iterated_erfc, kernel_by_recurrence, sample)
 from parabolic_dtbc import discrete_ops as ops
 from parabolic_dtbc.cli import _fmt
 from parabolic_dtbc.dtbc_kernel import LaggedConvolution
 from parabolic_dtbc.stepper import TriFactor, level_matrix, scheme_weights
 from parabolic_dtbc.validation import eval_on_grid
+
+
+def params_from_ratios(d0, d1, sigma, theta, h=1.0, tau=1.0):
+    """Kernel parameters built directly from the step ratios d0, d1.
+
+    Synthesizes tail constants reproducing the requested ratios with unit
+    diffusivity; convenient for parameter sweeps.
+    """
+    if d1 <= 0.0 or d0 < 0.0:
+        raise ValueError("need d1 > 0 and d0 >= 0")
+    a1 = 2.0 / d1
+    rho_inf = 2.0 * a1 * tau / (h * h)
+    c_inf = 2.0 * d0 * a1 / (h * h)
+    return derive_params(rho_inf, 1.0, c_inf, h, tau, sigma, theta)
+
+
+def u2_reference(x, t):
+    """The ramp solution evaluated on the levels t > 0 only.
+
+    Broadcasts x and t, and evaluates 32 t^2 I_4(x / (2 sqrt(t))) on the
+    points with t > 0 by boolean indexing, leaving 0 elsewhere: the
+    reference for the ``np.where`` form of ``u2``.
+    """
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    x, t = np.broadcast_arrays(x, t)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x).astype(float)
+    t = np.atleast_1d(t).astype(float)
+    out = np.zeros(x.shape)
+    pos = t > 0.0
+    if np.any(pos):
+        xi = x[pos] / (2.0 * np.sqrt(t[pos]))
+        out[pos] = 32.0 * t[pos] ** 2 * iterated_erfc(4, xi)
+    return float(out[0]) if scalar else out
 
 
 def _zeros(x):

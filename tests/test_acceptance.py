@@ -14,9 +14,9 @@ from parabolic_dtbc import (SchemeConfig, build_mesh, certify_dissipativity,
                             derive_params, diagnose_energy, error_report,
                             example1, example2, kernel_by_legendre,
                             kernel_by_recurrence, kernel_gf_oracle, march,
-                            march_reference, params_from_ratios, u1, u2)
+                            march_reference, u1, u2)
 
-from _support import random_h0_problem
+from _support import params_from_ratios, random_h0_problem
 
 SIGMAS = (0.5, 1.0)
 THETAS = (0.0, 1.0 / 12.0, 1.0 / 6.0, 0.25)

@@ -19,7 +19,7 @@ from _support import reference_solution_csv
 
 CUSTOM_ZERO = """\
 import numpy as np
-from parabolic_dtbc import ProblemSpec, ExactSolution
+from parabolic_dtbc import ProblemSpec
 
 PROBLEM = ProblemSpec(
     rho=lambda x: np.ones(np.shape(x)),
@@ -31,8 +31,7 @@ PROBLEM = ProblemSpec(
     rho_inf=1.0, b_inf=1.0, c_inf=0.0,
     X0=0.5, X=1.0, rho_lower=1.0, b_lower=1.0,
     label="zero-custom")
-EXACT = ExactSolution(label="zero-custom",
-                      fn=lambda x, t: np.zeros(np.broadcast(x, t).shape))
+EXACT = lambda x, t: np.zeros(np.broadcast(x, t).shape)
 """
 
 
@@ -84,6 +83,28 @@ def test_config_rejects_bad_input(tmp_path):
                     "theta = 0\ntau = 0.01\nM = 10\nJ = 10\n" + extra)
         with pytest.raises(ValueError):
             read_config(cfg)
+
+
+def test_repeated_config_key_exits_one(tmp_path, capsys):
+    cfg = write(tmp_path / "run.cfg", "problem = example2\nsigma = 1/2\n"
+                "theta = 0\ntau = 0.01\nM = 10\nJ = 10\n\nM = 20  # typo\n")
+    with pytest.raises(ConfigError,
+                       match=r"run\.cfg:8: key 'M' repeats the one on line 5"):
+        read_config(cfg)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "'M'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_table_M_rejects_levels_below_one(tmp_path, capsys):
+    cfg = write(tmp_path / "run.cfg", "problem = example2\nsigma = 1/2\n"
+                "theta = 0\ntau = 0.01\nM = 10\nJ = 10\n"
+                "table_M = 0, 5\ntable_theta = 0\n")
+    out = tmp_path / "out"
+    assert main(["table", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "table_M entries must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # a value for every config key; integral numbers may be written as floats
@@ -218,6 +239,29 @@ X = 1
     assert not (out / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_solve_non_finite_exact_solution_exits_one(tmp_path, capsys, value):
+    # the exact solution is non-finite at levels 3 and 7 of 10
+    write(tmp_path / "prob.py", CUSTOM_ZERO + f"""
+def EXACT(x, t):
+    bad = (np.abs(t - 0.15) < 1e-9) | (np.abs(t - 0.35) < 1e-9)
+    return np.where(bad, float("{value}"), 0.0) + np.zeros_like(x)
+""")
+    cfg = write(tmp_path / "run.cfg", f"""\
+problem = custom
+custom_path = {tmp_path / 'prob.py'}
+sigma = 1/2
+theta = 0
+tau = 0.05
+M = 10
+J = 8
+""")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "not finite at level 3 " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_solve_reference_mode(tmp_path):
     write(tmp_path / "prob.py", CUSTOM_ZERO)
     cfg = write(tmp_path / "run.cfg", f"""\
@@ -275,7 +319,7 @@ PROBLEM = ProblemSpec(
 # of zero and negative values
 CUSTOM_SIGNED_RAMP = """\
 import numpy as np
-from parabolic_dtbc import ExactSolution, ProblemSpec
+from parabolic_dtbc import ProblemSpec
 from parabolic_dtbc.validation import u2
 
 PROBLEM = ProblemSpec(
@@ -288,7 +332,7 @@ PROBLEM = ProblemSpec(
     rho_inf=1.0, b_inf=1.0, c_inf=0.0,
     X0=0.5, X=1.0, rho_lower=1.0, b_lower=1.0,
     label="signed-ramp")
-EXACT = ExactSolution(label="signed-ramp", fn=lambda x, t: -u2(x, t))
+EXACT = lambda x, t: -u2(x, t)
 """
 
 # name: (custom problem module or None, config lines, --deterministic,

@@ -6,12 +6,11 @@ import pytest
 from parabolic_dtbc import (Kernel, LaggedConvolution, NormSet,
                             OracleConvergenceError, SchemeConfig, build_mesh,
                             convolve_all, derive_params, kernel_by_legendre,
-                            kernel_by_recurrence, kernel_gf_oracle,
-                            params_from_ratios)
+                            kernel_by_recurrence, kernel_gf_oracle)
 from parabolic_dtbc import discrete_ops as ops
 from parabolic_dtbc.dtbc_kernel import BLOCK
 
-from _support import convolve_direct
+from _support import convolve_direct, params_from_ratios
 
 SQRT5 = np.sqrt(5.0)
 

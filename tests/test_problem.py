@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from parabolic_dtbc import (Mesh, SchemeConfig, build_mesh, example1, example2,
-                            march, sample)
+                            march, sample, u2)
 from parabolic_dtbc.problem import ProblemSpec
 from parabolic_dtbc.stepper import TriFactor
 from parabolic_dtbc.validation import _level_blocks
@@ -128,6 +128,55 @@ def test_forcing_blocks_match_per_level_sampling(name):
     assert len(calls) == n_blocks + (M if name == "one-d-only" else 0)
 
 
+def _bump(x):
+    return 0.5 * math.sin(math.pi * x) ** 2 if x < 0.5 else 0.0
+
+
+def _bump_one_d_only(x):
+    # iterates over the points, so the (1, n) block of one level raises
+    return np.array([_bump(xi) for xi in x])
+
+
+X_ONLY = {  # kind: (callable of x, whether it is evaluated point by point)
+    "vectorized": (lambda x: np.where(x < 0.5, 0.5 * np.sin(np.pi * x) ** 2,
+                                      0.0), False),
+    "one-d-only": (_bump_one_d_only, False),
+    "scalar-only": (_bump, True),
+    "constant": (lambda x: 0.0, False),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(X_ONLY))
+@pytest.mark.parametrize("field", ["rho", "b", "c", "u0"])
+def test_x_only_data_fall_back_block_level_point(field, kind):
+    # rho, b, c at the J midpoints and u0 at the J + 1 nodes are one level
+    # of the (x, t) evaluator: block, then level, then point by point
+    fn, pointwise = X_ONLY[kind]
+    shift = 1.0 if field in ("rho", "b") else 0.0
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return fn(x) + shift
+
+    J = 20
+    mesh = build_mesh(1.0, J, tau=0.1, M=2)
+    coeffs = sample(replace(zero_problem(), **{field: counted}), mesh)
+    got = coeffs.U0 if field == "u0" else getattr(coeffs, field + "_h")[1:]
+    nodes = mesh.x if field == "u0" else 0.5 * (mesh.x[:-1] + mesh.x[1:])
+    n = nodes.size
+    expected = {"vectorized": [(1, n)], "one-d-only": [(1, n), (n,)],
+                "scalar-only": [(1, n), (n,)] + [()] * n,
+                "constant": [(1, n), (n,)]}[kind]
+    assert calls == expected
+    calls.clear()
+    if pointwise:
+        values = np.array([counted(xi) for xi in nodes.tolist()])
+    else:
+        values = np.broadcast_to(counted(nodes), nodes.shape)
+    assert got.tobytes() == np.asarray(values, dtype=float).tobytes()
+
+
 def test_unforced_problem_has_no_forcing_grid():
     for prob in (example1()[0], example2()[0], replace(zero_problem(), f=None)):
         assert prob.f is None
@@ -194,7 +243,7 @@ def test_corner_mismatch_warns_but_proceeds():
 def test_example2_preset_data():
     prob, exact = example2()
     assert prob.g(0.5) == pytest.approx(0.25)
-    assert exact.label == "example2"
+    assert exact is u2
     mesh = build_mesh(1.0, 10, tau=0.01, M=3)
     coeffs = sample(prob, mesh)
     assert np.all(coeffs.U0 == 0.0)

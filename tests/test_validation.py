@@ -8,13 +8,13 @@ from scipy.special import erfc
 
 from parabolic_dtbc import (SchemeConfig, build_mesh, certify_dissipativity,
                             convolve_all, derive_params, diagnose_energy,
-                            error_report, ExactSolution, iterated_erfc,
+                            error_report, iterated_erfc,
                             example2, kernel_by_recurrence, march, u1, u2)
 from parabolic_dtbc import validation
 from parabolic_dtbc.validation import EVAL_BLOCK_CELLS, eval_on_grid
 
 from _support import (diagnose_energy_reference, dissipativity_sums_reference,
-                      random_h0_problem, zero_problem)
+                      random_h0_problem, u2_reference, zero_problem)
 
 # 30-digit reference values for the complementary error function,
 # computed with arbitrary-precision arithmetic while writing this test
@@ -96,18 +96,39 @@ def test_ramp_solution_boundary_and_initial_values():
     assert grid.shape == (2, 5)
 
 
+def test_ramp_solution_matches_masked_reference_bitwise():
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        x = np.concatenate(([0.0], rng.uniform(0.0, 3.0, 60),
+                            10.0 ** rng.uniform(-8.0, 1.0, 20)))
+        t = np.concatenate(([0.0], rng.uniform(0.0, 2.0, 40),
+                            10.0 ** rng.uniform(-12.0, 0.0, 20)))
+        rng.shuffle(x)
+        rng.shuffle(t)
+        for xs, ts in ((x[None, :], t[:, None]), (x[:t.size], t),
+                       (x, 0.0), (0.0, t), (x, t[1]), (x[3], t)):
+            got, ref = u2(xs, ts), u2_reference(xs, ts)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+    for xs, ts in ((0.0, 0.0), (0.7, 0.0), (0.0, 0.3), (0.7, 0.3)):
+        got, ref = u2(xs, ts), u2_reference(xs, ts)
+        assert type(got) is type(ref) is float
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
 def test_error_report_zero_for_exact_samples():
     mesh = build_mesh(1.0, 10, tau=0.1, M=5)
-    exact = ExactSolution(label="e", fn=u2)
     t = mesh.times()[:, None]
     traj = u2(mesh.x[None, :], t)
-    rep = error_report(traj, exact, mesh)
+    rep = error_report(traj, u2, mesh)
     assert rep.max_abs_error == 0.0
 
 
 def test_error_report_argmax_and_perturbation_monotonicity():
     mesh = build_mesh(1.0, 10, tau=0.1, M=5)
-    zero = ExactSolution(label="z", fn=lambda x, t: np.zeros(np.broadcast(x, t).shape))
+    def zero(x, t):
+        return np.zeros(np.broadcast(x, t).shape)
+
     traj = np.zeros((6, 11))
     traj[3, 7] = 0.5
     rep = error_report(traj, zero, mesh)
@@ -123,7 +144,20 @@ def test_error_report_argmax_and_perturbation_monotonicity():
 def test_error_report_shape_validation():
     mesh = build_mesh(1.0, 10, tau=0.1, M=5)
     with pytest.raises(ValueError):
-        error_report(np.zeros((3, 3)), ExactSolution("z", u2), mesh)
+        error_report(np.zeros((3, 3)), u2, mesh)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_error_report_rejects_non_finite_exact_values(value):
+    # non-finite at levels 2 and 4: the first one is named
+    mesh = build_mesh(1.0, 10, tau=0.1, M=5)
+
+    def exact(x, t):
+        bad = (np.abs(t - 0.2) < 1e-9) | (np.abs(t - 0.4) < 1e-9)
+        return np.where(bad, value, 0.0) + np.zeros_like(x)
+
+    with pytest.raises(ValueError, match=r"not finite at level 2 \(t_m=0\.2\)"):
+        error_report(np.zeros((6, 11)), exact, mesh)
 
 
 def test_blocked_error_report_matches_full_grid():
@@ -137,7 +171,9 @@ def test_blocked_error_report_matches_full_grid():
     t = mesh.times()[1:]
     assert np.array_equal(eval_on_grid(u2, mesh.x, t),
                           u2(mesh.x[None, :], t[:, None]))
-    exact = ExactSolution("x-only", lambda x, t: np.cos(3.0 * x) + 0.0 * t)
+    def exact(x, t):
+        return np.cos(3.0 * x) + 0.0 * t
+
     rng = np.random.default_rng(5)
     traj = np.cos(3.0 * mesh.x)[None, :] + rng.uniform(-1e-3, 1e-3,
                                                        size=(M + 1, J + 1))
