@@ -9,7 +9,7 @@ Subcommands:
   companion zero-boundary run with seeded random initial data
 
 Configurations are line-oriented ``key = value`` files with ``#``
-comments; fractions such as ``1/12`` are accepted for the scheme weights.
+comments; fractions such as ``1/12`` are accepted for every number key.
 Exit codes: 0 success, 1 validation error, 2 numerical failure or a failed
 diagnostic check.
 """
@@ -32,7 +32,7 @@ from .dtbc_kernel import (OracleConvergenceError, derive_params,
                           kernel_by_legendre, kernel_by_recurrence,
                           kernel_gf_oracle)
 from .problem import PRESETS, ProblemSpec, build_mesh
-from .stepper import SchemeConfig, SolverError, march
+from .stepper import SchemeConfig, SolverError, march, march_reference
 from .validation import certify_dissipativity, diagnose_energy, error_report
 
 FLOAT_FMT = "%.17e"
@@ -107,10 +107,11 @@ class RunConfig:
         self.boundary = self.boundary.lower()
 
     def scheme(self) -> SchemeConfig:
-        """The scheme weights and boundary closure of this run."""
+        """The weights and closure of this run; a ``reference`` run checks
+        the transparent closure (see :func:`_march`)."""
+        boundary = "dtbc" if self.boundary == "reference" else self.boundary
         return SchemeConfig(sigma=self.sigma, theta=self.theta,
-                            boundary=self.boundary,
-                            extension_factor=self.extension_factor)
+                            boundary=boundary)
 
 
 def read_config(path: str | Path) -> RunConfig:
@@ -148,9 +149,12 @@ def read_config(path: str | Path) -> RunConfig:
     if cfg.problem == "custom" and not cfg.custom_path:
         raise ConfigError("custom problem needs custom_path")
     try:
-        cfg.scheme()
+        for theta in (cfg.theta, *cfg.table_theta):
+            replace(cfg, theta=theta).scheme()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg.boundary == "reference" and not (cfg.extension_factor or 0) >= 2:
+        raise ConfigError("reference mode needs extension_factor >= 2")
     if cfg.tau <= 0 or cfg.M < 1:
         raise ConfigError("need tau > 0 and M >= 1")
     if any(M < 1 for M in cfg.table_M):
@@ -181,11 +185,21 @@ def _load_problem(cfg: RunConfig):
 
 def _make_mesh(cfg: RunConfig, problem: ProblemSpec):
     X = cfg.X if cfg.X is not None else problem.X
+    if cfg.nodes is not None and cfg.J is not None:
+        raise ConfigError("configuration gives both J and nodes; give one")
     if cfg.nodes is not None:
         return build_mesh(X, tau=cfg.tau, M=cfg.M, nodes=cfg.nodes)
     if cfg.J is None:
         raise ConfigError("configuration needs J (cell count) or nodes")
     return build_mesh(X, cfg.J, tau=cfg.tau, M=cfg.M)
+
+
+def _march(cfg: RunConfig, problem: ProblemSpec, mesh):
+    """The run's march, or its reference march for ``boundary = reference``."""
+    if cfg.boundary == "reference":
+        return march_reference(problem, mesh, cfg.scheme(),
+                               cfg.extension_factor)
+    return march(problem, mesh, cfg.scheme())
 
 
 def _writer(path: Path, deterministic: bool):
@@ -236,7 +250,7 @@ def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool,
               seed: int) -> int:
     problem, exact = _load_problem(cfg)
     mesh = _make_mesh(cfg, problem)
-    result = march(problem, mesh, cfg.scheme())
+    result = _march(cfg, problem, mesh)
 
     report = None
     if exact is not None:
@@ -282,17 +296,18 @@ def cmd_table(cfg: RunConfig, out: Path, deterministic: bool) -> int:
     if exact is None:
         raise ConfigError("table command needs a problem with a reference solution")
     horizon = cfg.tau * cfg.M
+    rows = [["theta"] + [f"M={m}" for m in cfg.table_M]]
+    for theta in cfg.table_theta:
+        rows.append([_fmt(theta)])
+        for M in cfg.table_M:
+            cell = replace(cfg, theta=theta, tau=horizon / M, M=M)
+            mesh = _make_mesh(cell, problem)
+            result = _march(cell, problem, mesh)
+            rows[-1].append(_fmt(error_report(result.U, exact, mesh).max_abs_error))
+    # written only now, so that a failing cell leaves no partial table.csv
     handle, writer = _writer(out / "table.csv", deterministic)
     with handle:
-        writer.writerow(["theta"] + [f"M={m}" for m in cfg.table_M])
-        for theta in cfg.table_theta:
-            row = [_fmt(theta)]
-            for M in cfg.table_M:
-                cell = replace(cfg, theta=theta, tau=horizon / M, M=M)
-                mesh = _make_mesh(cell, problem)
-                result = march(problem, mesh, cell.scheme())
-                row.append(_fmt(error_report(result.U, exact, mesh).max_abs_error))
-            writer.writerow(row)
+        writer.writerows(rows)
     return 0
 
 
@@ -358,9 +373,7 @@ def _run_diagnostics(cfg: RunConfig, problem: ProblemSpec, mesh, out: Path,
     companion = replace(problem, f=None, g=lambda t: 0.0,
                         u0=lambda x: np.interp(x, knots, vals),
                         label=problem.label + "-diagnostic")
-    boundary = cfg.boundary if cfg.boundary in ("dtbc", "neumann") else "dtbc"
-    scheme = replace(cfg, boundary=boundary, extension_factor=None).scheme()
-    result = march(companion, mesh, scheme)
+    result = march(companion, mesh, cfg.scheme())
     energy = diagnose_energy(result, companion)
 
     checks = [

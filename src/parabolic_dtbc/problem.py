@@ -90,10 +90,10 @@ class Mesh:
         if x[0] != 0.0:
             raise ValueError("mesh must start at x = 0")
         steps = np.diff(x)
-        if np.any(steps <= 0.0):
-            raise ValueError("mesh nodes must be strictly increasing")
-        if not self.tau > 0.0:
-            raise ValueError("time step must be positive")
+        if not np.all((steps > 0.0) & (steps < math.inf)):
+            raise ValueError("mesh nodes must be finite and strictly increasing")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("time step must be positive and finite")
         if int(self.M) < 1:
             raise ValueError("need at least one time level")
         J = x.size - 1

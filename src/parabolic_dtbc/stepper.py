@@ -13,12 +13,12 @@ The time grid is uniform and the coefficients do not depend on time, so
 the matrix, the old-level operator and the boundary gain are the same at
 every level.  :func:`march` builds and factors them once; inside its loop
 only the right-hand side changes, through the Dirichlet value, the
-forcing and the lagged boundary convolution over a preallocated history.
-A brute-force reference closure is provided by :func:`march_reference`,
-which solves the same interior scheme on an enlarged interval with the
-zero-flux form at the far end and restricts back; with a sufficient
-enlargement it approximates the untruncated scheme, so the transparent
-closure must reproduce it to roundoff.
+forcing and the lagged boundary convolution over the boundary column.
+:func:`march_reference` checks the transparent closure: it solves the
+same interior scheme on an enlarged interval with the zero-flux form at
+the far end and restricts back; with a sufficient enlargement it
+approximates the untruncated scheme, so the transparent closure must
+reproduce it to roundoff.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .dtbc_kernel import (Kernel, LaggedConvolution, check_weights,
                           derive_params, kernel_by_recurrence)
 from .problem import Mesh, ProblemSpec, SampledCoefficients, sample
 
-BOUNDARY_MODES = ("dtbc", "neumann", "reference")
+BOUNDARY_MODES = ("dtbc", "neumann")
+DOUBLING_TOL = 1e-9  # march_reference: largest move when the factor doubles
 
 
 class SolverError(RuntimeError):
@@ -43,25 +44,20 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme weights and the right-boundary closure mode.
+    """Scheme weights and the right-boundary closure.
 
     sigma >= 1/2 weights the new level, theta <= 1/4 controls the spatial
-    averaging.  ``extension_factor`` applies to the "reference" mode only
-    and must be at least 2.
+    averaging; ``boundary`` is "dtbc" (transparent) or "neumann".
     """
 
     sigma: float
     theta: float
     boundary: str = "dtbc"
-    extension_factor: float | None = None
 
     def __post_init__(self):
         check_weights(self.sigma, self.theta)
         if self.boundary not in BOUNDARY_MODES:
             raise ValueError(f"unknown boundary mode {self.boundary!r}")
-        if self.boundary == "reference":
-            if self.extension_factor is None or self.extension_factor < 2.0:
-                raise ValueError("reference mode needs extension_factor >= 2")
 
 
 class TriFactor:
@@ -128,7 +124,6 @@ class SolveResult:
     """Full trajectory of one march with everything needed to audit it."""
 
     U: np.ndarray                 # (M+1, J+1) node values per level
-    history: np.ndarray           # (M+1,) right-boundary values
     mesh: Mesh
     config: SchemeConfig
     coeffs: SampledCoefficients
@@ -196,13 +191,8 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
     overwrites it with the new level (LAPACK ``dgttrs`` on the pivot-free
     factors).  Non-finite data raises ValueError from ``sample`` before any
     level is marched; a trajectory that overflows to a non-finite value
-    raises :class:`SolverError` naming the first such level.  Dispatches
-    to :func:`march_reference` when the configuration selects the
-    enlarged-interval closure.
+    raises :class:`SolverError` naming the first such level.
     """
-    if config.boundary == "reference":
-        return march_reference(problem, mesh, config, config.extension_factor)
-
     t_begin = time.perf_counter()
     coeffs = sample(problem, mesh)
     kernel = None
@@ -226,7 +216,7 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
 
     traj = np.empty((M + 1, J + 1))
     traj[0] = coeffs.U0
-    hist = np.empty(M + 1)  # boundary column, the convolution's history
+    hist = np.empty(M + 1)  # contiguous copy of U[:, J] for the convolution
     hist[0] = coeffs.U0[J]
     # old[m] is level m as the three rows U[0:J-1], U[1:J], U[2:J+1]; level
     # m is assembled in its row of traj from old[m-1], then solved in place
@@ -259,7 +249,7 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
         raise SolverError(f"the trajectory is not finite from level {m} "
                           f"(t_m={m * mesh.tau!r}); the data overflow the scheme")
 
-    return SolveResult(U=traj, history=hist, mesh=mesh, config=config,
+    return SolveResult(U=traj, mesh=mesh, config=config,
                        coeffs=coeffs, kernel=kernel,
                        min_pivot=factor.min_pivot,
                        elapsed=time.perf_counter() - t_begin)
@@ -267,47 +257,43 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
 
 def _march_enlarged(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig,
                     factor: float) -> SolveResult:
-    """Solve with zero-flux closure on [0, factor * x_J], keep the full result."""
+    """March ``config`` on [0, factor * x_J], keep the full result."""
     h = mesh.h_tail
     x_end = float(mesh.x[-1])
     x_far = factor * x_end
     n_extra = int(np.ceil((x_far - x_end) / h - 1e-9))
     x_ext = np.concatenate((mesh.x, x_end + h * np.arange(1, n_extra + 1)))
-    far_mesh = Mesh(x=x_ext, tau=mesh.tau, M=mesh.M)
-    far_cfg = SchemeConfig(sigma=config.sigma, theta=config.theta,
-                           boundary="neumann")
-    return march(problem, far_mesh, far_cfg)
+    return march(problem, Mesh(x=x_ext, tau=mesh.tau, M=mesh.M), config)
 
 
 def march_reference(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig,
-                    extension_factor: float, doubling_check: bool = True,
-                    doubling_tol: float = 1e-9) -> SolveResult:
+                    extension_factor: float,
+                    doubling_check: bool = True) -> SolveResult:
     """Brute-force reference trajectory restricted to the original nodes.
 
-    Runs the interior scheme on the enlarged interval
-    [0, extension_factor * x_J] with the zero-flux closure at the far end.
+    Marches the weights of ``config`` with the zero-flux closure, whatever
+    closure ``config`` names, on the enlarged interval
+    [0, extension_factor * x_J]; the result carries that zero-flux config.
     The far boundary must not influence the restricted window within the
     time horizon; this is verified by re-running with twice the factor and
-    comparing, unless ``doubling_check`` is disabled.
+    comparing against ``DOUBLING_TOL``, unless ``doubling_check`` is off.
     """
-    if extension_factor is None or extension_factor < 2.0:
-        raise ValueError("reference closure needs extension_factor >= 2")
+    if extension_factor is None or not 2.0 <= extension_factor < math.inf:
+        raise ValueError("reference closure needs 2 <= extension_factor < inf")
     t_begin = time.perf_counter()
     J = mesh.J
-    base = _march_enlarged(problem, mesh, config, extension_factor)
+    far_cfg = replace(config, boundary="neumann")
+    base = _march_enlarged(problem, mesh, far_cfg, extension_factor)
     restricted = base.U[:, :J + 1].copy()
     if doubling_check:
-        double = _march_enlarged(problem, mesh, config, 2.0 * extension_factor)
+        double = _march_enlarged(problem, mesh, far_cfg, 2.0 * extension_factor)
         dev = float(np.max(np.abs(restricted - double.U[:, :J + 1])))
-        if dev > doubling_tol:
+        if dev > DOUBLING_TOL:
             raise SolverError(
                 f"far boundary contaminates the window: doubling the extension "
                 f"factor moves the restricted trajectory by {dev:.3g} "
-                f"(tolerance {doubling_tol:g})")
-    cfg = config if config.boundary == "reference" else replace(
-        config, boundary="reference", extension_factor=extension_factor)
-    return SolveResult(U=restricted, history=restricted[:, J].copy(),
-                       mesh=mesh, config=cfg,
+                f"(tolerance {DOUBLING_TOL:g})")
+    return SolveResult(U=restricted, mesh=mesh, config=far_cfg,
                        coeffs=sample(problem, mesh), kernel=None,
                        min_pivot=base.min_pivot,
                        elapsed=time.perf_counter() - t_begin)

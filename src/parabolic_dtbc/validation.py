@@ -242,7 +242,7 @@ def diagnose_energy(result, problem) -> EnergyDiagnostics:
     h_in = mesh.hbar[1:J]
 
     if kernel is not None:
-        S = convolve_all(kernel, result.history)
+        S = convolve_all(kernel, U[:, J])
     else:
         S = np.zeros(M + 1)
 

@@ -138,8 +138,8 @@ def march_loop_reference(problem, mesh, config):
     Each level samples ``g``, forms the interior rows as one expression
     with the forcing added, the boundary row as numpy scalars, solves into
     a new vector and copies it into the trajectory; ``problem.f`` must be
-    given.  Returns ``(U, history, min_pivot)``: the direct reference for
-    the in-place level of ``march``.
+    given.  Returns ``(U, min_pivot)``: the direct reference for the
+    in-place level of ``march``.
     """
     coeffs = sample(problem, mesh)
     kernel = None
@@ -177,7 +177,7 @@ def march_loop_reference(problem, mesh, config):
         U = factor.solve(rhs)
         traj[m] = U
         hist[m] = U[J]
-    return traj, hist, factor.min_pivot
+    return traj, factor.min_pivot
 
 
 def reference_solution_csv(U, exact, mesh):
@@ -294,7 +294,7 @@ def diagnose_energy_reference(result, problem):
         return ell.evaluate(V, V)
 
     if kernel is not None:
-        S = convolve_direct(kernel, result.history)
+        S = convolve_direct(kernel, U[:, J])
     else:
         S = np.zeros(M + 1)
 

@@ -107,6 +107,63 @@ def test_table_M_rejects_levels_below_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_failing_table_cell_leaves_no_table(tmp_path, capsys):
+    # the enlarged interval of factor 3 is too short for the doubling check
+    cfg = write(tmp_path / "run.cfg", "problem = example2\nsigma = 1/2\n"
+                "theta = 1/12\ntau = 0.01\nM = 50\nJ = 10\n"
+                "boundary = reference\nextension_factor = 3\n"
+                "table_M = 5, 10, 25\ntable_theta = 0, 1/12\n")
+    out = tmp_path / "out"
+    assert main(["table", "--config", str(cfg), "--out", str(out),
+                 "--deterministic"]) == 2
+    assert "contaminates the window" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+BASE_KEYS = {"problem": "example2", "sigma": "1/2", "theta": "0",
+             "tau": "0.01", "M": "10", "J": "10"}
+CUSTOM_NO_EXACT = CUSTOM_ZERO.replace("EXACT = ", "UNUSED = ")
+
+
+@pytest.mark.parametrize("command, keys, message", [
+    ("solve", {"M": "10\nJ 10"}, "run.cfg:6: expected 'key = value'"),
+    ("solve", {"emit_snapshots": "maybe"}, "cannot parse boolean 'maybe'"),
+    ("solve", {"problem": "example9"}, "unknown problem 'example9'"),
+    ("solve", {"problem": "custom"}, "custom problem needs custom_path"),
+    ("solve", {"tau": "0"}, "need tau > 0 and M >= 1"),
+    ("solve", {"M": "0"}, "need tau > 0 and M >= 1"),
+    ("solve", {"problem": "custom", "custom_path": "{tmp}/nope.py"},
+     "custom problem file not found"),
+    ("solve", {"problem": "custom", "custom_path": "{tmp}/empty.py"},
+     "must define PROBLEM as a ProblemSpec"),
+    ("solve", {"J": None}, "needs J (cell count) or nodes"),
+    ("solve", {"nodes": "0, 0.5, 1"}, "gives both J and nodes"),
+    ("table", {"table_theta": "0"}, "table command needs table_M and "
+     "table_theta"),
+    ("table", {"problem": "custom", "custom_path": "{tmp}/no_exact.py",
+               "table_M": "5", "table_theta": "0"},
+     "table command needs a problem with a reference solution"),
+    ("table", {"table_M": "5", "table_theta": "0, 0.3"},
+     "theta=0.3 unsupported"),
+], ids=["malformed-line", "bad-boolean", "unknown-problem", "custom-no-path",
+        "tau-zero", "M-zero", "custom-file-missing", "custom-no-PROBLEM",
+        "no-J-or-nodes", "J-and-nodes", "table-no-lists", "table-no-exact",
+        "table-bad-theta"])
+def test_config_errors_exit_one_with_their_message(tmp_path, capsys, command,
+                                                   keys, message):
+    write(tmp_path / "empty.py", "X = 1\n")
+    write(tmp_path / "no_exact.py", CUSTOM_NO_EXACT)
+    # a key given as None is left out of the file
+    keys = {key: value.replace("{tmp}", str(tmp_path))
+            for key, value in {**BASE_KEYS, **keys}.items() if value is not None}
+    cfg = write(tmp_path / "run.cfg", config_text(**keys))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not list(out.glob("*.csv"))
+
+
 # a value for every config key; integral numbers may be written as floats
 EVERY_KEY = {
     "problem": "example2", "sigma": "1/2", "theta": "1/12", "tau": "1/100",

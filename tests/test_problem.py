@@ -50,6 +50,13 @@ def test_mesh_rejects_bad_nodes():
         build_mesh(1.0, 10, tau=-0.1, M=1)
     with pytest.raises(ValueError):
         build_mesh(1.0, 10, tau=0.1, M=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            Mesh(x=[0.0, 0.5, bad, 1.0], tau=0.1, M=2)
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            Mesh(x=[0.0, 0.5, bad], tau=0.1, M=2)
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_mesh(1.0, 10, tau=bad, M=3)
 
 
 def test_sample_constant_coefficients():

@@ -7,8 +7,8 @@ from parabolic_dtbc import (SchemeConfig, build_mesh, derive_params, error_repor
                             kernel_by_recurrence, march, march_reference,
                             sample)
 from parabolic_dtbc.dtbc_kernel import BLOCK
-from parabolic_dtbc.stepper import (SolverError, TriFactor, level_matrix,
-                                    scheme_weights)
+from parabolic_dtbc.stepper import (BOUNDARY_MODES, SolverError, TriFactor,
+                                    level_matrix, scheme_weights)
 
 from _support import (convolve_direct, march_loop_reference,
                       random_h0_problem, thomas_solve, zero_forcing,
@@ -22,9 +22,12 @@ def test_config_validation():
         SchemeConfig(sigma=0.5, theta=0.3)
     with pytest.raises(ValueError):
         SchemeConfig(sigma=0.5, theta=0.0, boundary="weird")
-    with pytest.raises(ValueError):
+    # the enlarged-interval reference is march_reference, not a closure
+    with pytest.raises(ValueError, match="unknown boundary mode 'reference'"):
         SchemeConfig(sigma=0.5, theta=0.0, boundary="reference")
-    SchemeConfig(sigma=0.5, theta=0.25, boundary="reference", extension_factor=3)
+    with pytest.raises(TypeError):
+        SchemeConfig(0.5, 0.0, "dtbc", extension_factor=7)
+    assert BOUNDARY_MODES == ("dtbc", "neumann")
 
 
 def test_interior_row_hand_case():
@@ -202,18 +205,29 @@ def test_reference_doubling_agreement_for_short_horizon():
     double = march_reference(prob, mesh, SchemeConfig(0.5, 0.0, "neumann"), 4.0,
                              doubling_check=False)
     assert np.max(np.abs(base.U - double.U)) <= 1e-10
-    # the built-in check accepts the same tolerance
-    march_reference(prob, mesh, SchemeConfig(0.5, 0.0, "neumann"), 2.0,
-                    doubling_tol=1e-10)
+    # the built-in check accepts the run and reports the zero-flux closure
+    checked = march_reference(prob, mesh, SchemeConfig(0.5, 0.0, "dtbc"), 2.0)
+    assert checked.U.tobytes() == base.U.tobytes()
+    assert checked.config == SchemeConfig(0.5, 0.0, "neumann")
+    assert checked.kernel is None
 
 
-def test_reference_mode_dispatch_through_march():
+def test_reference_doubling_failure_is_a_solver_error():
+    # over 50 levels the far boundary at twice the interval reaches the window
     prob, _ = example2()
-    mesh = build_mesh(1.0, 10, tau=0.01, M=10)
-    cfg = SchemeConfig(0.5, 1.0 / 12.0, "reference", extension_factor=3.0)
-    res = march(prob, mesh, cfg)
-    assert res.U.shape == (11, 11)
-    assert res.kernel is None
+    mesh = build_mesh(1.0, 10, tau=0.01, M=50)
+    cfg = SchemeConfig(0.5, 1.0 / 12.0, "dtbc")
+    with pytest.raises(SolverError, match=r"contaminates the window: .* by "
+                       r"2\.49e-05 \(tolerance 1e-09\)"):
+        march_reference(prob, mesh, cfg, 2.0)
+
+
+@pytest.mark.parametrize("factor", [None, 1.5, float("nan"), float("inf")])
+def test_reference_needs_a_finite_factor_of_at_least_two(factor):
+    prob, _ = example2()
+    mesh = build_mesh(1.0, 10, tau=0.01, M=5)
+    with pytest.raises(ValueError, match="2 <= extension_factor < inf"):
+        march_reference(prob, mesh, SchemeConfig(0.5, 0.0, "dtbc"), factor)
 
 
 def test_enlarged_interval_recovers_accuracy_for_gaussian():
@@ -309,9 +323,8 @@ def test_every_level_satisfies_its_dense_system(case, mode):
             A[j, j + 1], B[j, j + 1] = a_new[j + 1], a_old[j + 1]
     flux = np.zeros(mesh.M + 1)
     if mode == "dtbc":
-        assert np.array_equal(res.history, res.U[:, J])
         # b_inf / (2 h) * sum_{q=0..m} R_q Phi_{m-q}, the closure's flux term
-        flux = prob.b_inf * convolve_direct(res.kernel, res.history)
+        flux = prob.b_inf * convolve_direct(res.kernel, res.U[:, J])
     for m in range(1, mesh.M + 1):
         U, V = res.U[m], res.U[m - 1]
         rhs = B @ V
@@ -376,7 +389,6 @@ def test_march_matches_the_level_loop_reference(sigma, theta, case, mode):
     assert (res.coeffs.F is None) == (case != "forced-graded")
     if prob.f is None:
         prob = replace(prob, f=zero_forcing)
-    U, history, min_pivot = march_loop_reference(prob, mesh, cfg)
+    U, min_pivot = march_loop_reference(prob, mesh, cfg)
     assert res.U.tobytes() == U.tobytes()
-    assert res.history.tobytes() == history.tobytes()
     assert res.min_pivot == min_pivot

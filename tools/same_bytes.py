@@ -11,15 +11,22 @@ before it):
 * the benchmark sizes ``long_horizon`` (example2, J=50, M=50000),
   ``fine_mesh`` (example1, J=2000, M=2000, with the default and a
   jittered pulse) and ``cli_session`` (example2, J=200, M=1000) through
-  the library: ``U``, ``history``, ``min_pivot``, every ``ErrorReport``
-  field, and ``rho_h``, ``b_h``, ``c_h``, ``U0`` and ``F``;
+  the library: ``U``, ``min_pivot``, every ``ErrorReport`` field, and
+  ``rho_h``, ``b_h``, ``c_h``, ``U0`` and ``F``;
 * the same items for forced problems and for variable, scalar-only and
   constant-returning coefficients at J=50, M=3000, which take every
   fallback of the callable evaluator;
+* at the ``cli_session`` size, the ``neumann`` closure through ``march``
+  and the enlarged-interval reference through ``march_reference``
+  (factor 5, doubling check on): the same items;
 * the ``cli_session`` configuration through ``cli.main`` under
   ``--deterministic``: ``solve`` with diagnostics at diag seeds 0-9, each
   followed by ``kernel --compare``, giving ``solution.csv``,
-  ``report.csv``, ``diagnostics.csv``, ``kernel.csv`` and the exit codes.
+  ``report.csv``, ``diagnostics.csv``, ``kernel.csv`` and the exit codes;
+  then ``table`` over three M and three theta, giving ``table.csv``;
+* a ``boundary = reference`` configuration (example1, J=50, M=100,
+  factor 3) through ``solve`` with diagnostics and through ``table``: its
+  four CSVs and the exit codes.
 
 Needs only the standard library and numpy (plus what the package itself
 imports).  Exits 0 when every digest matches, 1 naming the keys that
@@ -52,8 +59,28 @@ boundary = dtbc
 emit_snapshots = true
 run_diagnostics = true
 m_max = 200
+table_M = 250, 500, 1000
+table_theta = 0, 1/12, 1/4
+"""
+# example1 leaves room for the random initial data of the diagnostics
+# companion run, which the example2 data (X0 = 0.1) would zero at J = 10
+REFERENCE_CONFIG = """\
+problem = example1
+sigma = 1/2
+theta = 1/12
+tau = 1/1000
+M = 100
+J = 50
+boundary = reference
+extension_factor = 3
+run_diagnostics = true
+trials = 50
+table_M = 25, 50, 100
+table_theta = 0, 1/12, 1/4
 """
 CLI_OUTPUTS = ("solution.csv", "report.csv", "diagnostics.csv", "kernel.csv")
+REFERENCE_OUTPUTS = ("solution.csv", "report.csv", "diagnostics.csv",
+                     "table.csv")
 DIAG_SEEDS = range(10)
 
 
@@ -108,14 +135,26 @@ def _forced_problems(pd):
 
 
 def _library_cases(pd):
-    """(key, problem, exact, J, M) of every library run."""
+    """(key, problem, exact, J, M, march) of every library run."""
+    def closure(boundary):
+        config = pd.SchemeConfig(sigma=0.5, theta=1.0 / 12.0,
+                                 boundary=boundary)
+        return lambda problem, mesh: pd.march(problem, mesh, config)
+
+    def reference(problem, mesh):
+        return pd.march_reference(problem, mesh, pd.SchemeConfig(
+            sigma=0.5, theta=1.0 / 12.0), 5.0, doubling_check=True)
+
+    dtbc = closure("dtbc")
     jittered = pd.example1(x_star=1.25 - 0.006, t0=0.03125 * (1.0 - 0.004))
-    yield "long_horizon", *pd.example2(), 50, 50000
-    yield "fine_mesh", *pd.example1(), 2000, 2000
-    yield "fine_mesh_jittered", *jittered, 2000, 2000
-    yield "cli_session_library", *pd.example2(), 200, 1000
+    yield "long_horizon", *pd.example2(), 50, 50000, dtbc
+    yield "fine_mesh", *pd.example1(), 2000, 2000, dtbc
+    yield "fine_mesh_jittered", *jittered, 2000, 2000, dtbc
+    yield "cli_session_library", *pd.example2(), 200, 1000, dtbc
+    yield "cli_session_neumann", *pd.example2(), 200, 1000, closure("neumann")
+    yield "cli_session_reference", *pd.example2(), 200, 1000, reference
     for key, (problem, exact) in _forced_problems(pd).items():
-        yield key, problem, exact, 50, 3000
+        yield key, problem, exact, 50, 3000, dtbc
 
 
 def digests() -> dict:
@@ -124,13 +163,11 @@ def digests() -> dict:
     from parabolic_dtbc import cli
 
     out = {}
-    config = pd.SchemeConfig(sigma=0.5, theta=1.0 / 12.0, boundary="dtbc")
-    for key, problem, exact, J, M in _library_cases(pd):
+    for key, problem, exact, J, M, run in _library_cases(pd):
         mesh = pd.build_mesh(problem.X, J, tau=1.0 / M, M=M)
-        result = pd.march(problem, mesh, config)
+        result = run(problem, mesh)
         report = pd.error_report(result.U, exact, mesh)
-        items = {"U": result.U, "history": result.history,
-                 "min_pivot": result.min_pivot}
+        items = {"U": result.U, "min_pivot": result.min_pivot}
         items.update((f"report.{f.name}", getattr(report, f.name))
                      for f in fields(report))
         items.update((name, getattr(result.coeffs, name))
@@ -139,18 +176,24 @@ def digests() -> dict:
                    for item, value in items.items())
 
     with tempfile.TemporaryDirectory() as tmp:
-        config_path = Path(tmp) / "session.cfg"
-        config_path.write_text(CLI_CONFIG)
-        for seed in DIAG_SEEDS:
-            run_dir = Path(tmp) / f"seed{seed}"
+        runs = [(f"cli_session.seed{seed}", CLI_CONFIG, CLI_OUTPUTS,
+                 (["solve", "--seed", str(seed)], ["kernel", "--compare"]))
+                for seed in DIAG_SEEDS]
+        runs += [("cli_session.table", CLI_CONFIG, ("table.csv",),
+                  (["table"],)),
+                 ("reference_mode", REFERENCE_CONFIG, REFERENCE_OUTPUTS,
+                  (["solve"], ["table"]))]
+        for key, config_text, outputs, commands in runs:
+            run_dir = Path(tmp) / key
+            run_dir.mkdir()
+            config_path = run_dir / "run.cfg"
+            config_path.write_text(config_text)
             common = ["--config", str(config_path), "--out", str(run_dir),
                       "--deterministic"]
-            codes = (cli.main(["solve", *common, "--seed", str(seed)]),
-                     cli.main(["kernel", *common, "--compare"]))
-            out[f"cli_session.seed{seed}.exit_codes"] = _digest(codes)
-            for name in CLI_OUTPUTS:
-                out[f"cli_session.seed{seed}.{name}"] = _digest(
-                    (run_dir / name).read_bytes())
+            codes = tuple(cli.main([*command, *common]) for command in commands)
+            out[f"{key}.exit_codes"] = _digest(codes)
+            for name in outputs:
+                out[f"{key}.{name}"] = _digest((run_dir / name).read_bytes())
     return out
 
 
