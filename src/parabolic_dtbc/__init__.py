@@ -9,7 +9,6 @@ energy-stability diagnostics used to validate the schemes, plus a small
 CSV-emitting command line front end.
 """
 
-from .discrete_ops import NormSet
 from .dtbc_kernel import (Kernel, KernelParams, LaggedConvolution,
                           OracleConvergenceError, convolve_all, derive_params,
                           kernel_by_legendre, kernel_by_recurrence,
@@ -24,8 +23,7 @@ from .validation import (DissipativityReport, EnergyDiagnostics, ErrorReport,
 
 __all__ = [
     "DissipativityReport", "EnergyDiagnostics", "ErrorReport", "Kernel",
-    "KernelParams", "LaggedConvolution", "Mesh", "NormSet",
-    "OracleConvergenceError",
+    "KernelParams", "LaggedConvolution", "Mesh", "OracleConvergenceError",
     "PRESETS", "ProblemSpec", "SampledCoefficients", "SchemeConfig",
     "SolveResult", "SolverError", "build_mesh", "certify_dissipativity",
     "convolve_all", "derive_params", "diagnose_energy", "error_report",

@@ -250,7 +250,10 @@ def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool,
               seed: int) -> int:
     problem, exact = _load_problem(cfg)
     mesh = _make_mesh(cfg, problem)
+    companion = _companion(problem, mesh, seed) if cfg.run_diagnostics else None
+    t_begin = time.perf_counter()
     result = _march(cfg, problem, mesh)
+    runtime = time.perf_counter() - t_begin
 
     report = None
     if exact is not None:
@@ -274,7 +277,7 @@ def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool,
         writer.writerow(["tau", _fmt(mesh.tau)])
         writer.writerow(["min_pivot", _fmt(result.min_pivot)])
         if not deterministic:
-            writer.writerow(["runtime_s", "%.6f" % result.elapsed])
+            writer.writerow(["runtime_s", "%.6f" % runtime])
         if report is not None:
             writer.writerow(["max_abs_error", _fmt(report.max_abs_error)])
             writer.writerow(["argmax_level", report.argmax_level])
@@ -283,8 +286,8 @@ def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool,
     if cfg.emit_kernel and result.kernel is not None:
         _dump_kernel(result.kernel.params, min(cfg.m_max, mesh.M),
                      out / "kernel.csv", deterministic, compare=False)
-    if cfg.run_diagnostics and not _run_diagnostics(cfg, problem, mesh, out,
-                                                    deterministic, seed=seed):
+    if cfg.run_diagnostics and not _run_diagnostics(cfg, companion, mesh, out,
+                                                    deterministic, seed):
         return 2
     return 0
 
@@ -349,30 +352,38 @@ def cmd_kernel(cfg: RunConfig, out: Path, deterministic: bool,
     return 0
 
 
-def _run_diagnostics(cfg: RunConfig, problem: ProblemSpec, mesh, out: Path,
-                     deterministic: bool, seed: int) -> bool:
-    """Kernel dissipativity plus energy checks on a zero-boundary companion run.
+def _companion(problem: ProblemSpec, mesh, seed: int) -> ProblemSpec:
+    """Zero-boundary companion of ``problem`` for the energy checks.
 
     The energy identities require vanishing left data, so the companion
-    run keeps the configuration's coefficients and mesh but replaces the
-    data by g = 0, no forcing and seeded random initial values supported away
-    from the tail.
+    keeps the coefficients but has g = 0, no forcing and seeded random
+    initial values at the nodes in (0, X0 - 1e-12).  With no such node the
+    run would be all zero and pass vacuously: a ConfigError.
     """
-    params = derive_params(problem.rho_inf, problem.b_inf, problem.c_inf,
+    live = mesh.x < problem.X0 - 1e-12
+    live[0] = False
+    if not live.any():
+        raise ConfigError(
+            f"the energy diagnostics need a mesh node in (0, X0 - 1e-12) "
+            f"with X0={problem.X0!r} for the random initial data of their "
+            f"companion run; the first node past 0 is x={float(mesh.x[1])!r}")
+    rng = np.random.default_rng(seed)
+    vals = np.where(live, rng.uniform(-1.0, 1.0, size=live.size), 0.0)
+    knots = mesh.x.copy()
+    return replace(problem, f=None, g=lambda t: 0.0,
+                   u0=lambda x: np.interp(x, knots, vals),
+                   label=problem.label + "-diagnostic")
+
+
+def _run_diagnostics(cfg: RunConfig, companion: ProblemSpec, mesh, out: Path,
+                     deterministic: bool, seed: int) -> bool:
+    """Kernel dissipativity plus energy checks on the :func:`_companion` run."""
+    params = derive_params(companion.rho_inf, companion.b_inf, companion.c_inf,
                            mesh.h_tail, cfg.tau, cfg.sigma, cfg.theta)
     levels = 200  # horizon of the dissipativity certificate
     kernel = kernel_by_recurrence(params, levels)
     dissip = certify_dissipativity(kernel, trials=cfg.trials, M=levels,
                                    seed=seed)
-
-    rng = np.random.default_rng(seed)
-    vals = rng.uniform(-1.0, 1.0, size=mesh.x.size)
-    vals[0] = 0.0
-    vals[mesh.x >= problem.X0 - 1e-12] = 0.0
-    knots = mesh.x.copy()
-    companion = replace(problem, f=None, g=lambda t: 0.0,
-                        u0=lambda x: np.interp(x, knots, vals),
-                        label=problem.label + "-diagnostic")
     result = march(companion, mesh, cfg.scheme())
     energy = diagnose_energy(result, companion)
 
@@ -403,7 +414,8 @@ def cmd_diagnose(cfg: RunConfig, out: Path, deterministic: bool,
                  seed: int) -> int:
     problem, _ = _load_problem(cfg)
     mesh = _make_mesh(cfg, problem)
-    ok = _run_diagnostics(cfg, problem, mesh, out, deterministic, seed)
+    ok = _run_diagnostics(cfg, _companion(problem, mesh, seed), mesh, out,
+                          deterministic, seed)
     return 0 if ok else 2
 
 

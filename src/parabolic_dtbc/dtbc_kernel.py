@@ -46,10 +46,7 @@ class KernelParams:
     ``alpha, beta, delta`` the parameters of the kernel recurrence.  The
     auxiliary square-root factors with product ``alpha`` and cross product
     ``beta`` can be imaginary when ``alpha < 0``; they are never stored,
-    only the always-real products enter any computation.  ``sigma0`` is
-    the weight at which the generating-function denominator degenerates
-    at the origin; the recurrence itself is continuous through it (it is
-    None when undefined).
+    only the always-real products enter any computation.
     """
 
     sigma: float
@@ -68,7 +65,6 @@ class KernelParams:
     alpha: float
     beta: float
     delta: float
-    sigma0: float | None
 
     def __post_init__(self):
         assert self.a1 > 0.0 and self.a0 >= 0.0
@@ -82,15 +78,16 @@ class KernelParams:
         return 2.0 * self.a1 * math.sqrt(self.delta)
 
 
-def check_weights(sigma: float | None, theta: float) -> None:
+def check_weights(sigma: float, theta: float) -> None:
     """Reject scheme weights outside sigma >= 1/2, theta <= 1/4, or not finite.
 
     This is the regime in which the boundary convolution is dissipative
     and the spatial forms are symmetric; a roundoff slack of 1e-14 admits
-    weights such as 1/4 computed from fractions.  ``sigma=None`` checks
-    theta alone, for the spatial forms that carry no time weight.
+    weights such as 1/4 computed from fractions.  Called by
+    :func:`derive_params` and by ``SchemeConfig``, which every march and
+    diagnostic carries.
     """
-    if sigma is not None and not 0.5 - 1e-14 <= sigma < math.inf:
+    if not 0.5 - 1e-14 <= sigma < math.inf:
         raise ValueError(f"sigma={sigma} unsupported: boundary dissipativity "
                          f"needs a finite sigma >= 1/2")
     if not -math.inf < theta <= 0.25 + 1e-14:
@@ -126,13 +123,11 @@ def derive_params(rho_inf: float, b_inf: float, c_inf: float,
     delta = (1.0 + sigma * d0) * ((1.0 + sigma * d0) * one4t + sigma * d1)
     if delta <= 0.0:
         raise ValueError(f"degenerate kernel parameters: delta={delta} <= 0")
-    denom = 1.0 - 2.0 * a0 * theta
-    sigma0 = (2.0 * a1 * theta / denom) if denom != 0.0 else None
     return KernelParams(sigma=sigma, theta=theta, h=h, tau=tau,
                         rho_inf=rho_inf, b_inf=b_inf, c_inf=c_inf,
                         a1=a1, a0=a0, d0=d0, d1=d1,
                         alpha0=alpha0, alpha1=alpha1,
-                        alpha=alpha, beta=beta, delta=delta, sigma0=sigma0)
+                        alpha=alpha, beta=beta, delta=delta)
 
 
 @dataclass(frozen=True, eq=False)

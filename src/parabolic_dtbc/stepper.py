@@ -24,7 +24,6 @@ reproduce it to roundoff.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -129,7 +128,6 @@ class SolveResult:
     coeffs: SampledCoefficients
     kernel: Kernel | None
     min_pivot: float
-    elapsed: float
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +191,6 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
     level is marched; a trajectory that overflows to a non-finite value
     raises :class:`SolverError` naming the first such level.
     """
-    t_begin = time.perf_counter()
     coeffs = sample(problem, mesh)
     kernel = None
     if config.boundary == "dtbc":
@@ -251,8 +248,7 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
 
     return SolveResult(U=traj, mesh=mesh, config=config,
                        coeffs=coeffs, kernel=kernel,
-                       min_pivot=factor.min_pivot,
-                       elapsed=time.perf_counter() - t_begin)
+                       min_pivot=factor.min_pivot)
 
 
 def _march_enlarged(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig,
@@ -280,7 +276,6 @@ def march_reference(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig,
     """
     if extension_factor is None or not 2.0 <= extension_factor < math.inf:
         raise ValueError("reference closure needs 2 <= extension_factor < inf")
-    t_begin = time.perf_counter()
     J = mesh.J
     far_cfg = replace(config, boundary="neumann")
     base = _march_enlarged(problem, mesh, far_cfg, extension_factor)
@@ -295,5 +290,4 @@ def march_reference(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig,
                 f"(tolerance {DOUBLING_TOL:g})")
     return SolveResult(U=restricted, mesh=mesh, config=far_cfg,
                        coeffs=sample(problem, mesh), kernel=None,
-                       min_pivot=base.min_pivot,
-                       elapsed=time.perf_counter() - t_begin)
+                       min_pivot=base.min_pivot)

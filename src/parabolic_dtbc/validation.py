@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from . import discrete_ops as ops
 from .dtbc_kernel import Kernel, convolve_all
 
 SQRT_PI = math.sqrt(math.pi)
@@ -175,6 +174,53 @@ def error_report(trajectory, exact, mesh) -> ErrorReport:
 # energy diagnostics
 # ---------------------------------------------------------------------------
 
+class EnergyForm:
+    """Bilinear form of the energy analysis with its stencil weights.
+
+    Q(U, W) = sum_{j=1..J} b_j (U_j - U_{j-1}) (W_j - W_{j-1}) / h_j
+            + sum_{j=1..J-1} hbar_j W_j (C_theta U)_j
+            + kappa_end (theta U_{J-1} + (1/2 - theta) U_J) W_J h_J,
+
+    where C_theta is the averaged multiplication by the midpoint-sampled
+    coefficient ``kappa`` and the flux sum is present only when ``b_h`` is
+    given.  The weights are computed once, so one instance serves any
+    number of levels; every method reduces over the last axis (one grid
+    vector ``W_0 .. W_J`` or a block of levels).  ``theta`` comes from a
+    checked ``SchemeConfig`` and is not checked again.
+    """
+
+    def __init__(self, mesh, theta: float, kappa, kappa_end: float, b_h=None):
+        J = mesh.J
+        h, hb = mesh.h, mesh.hbar[1:J]
+        s_hat = (h[1:J] * kappa[1:J] + h[2:J + 1] * kappa[2:J + 1]) / (2.0 * hb)
+        self._lo = theta * (h[1:J] / hb) * kappa[1:J]
+        self._mid = (1.0 - 2.0 * theta) * s_hat
+        self._hi = theta * (h[2:J + 1] / hb) * kappa[2:J + 1]
+        self._hbar = hb
+        self._end = (theta, 0.5 - theta, kappa_end * h[J])
+        self._flux = None if b_h is None else b_h[1:] / h[1:]
+
+    def averaged(self, W):
+        """(C_theta W)_j at the interior nodes j = 1..J-1."""
+        return (self._lo * W[..., :-2] + self._mid * W[..., 1:-1]
+                + self._hi * W[..., 2:])
+
+    def flux(self, U, W):
+        """sum_j b_j (U_j - U_{j-1}) (W_j - W_{j-1}) / h_j."""
+        dU = np.diff(U, axis=-1)
+        dW = dU if W is U else np.diff(W, axis=-1)
+        return (dU * dW) @ self._flux
+
+    def evaluate(self, U, W):
+        """Q(U, W), one value per level."""
+        inner, outer, end = self._end
+        val = (self.averaged(U) * W[..., 1:-1]) @ self._hbar
+        val += end * (inner * U[..., -2] + outer * U[..., -1]) * W[..., -1]
+        if self._flux is not None:
+            val += self.flux(U, W)
+        return val
+
+
 @dataclass(frozen=True)
 class EnergyDiagnostics:
     """Residuals of the two energy identities and slacks of their bounds.
@@ -235,10 +281,9 @@ def diagnose_energy(result, problem) -> EnergyDiagnostics:
         raise ValueError("energy diagnostics require zero left boundary data")
 
     rho_h, b_h, c_h, F = coeffs.rho_h, coeffs.b_h, coeffs.c_h, coeffs.F
-    norms = ops.NormSet(sigma=sigma, theta=theta)
-    mass = ops.EnergyForm(mesh, theta, rho_h, rho_h[J])
-    ell = ops.EnergyForm(mesh, theta, c_h, problem.c_inf, b_h)
-    react = ops.EnergyForm(mesh, theta, c_h, c_h[J])
+    mass = EnergyForm(mesh, theta, rho_h, rho_h[J])
+    ell = EnergyForm(mesh, theta, c_h, problem.c_inf, b_h)
+    react = EnergyForm(mesh, theta, c_h, c_h[J])
     h_in = mesh.hbar[1:J]
 
     if kernel is not None:
@@ -317,13 +362,17 @@ def diagnose_energy(result, problem) -> EnergyDiagnostics:
                   math.sqrt(2.0 * max(acc_dmass_t
                                       + (sigma - 0.5) * acc_dell, 0.0)))
     rhs_sbA = math.sqrt(max(ell2_0, 0.0))
+    # mass-norm equivalence constant (clamped at 0 for the theta just above
+    # 1/4 admitted as roundoff) and the bound of the time-averaging operator
+    c_theta = max(1.0 - 4.0 * max(theta, 0.0), 0.0)
+    K_sigma = 2.0 * (sigma + abs(1.0 - sigma))
     if acc_Fnorm > 0.0:
-        if norms.c_theta <= 0.0:
+        if c_theta <= 0.0:
             rhs_sb = math.inf
             rhs_sbA = math.inf
         else:
-            rhs_sb += norms.K_sigma / math.sqrt(norms.c_theta * rho_low) * acc_Fnorm
-            rhs_sbA += math.sqrt(2.0 / (norms.c_theta * rho_low)) \
+            rhs_sb += K_sigma / math.sqrt(c_theta * rho_low) * acc_Fnorm
+            rhs_sbA += math.sqrt(2.0 / (c_theta * rho_low)) \
                 * math.sqrt(acc_Fnorm2)
 
     return EnergyDiagnostics(first_equality_rel=float(worst_first),

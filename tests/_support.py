@@ -8,11 +8,10 @@ import numpy as np
 
 from parabolic_dtbc import (EnergyDiagnostics, ProblemSpec, derive_params,
                             iterated_erfc, kernel_by_recurrence, sample)
-from parabolic_dtbc import discrete_ops as ops
 from parabolic_dtbc.cli import _fmt
 from parabolic_dtbc.dtbc_kernel import LaggedConvolution
 from parabolic_dtbc.stepper import TriFactor, level_matrix, scheme_weights
-from parabolic_dtbc.validation import eval_on_grid
+from parabolic_dtbc.validation import EnergyForm, eval_on_grid
 
 
 def params_from_ratios(d0, d1, sigma, theta, h=1.0, tau=1.0):
@@ -211,7 +210,7 @@ def reference_solution_csv(U, exact, mesh):
 def c_theta_apply(kappa, W, mesh, theta, j):
     """Averaged multiplication by a midpoint-sampled kappa at one node j.
 
-    The pointwise reference for the stencil of ``discrete_ops``.
+    The pointwise reference for the stencil of ``validation.EnergyForm``.
     """
     if not 1 <= j <= mesh.J - 1:
         raise IndexError(f"averaged multiplication needs 1 <= j <= J-1, got j={j}")
@@ -282,10 +281,9 @@ def diagnose_energy_reference(result, problem):
     rho_h, b_h, c_h, F = coeffs.rho_h, coeffs.b_h, coeffs.c_h, coeffs.F
     if F is None:
         F = np.zeros((M + 1, J + 1))
-    norms = ops.NormSet(sigma=sigma, theta=theta)
-    mass = ops.EnergyForm(mesh, theta, rho_h, rho_h[J])
-    ell = ops.EnergyForm(mesh, theta, c_h, c_inf, b_h)
-    react_form = ops.EnergyForm(mesh, theta, c_h, c_h[J])
+    mass = EnergyForm(mesh, theta, rho_h, rho_h[J])
+    ell = EnergyForm(mesh, theta, c_h, c_inf, b_h)
+    react_form = EnergyForm(mesh, theta, c_h, c_h[J])
 
     def mass2(V):
         return mass.evaluate(V, V)
@@ -360,13 +358,17 @@ def diagnose_energy_reference(result, problem):
                   math.sqrt(2.0 * max(acc_dmass_t
                                       + (sigma - 0.5) * acc_dell, 0.0)))
     rhs_sbA = math.sqrt(max(ell2_0, 0.0))
+    # mass-norm equivalence constant (0 from theta = 1/4 on) and the bound
+    # of the time-averaging operator
+    c_theta = min(1.0, 1.0 - 4.0 * theta) if theta < 0.25 else 0.0
+    K_sigma = 2.0 * max(1.0, 2.0 * sigma - 1.0)
     if acc_Fnorm > 0.0:
-        if norms.c_theta <= 0.0:
+        if c_theta == 0.0:
             rhs_sb = math.inf
             rhs_sbA = math.inf
         else:
-            rhs_sb += norms.K_sigma / math.sqrt(norms.c_theta * rho_low) * acc_Fnorm
-            rhs_sbA += math.sqrt(2.0 / (norms.c_theta * rho_low)) \
+            rhs_sb += K_sigma / math.sqrt(c_theta * rho_low) * acc_Fnorm
+            rhs_sbA += math.sqrt(2.0 / (c_theta * rho_low)) \
                 * math.sqrt(acc_Fnorm2)
 
     return EnergyDiagnostics(first_equality_rel=float(worst_first),

@@ -145,10 +145,14 @@ CUSTOM_NO_EXACT = CUSTOM_ZERO.replace("EXACT = ", "UNUSED = ")
      "table command needs a problem with a reference solution"),
     ("table", {"table_M": "5", "table_theta": "0, 0.3"},
      "theta=0.3 unsupported"),
+    # example2 has X0 = 0.1: at J = 10 no node is left for the random
+    # initial data of the diagnostics companion run
+    ("solve", {"run_diagnostics": "true"}, "X0=0.1"),
+    ("diagnose", {}, "X0=0.1"),
 ], ids=["malformed-line", "bad-boolean", "unknown-problem", "custom-no-path",
         "tau-zero", "M-zero", "custom-file-missing", "custom-no-PROBLEM",
         "no-J-or-nodes", "J-and-nodes", "table-no-lists", "table-no-exact",
-        "table-bad-theta"])
+        "table-bad-theta", "solve-diagnostics-no-node", "diagnose-no-node"])
 def test_config_errors_exit_one_with_their_message(tmp_path, capsys, command,
                                                    keys, message):
     write(tmp_path / "empty.py", "X = 1\n")
@@ -421,6 +425,7 @@ def test_solution_csv_matches_row_by_row_writer(tmp_path, case):
     if not deterministic:
         stamp, written = written.split(b"\n", 1)
         assert stamp.startswith(b"# generated ")
+        assert float(read_report(out / "report.csv")["runtime_s"]) >= 0.0
 
     cfg = read_config(cfg_file)
     problem, exact = _load_problem(cfg)
@@ -576,7 +581,7 @@ sigma = 1/2
 theta = 1/12
 tau = 0.01
 M = 50
-J = 10
+J = 20
 trials = 50
 """)
     out = tmp_path / "out"
@@ -624,7 +629,7 @@ sigma = 1/2
 theta = 1/12
 tau = 0.01
 M = 20
-J = 10
+J = 20
 trials = 20
 emit_kernel = true
 run_diagnostics = true

@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from parabolic_dtbc import NormSet, build_mesh
-from parabolic_dtbc import discrete_ops as ops
+from parabolic_dtbc import build_mesh
+from parabolic_dtbc.validation import EnergyForm
 
 from _support import c_theta_apply, norm_bar
-
-
-def uniform_mesh(J=10, X=1.0):
-    return build_mesh(X, J, tau=0.1, M=1)
 
 
 def graded_mesh():
@@ -32,11 +28,11 @@ def unit_kappa(mesh):
 
 
 def mass_form(kappa, mesh, theta):
-    return ops.EnergyForm(mesh, theta, kappa, kappa[mesh.J])
+    return EnergyForm(mesh, theta, kappa, kappa[mesh.J])
 
 
 def elliptic_form(b_h, c_h, c_inf, mesh, theta):
-    return ops.EnergyForm(mesh, theta, c_h, c_inf, b_h)
+    return EnergyForm(mesh, theta, c_h, c_inf, b_h)
 
 
 def test_theta_zero_average_is_identity():
@@ -149,13 +145,6 @@ def test_forms_vanish_on_zero_argument():
     assert elliptic_form(kappa, kappa, 1.3, mesh, 0.1).evaluate(z, W) == 0.0
 
 
-def test_forms_reject_large_theta():
-    mesh = uniform_mesh()
-    kappa = np.concatenate(([np.nan], np.ones(mesh.J)))
-    with pytest.raises(ValueError, match="theta"):
-        mass_form(kappa, mesh, 0.3)
-
-
 def test_mass_norm_equivalence_inequality():
     # lower bound sqrt(c_theta rho_min) and upper bound
     # sqrt((1 + 4 max(-theta, 0)) rho_max) against the half-cell norm
@@ -174,27 +163,4 @@ def test_mass_norm_equivalence_inequality():
             assert n_mass <= np.sqrt(upper_c * rho_max) * n_bar + 1e-12
             if theta < 0.25:
                 assert n_mass >= np.sqrt(c_theta * rho_min) * n_bar - 1e-12
-
-
-def test_norm_set_constants():
-    ns = NormSet(sigma=0.5, theta=0.25)
-    assert ns.c_theta == pytest.approx(0.0)
-    assert ns.K_sigma == pytest.approx(2.0)
-    ns = NormSet(sigma=1.0, theta=-0.5)
-    assert ns.c_theta == pytest.approx(1.0)
-    assert ns.K_sigma == pytest.approx(2.0)
-    ns = NormSet(sigma=2.0, theta=0.0)
-    assert ns.K_sigma == pytest.approx(6.0)
-    with pytest.raises(ValueError):
-        NormSet(sigma=0.5, theta=0.3)
-
-
-@pytest.mark.parametrize("theta", [0.25, 0.25 + 5e-15, 0.25 + 1e-14])
-def test_norm_set_clamps_c_theta_inside_the_admitted_slack(theta):
-    assert NormSet(sigma=0.5, theta=theta).c_theta == 0.0
-
-
-def test_norm_set_rejects_theta_past_the_slack():
-    with pytest.raises(ValueError, match="theta"):
-        NormSet(sigma=0.5, theta=0.25 + 2e-14)
 

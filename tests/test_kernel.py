@@ -3,11 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from parabolic_dtbc import (Kernel, LaggedConvolution, NormSet,
-                            OracleConvergenceError, SchemeConfig, build_mesh,
-                            convolve_all, derive_params, kernel_by_legendre,
-                            kernel_by_recurrence, kernel_gf_oracle)
-from parabolic_dtbc import discrete_ops as ops
+from parabolic_dtbc import (Kernel, LaggedConvolution, OracleConvergenceError,
+                            SchemeConfig, convolve_all, derive_params,
+                            kernel_by_legendre, kernel_by_recurrence,
+                            kernel_gf_oracle)
 from parabolic_dtbc.dtbc_kernel import BLOCK
 
 from _support import convolve_direct, params_from_ratios
@@ -160,13 +159,9 @@ def test_oracle_gives_up_past_its_point_budget():
 
 
 def test_weight_range_check_shared_by_every_entry_point():
-    mesh = build_mesh(1.0, 4, tau=0.1, M=1)
-    kappa = np.concatenate(([np.nan], np.ones(4)))
     entry_points = (
         lambda s, t: derive_params(1.0, 1.0, 0.0, 0.1, 0.01, s, t),
         lambda s, t: SchemeConfig(sigma=s, theta=t),
-        lambda s, t: NormSet(sigma=s, theta=t),
-        lambda s, t: ops.EnergyForm(mesh, t, kappa, 1.0, kappa),
     )
     for build in entry_points:
         build(0.5 - 2e-15, 0.25 + 2e-15)  # inside the roundoff slack
@@ -175,7 +170,6 @@ def test_weight_range_check_shared_by_every_entry_point():
         for bad in (np.nan, -np.inf):
             with pytest.raises(ValueError, match="theta"):
                 build(0.5, bad)
-    for build in entry_points[:3]:
         for bad in (0.5 - 1e-13, np.nan, np.inf):
             with pytest.raises(ValueError, match="sigma"):
                 build(bad, 0.0)
@@ -186,7 +180,10 @@ def test_sigma_continuity_through_degenerate_weight():
     # kernel varies continuously through it
     d1 = 4.0 / 3.0
     base = params_from_ratios(0.0, d1, 0.75, 0.25)
-    assert base.sigma0 == pytest.approx(0.75)
+    # the generating-function denominator degenerates at the origin at
+    # sigma0 = 2 a1 theta / (1 - 2 a0 theta)
+    sigma0 = 2.0 * base.a1 * base.theta / (1.0 - 2.0 * base.a0 * base.theta)
+    assert sigma0 == pytest.approx(0.75)
     R0 = kernel_by_recurrence(base, 200).R
     for eps in (-1e-6, 1e-6):
         near = params_from_ratios(0.0, d1, 0.75 + eps, 0.25)

@@ -19,6 +19,11 @@ before it):
 * at the ``cli_session`` size, the ``neumann`` closure through ``march``
   and the enlarged-interval reference through ``march_reference``
   (factor 5, doubling check on): the same items;
+* the four ``diagnose_energy`` fields of zero-boundary forced runs (the
+  ``forced.broadcasting`` forcing with g = 0, J=50, M=3000) for sigma in
+  {1/2, 1, 2}, theta in {0, 1/12, 1/4, 1/4 + 1e-14} and both closures,
+  which reach the bound constants c_theta and K_sigma that the unforced
+  companion run of the CLI never does;
 * the ``cli_session`` configuration through ``cli.main`` under
   ``--deterministic``: ``solve`` with diagnostics at diag seeds 0-9, each
   followed by ``kernel --compare``, giving ``solution.csv``,
@@ -157,6 +162,17 @@ def _library_cases(pd):
         yield key, problem, exact, 50, 3000, dtbc
 
 
+def _energy_cases(pd):
+    """(key, problem, config) of every zero-boundary forced energy run."""
+    problem, _ = _forced_problems(pd)["forced.broadcasting"]
+    problem = replace(problem, g=lambda t: 0.0)
+    for sigma in (0.5, 1.0, 2.0):
+        for theta in (0.0, 1.0 / 12.0, 0.25, 0.25 + 1e-14):
+            for boundary in ("dtbc", "neumann"):
+                yield (f"energy.{boundary}.sigma={sigma!r}.theta={theta!r}",
+                       problem, pd.SchemeConfig(sigma, theta, boundary))
+
+
 def digests() -> dict:
     """sha256 of every item, keyed ``case.item``, for the importable tree."""
     import parabolic_dtbc as pd
@@ -174,6 +190,12 @@ def digests() -> dict:
                      for name in ("rho_h", "b_h", "c_h", "U0", "F"))
         out.update((f"{key}.{item}", _digest(value))
                    for item, value in items.items())
+
+    for key, problem, config in _energy_cases(pd):
+        mesh = pd.build_mesh(problem.X, 50, tau=1.0 / 3000, M=3000)
+        diag = pd.diagnose_energy(pd.march(problem, mesh, config), problem)
+        out.update((f"{key}.{f.name}", _digest(getattr(diag, f.name)))
+                   for f in fields(diag))
 
     with tempfile.TemporaryDirectory() as tmp:
         runs = [(f"cli_session.seed{seed}", CLI_CONFIG, CLI_OUTPUTS,
