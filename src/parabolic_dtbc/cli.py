@@ -96,7 +96,6 @@ class RunConfig:
     extension_factor: float | None = None
     custom_path: str | None = None
     emit_snapshots: bool = True
-    emit_kernel: bool = False
     run_diagnostics: bool = False
     m_max: int = 100
     trials: int = 200
@@ -202,11 +201,18 @@ def _march(cfg: RunConfig, problem: ProblemSpec, mesh):
     return march(problem, mesh, cfg.scheme())
 
 
-def _writer(path: Path, deterministic: bool):
+def _open(path: Path, deterministic: bool):
+    """Open an output CSV, stamped with a ``# generated`` line unless
+    ``deterministic``."""
     handle = path.open("w", newline="")
     if not deterministic:
         handle.write(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
-    return handle, csv.writer(handle)
+    return handle
+
+
+def _write_csv(path: Path, deterministic: bool, rows) -> None:
+    with _open(path, deterministic) as handle:
+        csv.writer(handle).writerows(rows)
 
 
 def _fmt(value: float) -> str:
@@ -260,32 +266,22 @@ def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool,
         report = error_report(result.U, exact, mesh)
 
     if cfg.emit_snapshots:
-        handle, writer = _writer(out / "solution.csv", deterministic)
-        with handle:
-            writer.writerow(["m", "t", "j", "x", "U", "exact", "error"])
+        with _open(out / "solution.csv", deterministic) as handle:
+            handle.write("m,t,j,x,U,exact,error\r\n")
             _write_solution(handle, result.U, exact, mesh)
 
-    handle, writer = _writer(out / "report.csv", deterministic)
-    with handle:
-        writer.writerow(["quantity", "value"])
-        writer.writerow(["problem", problem.label])
-        writer.writerow(["sigma", _fmt(cfg.sigma)])
-        writer.writerow(["theta", _fmt(cfg.theta)])
-        writer.writerow(["boundary", cfg.boundary])
-        writer.writerow(["J", mesh.J])
-        writer.writerow(["M", mesh.M])
-        writer.writerow(["tau", _fmt(mesh.tau)])
-        writer.writerow(["min_pivot", _fmt(result.min_pivot)])
-        if not deterministic:
-            writer.writerow(["runtime_s", "%.6f" % runtime])
-        if report is not None:
-            writer.writerow(["max_abs_error", _fmt(report.max_abs_error)])
-            writer.writerow(["argmax_level", report.argmax_level])
-            writer.writerow(["argmax_node", report.argmax_node])
+    rows = [["quantity", "value"], ["problem", problem.label],
+            ["sigma", _fmt(cfg.sigma)], ["theta", _fmt(cfg.theta)],
+            ["boundary", cfg.boundary], ["J", mesh.J], ["M", mesh.M],
+            ["tau", _fmt(mesh.tau)], ["min_pivot", _fmt(result.min_pivot)]]
+    if not deterministic:
+        rows.append(["runtime_s", "%.6f" % runtime])
+    if report is not None:
+        rows += [["max_abs_error", _fmt(report.max_abs_error)],
+                 ["argmax_level", report.argmax_level],
+                 ["argmax_node", report.argmax_node]]
+    _write_csv(out / "report.csv", deterministic, rows)
 
-    if cfg.emit_kernel and result.kernel is not None:
-        _dump_kernel(result.kernel.params, min(cfg.m_max, mesh.M),
-                     out / "kernel.csv", deterministic, compare=False)
     if cfg.run_diagnostics and not _run_diagnostics(cfg, companion, mesh, out,
                                                     deterministic, seed):
         return 2
@@ -308,38 +304,8 @@ def cmd_table(cfg: RunConfig, out: Path, deterministic: bool) -> int:
             result = _march(cell, problem, mesh)
             rows[-1].append(_fmt(error_report(result.U, exact, mesh).max_abs_error))
     # written only now, so that a failing cell leaves no partial table.csv
-    handle, writer = _writer(out / "table.csv", deterministic)
-    with handle:
-        writer.writerows(rows)
+    _write_csv(out / "table.csv", deterministic, rows)
     return 0
-
-
-def _dump_kernel(params, m_max: int, path: Path, deterministic: bool,
-                 compare: bool) -> None:
-    recurrence = kernel_by_recurrence(params, max(m_max, 1)).R[:m_max + 1]
-    columns = ["m", "R_m", "lg_abs_R_m"]
-    legendre = oracle = None
-    if compare:
-        legendre = kernel_by_legendre(params, max(m_max, 1)).R[:m_max + 1]
-        oracle = kernel_gf_oracle(params, min(m_max, 50))
-        columns += ["R_m_legendre", "delta_legendre", "delta_oracle"]
-    handle, writer = _writer(path, deterministic)
-    with handle:
-        writer.writerow(columns)
-        for m in range(m_max + 1):
-            value = recurrence[m]
-            lg = np.log10(abs(value)) if value != 0.0 else -np.inf
-            row = [m, _fmt(value), _fmt(lg)]
-            if compare:
-                row.append(_fmt(legendre[m]))
-                row.append(_fmt(legendre[m] - value))
-                row.append(_fmt(oracle[m] - value) if m < len(oracle) else "")
-            writer.writerow(row)
-    if compare:
-        print(f"max |recurrence - legendre| = "
-              f"{np.max(np.abs(legendre - recurrence)):.3e}")
-        print(f"max |recurrence - oracle|   = "
-              f"{np.max(np.abs(oracle - recurrence[:len(oracle)])):.3e}")
 
 
 def cmd_kernel(cfg: RunConfig, out: Path, deterministic: bool,
@@ -348,7 +314,25 @@ def cmd_kernel(cfg: RunConfig, out: Path, deterministic: bool,
     mesh = _make_mesh(cfg, problem)
     params = derive_params(problem.rho_inf, problem.b_inf, problem.c_inf,
                            mesh.h_tail, cfg.tau, cfg.sigma, cfg.theta)
-    _dump_kernel(params, cfg.m_max, out / "kernel.csv", deterministic, compare)
+    m_max = cfg.m_max
+    recurrence = kernel_by_recurrence(params, max(m_max, 1)).R[:m_max + 1]
+    rows = [["m", "R_m", "lg_abs_R_m"]]
+    if compare:
+        legendre = kernel_by_legendre(params, max(m_max, 1)).R[:m_max + 1]
+        oracle = kernel_gf_oracle(params, min(m_max, 50))
+        rows[0] += ["R_m_legendre", "delta_legendre", "delta_oracle"]
+    for m, value in enumerate(recurrence):
+        lg = np.log10(abs(value)) if value != 0.0 else -np.inf
+        rows.append([m, _fmt(value), _fmt(lg)])
+        if compare:
+            rows[-1] += [_fmt(legendre[m]), _fmt(legendre[m] - value),
+                         _fmt(oracle[m] - value) if m < len(oracle) else ""]
+    _write_csv(out / "kernel.csv", deterministic, rows)
+    if compare:
+        print(f"max |recurrence - legendre| = "
+              f"{np.max(np.abs(legendre - recurrence)):.3e}")
+        print(f"max |recurrence - oracle|   = "
+              f"{np.max(np.abs(oracle - recurrence[:len(oracle)])):.3e}")
     return 0
 
 
@@ -401,12 +385,10 @@ def _run_diagnostics(cfg: RunConfig, companion: ProblemSpec, mesh, out: Path,
         ("second_energy_bound_slack", energy.sbA_slack, 0.0,
          energy.sbA_slack >= 0.0),
     ]
-    handle, writer = _writer(out / "diagnostics.csv", deterministic)
-    with handle:
-        writer.writerow(["check", "value", "threshold", "pass"])
-        for name, value, threshold, ok in checks:
-            writer.writerow([name, _fmt(value), _fmt(threshold),
-                             "true" if ok else "false"])
+    rows = [["check", "value", "threshold", "pass"]]
+    rows += [[name, _fmt(value), _fmt(threshold), "true" if ok else "false"]
+             for name, value, threshold, ok in checks]
+    _write_csv(out / "diagnostics.csv", deterministic, rows)
     return all(ok for *_, ok in checks)
 
 

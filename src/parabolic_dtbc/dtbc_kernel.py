@@ -41,23 +41,21 @@ class OracleConvergenceError(RuntimeError):
 class KernelParams:
     """Scalar data deriving the boundary kernel.
 
-    ``a1, a0`` are the dimensionless step ratios of the tail scheme,
-    ``d0 = a0/a1`` and ``d1 = 2/a1`` their convenient rescalings, and
-    ``alpha, beta, delta`` the parameters of the kernel recurrence.  The
+    ``a1 = h^2 rho_inf / (2 tau b_inf)`` and ``a0 = h^2 c_inf / (2 b_inf)``
+    (not stored) are the dimensionless step ratios of the tail scheme,
+    ``d0 = a0/a1`` and ``d1 = 2/a1`` their convenient rescalings,
+    ``alpha0, alpha1`` the factors of ``alpha``, and ``alpha, beta, delta``
+    the parameters of the kernel recurrence.  The
     auxiliary square-root factors with product ``alpha`` and cross product
     ``beta`` can be imaginary when ``alpha < 0``; they are never stored,
     only the always-real products enter any computation.
     """
 
     sigma: float
-    theta: float
     h: float
     tau: float
-    rho_inf: float
     b_inf: float
-    c_inf: float
     a1: float
-    a0: float
     d0: float
     d1: float
     alpha0: float
@@ -67,8 +65,7 @@ class KernelParams:
     delta: float
 
     def __post_init__(self):
-        assert self.a1 > 0.0 and self.a0 >= 0.0
-        assert self.d1 > 0.0 and self.d0 >= 0.0
+        assert self.a1 > 0.0 and self.d1 > 0.0 and self.d0 >= 0.0
         if self.delta <= 0.0:
             raise ValueError(f"degenerate kernel parameters: delta={self.delta} <= 0")
 
@@ -112,7 +109,6 @@ def derive_params(rho_inf: float, b_inf: float, c_inf: float,
     check_weights(sigma, theta)
 
     a1 = h * h * rho_inf / (2.0 * tau * b_inf)
-    a0 = h * h * c_inf / (2.0 * b_inf)
     d0 = (c_inf / rho_inf) * tau
     d1 = 4.0 * (b_inf / rho_inf) * tau / (h * h)
     one4t = 1.0 - 4.0 * theta
@@ -121,12 +117,8 @@ def derive_params(rho_inf: float, b_inf: float, c_inf: float,
     alpha = alpha0 * alpha1
     beta = 0.5 * (alpha0 + alpha1)
     delta = (1.0 + sigma * d0) * ((1.0 + sigma * d0) * one4t + sigma * d1)
-    if delta <= 0.0:
-        raise ValueError(f"degenerate kernel parameters: delta={delta} <= 0")
-    return KernelParams(sigma=sigma, theta=theta, h=h, tau=tau,
-                        rho_inf=rho_inf, b_inf=b_inf, c_inf=c_inf,
-                        a1=a1, a0=a0, d0=d0, d1=d1,
-                        alpha0=alpha0, alpha1=alpha1,
+    return KernelParams(sigma=sigma, h=h, tau=tau, b_inf=b_inf,
+                        a1=a1, d0=d0, d1=d1, alpha0=alpha0, alpha1=alpha1,
                         alpha=alpha, beta=beta, delta=delta)
 
 

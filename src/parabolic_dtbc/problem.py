@@ -66,6 +66,8 @@ class ProblemSpec:
             raise ValueError("lower bounds rho_lower and b_lower must be positive")
         if not 0.0 < self.X0 < self.X:
             raise ValueError("need 0 < X0 < X")
+        if not 0.0 <= self.tail_tol < math.inf:
+            raise ValueError("tail_tol must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +96,9 @@ class Mesh:
             raise ValueError("mesh nodes must be finite and strictly increasing")
         if not 0.0 < self.tau < math.inf:
             raise ValueError("time step must be positive and finite")
-        if int(self.M) < 1:
-            raise ValueError("need at least one time level")
+        if not (float(self.M).is_integer() and self.M >= 1):
+            raise ValueError(f"need a whole number M >= 1 of time levels, "
+                             f"got {self.M!r}")
         J = x.size - 1
         h = np.concatenate(([np.nan], steps))
         hbar = np.full(J + 1, np.nan)
@@ -114,10 +117,6 @@ class Mesh:
         """Step of the uniform tail (the last step)."""
         return float(self.h[self.J])
 
-    @property
-    def T(self) -> float:
-        return self.M * self.tau
-
     def times(self) -> np.ndarray:
         return self.tau * np.arange(self.M + 1)
 
@@ -130,14 +129,15 @@ def build_mesh(X: float, J: int | None = None, *, tau: float, M: int,
     way of grading the mesh toward the left boundary.
     """
     if nodes is None:
-        if J is None or int(J) < 2:
-            raise ValueError("need J >= 2 cells for a uniform mesh")
+        if J is None or not (float(J).is_integer() and J >= 2):
+            raise ValueError(f"need a whole number J >= 2 of cells for a "
+                             f"uniform mesh, got {J!r}")
         x = np.linspace(0.0, float(X), int(J) + 1)
     else:
         x = np.asarray(list(nodes), dtype=float)
         if abs(x[-1] - X) > 1e-12 * max(1.0, abs(X)):
             raise ValueError("node list must end at the truncation point X")
-    return Mesh(x=x, tau=float(tau), M=int(M))
+    return Mesh(x=x, tau=float(tau), M=M)
 
 
 @dataclass(frozen=True, eq=False)

@@ -149,10 +149,13 @@ CUSTOM_NO_EXACT = CUSTOM_ZERO.replace("EXACT = ", "UNUSED = ")
     # initial data of the diagnostics companion run
     ("solve", {"run_diagnostics": "true"}, "X0=0.1"),
     ("diagnose", {}, "X0=0.1"),
+    # kernel.csv comes from the kernel command only
+    ("solve", {"emit_kernel": "true"}, "unknown config keys: ['emit_kernel']"),
 ], ids=["malformed-line", "bad-boolean", "unknown-problem", "custom-no-path",
         "tau-zero", "M-zero", "custom-file-missing", "custom-no-PROBLEM",
         "no-J-or-nodes", "J-and-nodes", "table-no-lists", "table-no-exact",
-        "table-bad-theta", "solve-diagnostics-no-node", "diagnose-no-node"])
+        "table-bad-theta", "solve-diagnostics-no-node", "diagnose-no-node",
+        "removed-emit-kernel"])
 def test_config_errors_exit_one_with_their_message(tmp_path, capsys, command,
                                                    keys, message):
     write(tmp_path / "empty.py", "X = 1\n")
@@ -173,7 +176,7 @@ EVERY_KEY = {
     "problem": "example2", "sigma": "1/2", "theta": "1/12", "tau": "1/100",
     "M": "20", "X": "1", "J": "10.0", "nodes": "0, 0.5, 1",
     "boundary": "Neumann", "extension_factor": "2", "custom_path": "unused.py",
-    "emit_snapshots": "no", "emit_kernel": "yes", "run_diagnostics": "on",
+    "emit_snapshots": "no", "run_diagnostics": "on",
     "m_max": "7", "trials": "3e1", "table_M": "5, 10", "table_theta": "0, 1/12",
 }
 
@@ -631,13 +634,12 @@ tau = 0.01
 M = 20
 J = 20
 trials = 20
-emit_kernel = true
 run_diagnostics = true
 """)
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out", str(out),
                  "--deterministic"]) == 2
-    for name in ("solution.csv", "report.csv", "kernel.csv"):
+    for name in ("solution.csv", "report.csv"):
         assert (out / name).stat().st_size > 0, name
     with (out / "diagnostics.csv").open() as handle:
         rows = {row[0]: row[3] for row in csv.reader(handle)}
@@ -647,6 +649,41 @@ run_diagnostics = true
     monkeypatch.undo()
     assert main(["solve", "--config", str(cfg), "--out", str(out),
                  "--deterministic"]) == 0
+
+
+def test_every_csv_is_stamped_unless_deterministic(tmp_path):
+    cfg = write(tmp_path / "run.cfg", """\
+problem = example2
+sigma = 1/2
+theta = 1/12
+tau = 0.01
+M = 20
+J = 20
+trials = 20
+run_diagnostics = true
+m_max = 10
+table_M = 5, 10
+table_theta = 0, 1/12
+""")
+    written = {}
+    for deterministic in (False, True):
+        out = tmp_path / f"deterministic={deterministic}"
+        for command in ("solve", "kernel", "table"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]
+                        + ["--deterministic"] * deterministic) == 0
+        written[deterministic] = {path.name: path.read_bytes()
+                                  for path in out.glob("*.csv")}
+    assert sorted(written[False]) == sorted(written[True]) == [
+        "diagnostics.csv", "kernel.csv", "report.csv", "solution.csv",
+        "table.csv"]
+    for name, text in written[False].items():
+        stamp, body = text.split(b"\n", 1)
+        assert re.fullmatch(rb"# generated \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d",
+                            stamp), name
+        if name == "report.csv":
+            body, runtime_rows = re.subn(rb"runtime_s,[0-9.]+\r\n", b"", body)
+            assert runtime_rows == 1
+        assert body == written[True][name], name
 
 
 def test_missing_config_key_exits_one(tmp_path):

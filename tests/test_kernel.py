@@ -178,17 +178,26 @@ def test_weight_range_check_shared_by_every_entry_point():
 def test_sigma_continuity_through_degenerate_weight():
     # theta = 1/4 with a1 = 1.5 puts the degenerate weight at 0.75; the
     # kernel varies continuously through it
-    d1 = 4.0 / 3.0
-    base = params_from_ratios(0.0, d1, 0.75, 0.25)
+    d0, d1, theta = 0.0, 4.0 / 3.0, 0.25
+    base = params_from_ratios(d0, d1, 0.75, theta)
     # the generating-function denominator degenerates at the origin at
-    # sigma0 = 2 a1 theta / (1 - 2 a0 theta)
-    sigma0 = 2.0 * base.a1 * base.theta / (1.0 - 2.0 * base.a0 * base.theta)
+    # sigma0 = 2 a1 theta / (1 - 2 a0 theta), with a1 = 2/d1 and a0 = d0 a1
+    a1 = 2.0 / d1
+    assert base.a1 == pytest.approx(a1)
+    sigma0 = 2.0 * a1 * theta / (1.0 - 2.0 * d0 * a1 * theta)
     assert sigma0 == pytest.approx(0.75)
     R0 = kernel_by_recurrence(base, 200).R
     for eps in (-1e-6, 1e-6):
-        near = params_from_ratios(0.0, d1, 0.75 + eps, 0.25)
+        near = params_from_ratios(d0, d1, 0.75 + eps, theta)
         R = kernel_by_recurrence(near, 200).R
         assert np.max(np.abs(R - R0) / (1.0 + np.abs(R0))) < 1e-4
+
+
+def test_degenerate_delta_is_rejected():
+    # theta inside the roundoff slack past 1/4 and a tiny d1 = 4e-16 give
+    # delta < 0, which KernelParams rejects
+    with pytest.raises(ValueError, match="degenerate kernel parameters"):
+        derive_params(1.0, 1.0, 0.0, 1e4, 1e-8, 0.5, 0.25 + 1e-14)
 
 
 def test_convolve_basic_cases():

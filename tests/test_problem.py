@@ -17,14 +17,14 @@ def test_uniform_mesh_example1_grid():
     mesh = build_mesh(2.5, 50, tau=1.0 / 1500, M=1500)
     assert mesh.J == 50
     assert mesh.h[1:] == pytest.approx(np.full(50, 0.05))
-    assert mesh.T == pytest.approx(1.0)
+    assert mesh.M * mesh.tau == pytest.approx(1.0)
     assert mesh.h_tail == pytest.approx(0.05)
 
 
 def test_uniform_mesh_example2_grid():
     mesh = build_mesh(1.0, 10, tau=0.01, M=100)
     assert mesh.h[1:] == pytest.approx(np.full(10, 0.1))
-    assert mesh.T == pytest.approx(1.0)
+    assert mesh.M * mesh.tau == pytest.approx(1.0)
 
 
 def test_explicit_node_list_steps():
@@ -50,6 +50,15 @@ def test_mesh_rejects_bad_nodes():
         build_mesh(1.0, 10, tau=-0.1, M=1)
     with pytest.raises(ValueError):
         build_mesh(1.0, 10, tau=0.1, M=0)
+    # fractional counts are rejected, not truncated
+    with pytest.raises(ValueError, match="whole number J"):
+        build_mesh(1.0, 10.7, tau=0.1, M=5.5)
+    with pytest.raises(ValueError, match="whole number M"):
+        build_mesh(1.0, 10, tau=0.1, M=5.5)
+    with pytest.raises(ValueError, match="whole number M"):
+        Mesh(x=[0.0, 0.5, 1.0], tau=0.1, M=3.9)
+    mesh = build_mesh(1.0, np.int64(10), tau=0.1, M=5.0)
+    assert (mesh.J, mesh.M) == (10, 5) and type(mesh.M) is int
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="nodes must be finite"):
             Mesh(x=[0.0, 0.5, bad, 1.0], tau=0.1, M=2)
@@ -267,7 +276,7 @@ def test_problem_spec_validation():
                     u0=prob.u0, rho_inf=1.0, b_inf=1.0, c_inf=0.0,
                     X0=1.5, X=1.0, rho_lower=1.0, b_lower=1.0)
     for bad in (np.nan, np.inf):
-        for field in ("rho_inf", "b_inf", "c_inf"):
+        for field in ("rho_inf", "b_inf", "c_inf", "tail_tol"):
             with pytest.raises(ValueError, match="finite"):
                 replace(prob, **{field: bad})
     # the tail check of sample is NaN-safe too, for a spec built around

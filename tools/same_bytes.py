@@ -28,7 +28,9 @@ before it):
   ``--deterministic``: ``solve`` with diagnostics at diag seeds 0-9, each
   followed by ``kernel --compare``, giving ``solution.csv``,
   ``report.csv``, ``diagnostics.csv``, ``kernel.csv`` and the exit codes;
-  then ``table`` over three M and three theta, giving ``table.csv``;
+  then ``kernel`` without ``--compare`` (m_max = 200), giving its
+  ``kernel.csv``, and ``table`` over three M and three theta, giving
+  ``table.csv``;
 * a ``boundary = reference`` configuration (example1, J=50, M=100,
   factor 3) through ``solve`` with diagnostics and through ``table``: its
   four CSVs and the exit codes.
@@ -201,7 +203,9 @@ def digests() -> dict:
         runs = [(f"cli_session.seed{seed}", CLI_CONFIG, CLI_OUTPUTS,
                  (["solve", "--seed", str(seed)], ["kernel", "--compare"]))
                 for seed in DIAG_SEEDS]
-        runs += [("cli_session.table", CLI_CONFIG, ("table.csv",),
+        runs += [("cli_session.kernel", CLI_CONFIG, ("kernel.csv",),
+                  (["kernel"],)),
+                 ("cli_session.table", CLI_CONFIG, ("table.csv",),
                   (["table"],)),
                  ("reference_mode", REFERENCE_CONFIG, REFERENCE_OUTPUTS,
                   (["solve"], ["table"]))]
