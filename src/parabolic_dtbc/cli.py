@@ -31,7 +31,7 @@ from . import validation
 from .dtbc_kernel import (OracleConvergenceError, derive_params,
                           kernel_by_legendre, kernel_by_recurrence,
                           kernel_gf_oracle)
-from .problem import PRESETS, ProblemSpec, build_mesh
+from .problem import PRESETS, ProblemSpec, build_mesh, sample
 from .stepper import SchemeConfig, SolverError, march, march_reference
 from .validation import certify_dissipativity, diagnose_energy, error_report
 
@@ -184,13 +184,7 @@ def _load_problem(cfg: RunConfig):
 
 def _make_mesh(cfg: RunConfig, problem: ProblemSpec):
     X = cfg.X if cfg.X is not None else problem.X
-    if cfg.nodes is not None and cfg.J is not None:
-        raise ConfigError("configuration gives both J and nodes; give one")
-    if cfg.nodes is not None:
-        return build_mesh(X, tau=cfg.tau, M=cfg.M, nodes=cfg.nodes)
-    if cfg.J is None:
-        raise ConfigError("configuration needs J (cell count) or nodes")
-    return build_mesh(X, cfg.J, tau=cfg.tau, M=cfg.M)
+    return build_mesh(X, cfg.J, tau=cfg.tau, M=cfg.M, nodes=cfg.nodes)
 
 
 def _march(cfg: RunConfig, problem: ProblemSpec, mesh):
@@ -202,8 +196,9 @@ def _march(cfg: RunConfig, problem: ProblemSpec, mesh):
 
 
 def _open(path: Path, deterministic: bool):
-    """Open an output CSV, stamped with a ``# generated`` line unless
-    ``deterministic``."""
+    """Open an output CSV, creating its directory, stamped with a
+    ``# generated`` line unless ``deterministic``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     handle = path.open("w", newline="")
     if not deterministic:
         handle.write(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
@@ -312,7 +307,7 @@ def cmd_kernel(cfg: RunConfig, out: Path, deterministic: bool,
                compare: bool) -> int:
     problem, _ = _load_problem(cfg)
     mesh = _make_mesh(cfg, problem)
-    params = derive_params(problem.rho_inf, problem.b_inf, problem.c_inf,
+    params = derive_params(*sample(replace(problem, f=None), mesh).tail,
                            mesh.h_tail, cfg.tau, cfg.sigma, cfg.theta)
     m_max = cfg.m_max
     recurrence = kernel_by_recurrence(params, max(m_max, 1)).R[:m_max + 1]
@@ -362,14 +357,14 @@ def _companion(problem: ProblemSpec, mesh, seed: int) -> ProblemSpec:
 def _run_diagnostics(cfg: RunConfig, companion: ProblemSpec, mesh, out: Path,
                      deterministic: bool, seed: int) -> bool:
     """Kernel dissipativity plus energy checks on the :func:`_companion` run."""
-    params = derive_params(companion.rho_inf, companion.b_inf, companion.c_inf,
-                           mesh.h_tail, cfg.tau, cfg.sigma, cfg.theta)
+    result = march(companion, mesh, cfg.scheme())
+    params = derive_params(*result.coeffs.tail, mesh.h_tail, cfg.tau,
+                           cfg.sigma, cfg.theta)
     levels = 200  # horizon of the dissipativity certificate
     kernel = kernel_by_recurrence(params, levels)
     dissip = certify_dissipativity(kernel, trials=cfg.trials, M=levels,
                                    seed=seed)
-    result = march(companion, mesh, cfg.scheme())
-    energy = diagnose_energy(result, companion)
+    energy = diagnose_energy(result)
 
     checks = [
         ("dissipativity_weighted", dissip.worst_weighted, dissip.tol,
@@ -421,7 +416,6 @@ def main(argv=None) -> int:
     try:
         cfg = read_config(args.config)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":
             return cmd_solve(cfg, out, args.deterministic, args.seed)
         if args.command == "table":

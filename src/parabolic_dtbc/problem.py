@@ -29,15 +29,15 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Continuous problem data plus the constants its tail settles into.
+    """Continuous problem data on the half-line truncated at X.
 
     ``rho``, ``b``, ``c`` are callables of x (density, diffusivity,
     reaction), ``f`` of (x, t) or None for an unforced problem, ``g`` of t,
-    ``u0`` of x.  For x >= X0 the coefficients must equal their tail
-    constants and f, u0 must vanish; u0 and f are allowed to be merely
-    below ``tail_tol`` there, since physically relevant initial data often
-    only decays.  ``rho_lower`` and ``b_lower`` are positive lower bounds
-    used by the stability diagnostics.
+    ``u0`` of x.  For x >= X0 the coefficients must be constant and f, u0
+    must vanish; u0 and f are allowed to be merely below ``tail_tol``
+    there, since physically relevant initial data often only decays.  The
+    tail constants and the density bound of the diagnostics are measured
+    by :func:`sample`, not declared.
     """
 
     rho: Callable
@@ -46,24 +46,12 @@ class ProblemSpec:
     f: Callable | None
     g: Callable
     u0: Callable
-    rho_inf: float
-    b_inf: float
-    c_inf: float
     X0: float
     X: float
-    rho_lower: float
-    b_lower: float
     tail_tol: float = 1e-5
     label: str = "custom"
 
     def __post_init__(self):
-        if not (0.0 < self.rho_inf < math.inf and 0.0 < self.b_inf < math.inf):
-            raise ValueError("tail constants rho_inf and b_inf must be positive "
-                             "and finite")
-        if not 0.0 <= self.c_inf < math.inf:
-            raise ValueError("tail constant c_inf must be nonnegative and finite")
-        if not (self.rho_lower > 0.0 and self.b_lower > 0.0):
-            raise ValueError("lower bounds rho_lower and b_lower must be positive")
         if not 0.0 < self.X0 < self.X:
             raise ValueError("need 0 < X0 < X")
         if not 0.0 <= self.tail_tol < math.inf:
@@ -126,18 +114,22 @@ def build_mesh(X: float, J: int | None = None, *, tau: float, M: int,
     """Uniform mesh of J cells on [0, X], or an explicit node list.
 
     An explicit node list must start at 0 and end at X; it is the caller's
-    way of grading the mesh toward the left boundary.
+    way of grading the mesh toward the left boundary.  Exactly one of J and
+    ``nodes`` is given.
     """
+    if (J is None) == (nodes is None):
+        raise ValueError("a mesh needs J (cell count) or nodes, not both")
     if nodes is None:
-        if J is None or not (float(J).is_integer() and J >= 2):
+        if not (float(J).is_integer() and J >= 2):
             raise ValueError(f"need a whole number J >= 2 of cells for a "
                              f"uniform mesh, got {J!r}")
         x = np.linspace(0.0, float(X), int(J) + 1)
     else:
-        x = np.asarray(list(nodes), dtype=float)
-        if abs(x[-1] - X) > 1e-12 * max(1.0, abs(X)):
-            raise ValueError("node list must end at the truncation point X")
-    return Mesh(x=x, tau=float(tau), M=M)
+        x = list(nodes)
+    mesh = Mesh(x=x, tau=float(tau), M=M)
+    if abs(mesh.x[-1] - X) > 1e-12 * max(1.0, abs(X)):
+        raise ValueError("node list must end at the truncation point X")
+    return mesh
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,16 +156,24 @@ class SampledCoefficients:
             if arr is not None:
                 arr.setflags(write=False)
 
+    @property
+    def tail(self) -> tuple[float, float, float]:
+        """Tail constants ``(rho, b, c)``: the samples at the last midpoint
+        x_{J-1/2}, which :func:`sample` places in the constant tail, as
+        Python floats."""
+        return self.rho_h.item(-1), self.b_h.item(-1), self.c_h.item(-1)
+
 
 def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
     """Sample a problem onto a mesh, enforcing positivity and tail invariants.
 
     The tail step must satisfy h_J <= x_J - X0, so that the last midpoint
     already lies in the constant-coefficient region; coefficient samples
-    there must equal the tail constants and u0, f must vanish below the
-    problem's tail tolerance.  Non-finite samples of rho, b, c, u0 or f
-    raise ValueError naming the field, and a non-finite ``g(t_m)`` raises
-    ValueError naming the first such level.  Every x-dependent callable
+    there must equal the last one (:attr:`SampledCoefficients.tail`), rho
+    and b samples be positive, c samples nonnegative, and u0, f must
+    vanish below the problem's tail tolerance.  Non-finite samples of rho,
+    b, c, u0 or f raise ValueError naming the field, and a non-finite
+    ``g(t_m)`` raises ValueError naming the first such level.  Every x-dependent callable
     goes through :func:`~parabolic_dtbc.validation.eval_on_grid`: rho, b
     and c at the cell midpoints and u0 at the nodes as one level, ``f``
     into ``F[1:]`` in place, one call per block of whole levels; each
@@ -200,18 +200,17 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
     for name, arr in (("rho", rho_h), ("b", b_h), ("c", c_h)):
         _check_finite(name, arr[1:])
 
-    if np.min(rho_h[1:]) < problem.rho_lower:
-        raise ValueError("density sample below its declared lower bound")
-    if np.min(b_h[1:]) < problem.b_lower:
-        raise ValueError("diffusivity sample below its declared lower bound")
+    if not np.min(rho_h[1:]) > 0.0:
+        raise ValueError("density sample is not positive")
+    if not np.min(b_h[1:]) > 0.0:
+        raise ValueError("diffusivity sample is not positive")
     if np.min(c_h[1:]) < 0.0:
         raise ValueError("reaction coefficient sample is negative")
 
     tail_mid = xm >= problem.X0 - 1e-12
-    for name, arr, const in (("rho", rho_h[1:], problem.rho_inf),
-                             ("b", b_h[1:], problem.b_inf),
-                             ("c", c_h[1:], problem.c_inf)):
-        dev = np.max(np.abs(arr[tail_mid] - const)) if np.any(tail_mid) else 0.0
+    for name, arr in (("rho", rho_h[1:]), ("b", b_h[1:]), ("c", c_h[1:])):
+        const = arr[-1]
+        dev = np.max(np.abs(arr[tail_mid] - const), initial=0.0)
         if not dev <= 1e-12 * (1.0 + abs(const)):
             raise ValueError(f"coefficient {name} is not constant on the tail "
                              f"(max deviation {dev:.3g})")
@@ -273,9 +272,7 @@ def example1(x_star: float = 1.25, t0: float = 0.03125
         rho=_const(1.0), b=_const(1.0), c=_const(0.0), f=None,
         g=lambda t: u1(0.0, t, x_star=x_star, t0=t0),
         u0=lambda x: u1(x, 0.0, x_star=x_star, t0=t0),
-        rho_inf=1.0, b_inf=1.0, c_inf=0.0,
-        X0=2.45, X=2.5, rho_lower=1.0, b_lower=1.0,
-        label="example1")
+        X0=2.45, X=2.5, label="example1")
     return prob, functools.partial(u1, x_star=x_star, t0=t0)
 
 
@@ -288,10 +285,7 @@ def example2() -> tuple[ProblemSpec, Callable]:
     prob = ProblemSpec(
         rho=_const(1.0), b=_const(1.0), c=_const(0.0), f=None,
         g=lambda t: float(t) ** 2,
-        u0=_const(0.0),
-        rho_inf=1.0, b_inf=1.0, c_inf=0.0,
-        X0=0.1, X=1.0, rho_lower=1.0, b_lower=1.0,
-        label="example2")
+        u0=_const(0.0), X0=0.1, X=1.0, label="example2")
     return prob, u2
 
 

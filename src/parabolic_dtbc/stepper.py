@@ -194,8 +194,8 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
     coeffs = sample(problem, mesh)
     kernel = None
     if config.boundary == "dtbc":
-        params = derive_params(problem.rho_inf, problem.b_inf, problem.c_inf,
-                               mesh.h_tail, mesh.tau, config.sigma, config.theta)
+        params = derive_params(*coeffs.tail, mesh.h_tail, mesh.tau,
+                               config.sigma, config.theta)
         kernel = kernel_by_recurrence(params, mesh.M)
 
     J, M = mesh.J, mesh.M

@@ -251,7 +251,7 @@ def _worst_residual(lhs, rhs) -> float:
                            where=scale > 0.0).max())
 
 
-def diagnose_energy(result, problem) -> EnergyDiagnostics:
+def diagnose_energy(result) -> EnergyDiagnostics:
     """Evaluate the energy identities and bounds on a computed run.
 
     ``result`` is a stepper result whose trajectory was produced with
@@ -259,6 +259,8 @@ def diagnose_energy(result, problem) -> EnergyDiagnostics:
     boundary operator equal to the run's own closure).  Equality residuals
     are normalized by the largest participating term and are tracked over
     every truncation level M' <= M; the reported value is the worst one.
+    The tail constants are ``result.coeffs.tail``, the density bound of the
+    a-priori bounds the smallest density sample.
 
     Every per-level term is a 2-D array expression over one block of whole
     levels of at most EVAL_BLOCK_CELLS (2^16) cells, with the stencil
@@ -275,15 +277,15 @@ def diagnose_energy(result, problem) -> EnergyDiagnostics:
     kernel: Kernel | None = result.kernel
     sigma, theta = cfg.sigma, cfg.theta
     tau, M, J = mesh.tau, mesh.M, mesh.J
-    b_inf = problem.b_inf
+    rho_inf, b_inf, c_inf = coeffs.tail
 
     if np.max(np.abs(U[:, 0])) > 1e-13 * (1.0 + max(U.max(), -U.min())):
         raise ValueError("energy diagnostics require zero left boundary data")
 
     rho_h, b_h, c_h, F = coeffs.rho_h, coeffs.b_h, coeffs.c_h, coeffs.F
-    mass = EnergyForm(mesh, theta, rho_h, rho_h[J])
-    ell = EnergyForm(mesh, theta, c_h, problem.c_inf, b_h)
-    react = EnergyForm(mesh, theta, c_h, c_h[J])
+    mass = EnergyForm(mesh, theta, rho_h, rho_inf)
+    ell = EnergyForm(mesh, theta, c_h, c_inf, b_h)
+    react = EnergyForm(mesh, theta, c_h, c_inf)
     h_in = mesh.hbar[1:J]
 
     if kernel is not None:
@@ -353,7 +355,7 @@ def diagnose_energy(result, problem) -> EnergyDiagnostics:
     # a-priori bounds with the whole forcing taken as the undifferenced part;
     # both sides take the same level-0 term, so with zero forcing a run whose
     # energy never exceeds its initial value has slack exactly 0
-    rho_low = problem.rho_lower
+    rho_low = float(np.min(rho_h[1:]))
     lhs_sb = max(max_mass,
                  math.sqrt(2.0 * max(acc_flux + acc_react
                                      + (sigma - 0.5) * acc_dmass, 0.0)))

@@ -66,8 +66,7 @@ def zero_problem(X0=0.5, X=1.0):
     """Homogeneous heat problem with identically zero data."""
     return ProblemSpec(rho=_ones, b=_ones, c=_zeros, f=zero_forcing,
                        g=lambda t: 0.0, u0=_zeros,
-                       rho_inf=1.0, b_inf=1.0, c_inf=0.0,
-                       X0=X0, X=X, rho_lower=1.0, b_lower=1.0, label="zero")
+                       X0=X0, X=X, label="zero")
 
 
 def random_h0_problem(seed, knots, X0, X, variable=False):
@@ -104,9 +103,7 @@ def random_h0_problem(seed, knots, X0, X, variable=False):
 
     return ProblemSpec(rho=rho, b=b, c=c, f=zero_forcing,
                        g=lambda t: 0.0, u0=u0,
-                       rho_inf=1.0, b_inf=1.0, c_inf=0.0,
-                       X0=X0, X=X, rho_lower=1.0, b_lower=1.0,
-                       label="random-h0")
+                       X0=X0, X=X, label="random-h0")
 
 
 def thomas_solve(factor, rhs):
@@ -143,8 +140,8 @@ def march_loop_reference(problem, mesh, config):
     coeffs = sample(problem, mesh)
     kernel = None
     if config.boundary == "dtbc":
-        params = derive_params(problem.rho_inf, problem.b_inf, problem.c_inf,
-                               mesh.h_tail, mesh.tau, config.sigma, config.theta)
+        params = derive_params(*coeffs.tail, mesh.h_tail, mesh.tau,
+                               config.sigma, config.theta)
         kernel = kernel_by_recurrence(params, mesh.M)
 
     J, M = mesh.J, mesh.M
@@ -259,7 +256,7 @@ def dissipativity_sums_reference(kernel, probes):
     return worst_w, worst_i
 
 
-def diagnose_energy_reference(result, problem):
+def diagnose_energy_reference(result):
     """Energy identities and bounds by a Python loop over the levels.
 
     Five form evaluations on grid vectors per level and the direct
@@ -273,7 +270,7 @@ def diagnose_energy_reference(result, problem):
     kernel = result.kernel
     sigma, theta = cfg.sigma, cfg.theta
     tau, M, J = mesh.tau, mesh.M, mesh.J
-    b_inf, c_inf = problem.b_inf, problem.c_inf
+    _, b_inf, c_inf = coeffs.tail
 
     if np.max(np.abs(U[:, 0])) > 1e-13 * (1.0 + np.max(np.abs(U))):
         raise ValueError("energy diagnostics require zero left boundary data")
@@ -349,7 +346,7 @@ def diagnose_energy_reference(result, problem):
         if scale2 > 0.0:
             worst_second = max(worst_second, res2 / scale2)
 
-    rho_low = problem.rho_lower
+    rho_low = min(coeffs.rho_h[1:].tolist())
     lhs_sb = max(max_mass,
                  math.sqrt(2.0 * max(acc_flux + acc_react
                                      + (sigma - 0.5) * acc_dmass, 0.0)))

@@ -169,7 +169,7 @@ def test_criterion_8_energy_diagnostics_matrix():
             for sigma in SIGMAS:
                 for theta in THETAS:
                     res = march(prob, mesh, SchemeConfig(sigma, theta, mode))
-                    diag = diagnose_energy(res, prob)
+                    diag = diagnose_energy(res)
                     worst_eq1 = max(worst_eq1, diag.first_equality_rel)
                     worst_eq2 = max(worst_eq2, diag.second_equality_rel)
                     min_slack = min(min_slack, diag.sb_slack, diag.sbA_slack)

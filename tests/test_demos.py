@@ -31,7 +31,7 @@ def _readme_block(heading, language):
     return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
 
 
-def test_readme_examples_run(tmp_path, capsys):
+def test_readme_examples_run(tmp_path, capsys, monkeypatch):
     exec(_readme_block("## Library quick start", "python"), {})
     printed = float(capsys.readouterr().out)
     assert printed == pytest.approx(4.70e-6, rel=5e-3)
@@ -47,3 +47,18 @@ def test_readme_examples_run(tmp_path, capsys):
     assert len(rows) == 4
     for row in rows:
         assert len(row) == 7 and all(0.0 < float(cell) < 1.0 for cell in row[1:])
+
+    # the custom problem file and its configuration, run from their folder
+    custom = tmp_path / "custom"
+    custom.mkdir()
+    (custom / "graded_density.py").write_text(
+        _readme_block("### Custom problems", "python"))
+    (custom / "run.cfg").write_text(
+        _readme_block("### Custom problems", "ini"))
+    monkeypatch.chdir(custom)
+    assert cli.main(["solve", "--config", "run.cfg", "--out", "out",
+                     "--deterministic"]) == 0
+    with (custom / "out" / "report.csv").open(newline="") as handle:
+        report = dict(csv.reader(handle))
+    assert report["problem"] == "graded-density"
+    assert (report["J"], report["M"]) == ("20", "100")

@@ -118,8 +118,15 @@ def test_kernel_magnitudes_decay():
 
 def test_kernel_head_validation():
     p = hand_params()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="R\\[0\\] inconsistent"):
         Kernel(R=np.array([1.0, 2.0]), params=p)
+    with pytest.raises(ValueError, match="R\\[1\\] inconsistent"):
+        Kernel(R=np.array([-SQRT5, 2.0]), params=p)
+    with pytest.raises(ValueError, match="R\\[0\\] and R\\[1\\] at least"):
+        Kernel(R=np.array([-SQRT5]), params=p)
+    for construct in (kernel_by_recurrence, kernel_by_legendre):
+        with pytest.raises(ValueError, match="at least M = 1"):
+            construct(p, 0)
 
 
 def test_oracle_matches_recurrence_hand_case():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,15 @@ def test_mesh_rejects_bad_nodes():
         build_mesh(1.0, 10, tau=-0.1, M=1)
     with pytest.raises(ValueError):
         build_mesh(1.0, 10, tau=0.1, M=0)
+    # J and nodes together, or neither, are rejected, not one of them dropped
+    with pytest.raises(ValueError, match="J \\(cell count\\) or nodes"):
+        build_mesh(1.0, 10, tau=0.1, M=1, nodes=[0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="J \\(cell count\\) or nodes"):
+        build_mesh(1.0, tau=0.1, M=1)
+    with pytest.raises(ValueError, match="at least two cells"):
+        Mesh(x=[0.0, 1.0], tau=0.1, M=1)
+    with pytest.raises(ValueError, match="at least two cells"):
+        build_mesh(1.0, tau=0.1, M=1, nodes=[])  # a config's "nodes = ,"
     # fractional counts are rejected, not truncated
     with pytest.raises(ValueError, match="whole number J"):
         build_mesh(1.0, 10.7, tau=0.1, M=5.5)
@@ -88,8 +98,7 @@ def test_sample_midpoint_rule():
                        f=lambda x, t: np.zeros(np.shape(x)),
                        g=lambda t: 0.0,
                        u0=lambda x: np.zeros(np.shape(x)),
-                       rho_inf=1.0, b_inf=1.0, c_inf=0.0,
-                       X0=0.5, X=1.0, rho_lower=1.0, b_lower=1.0)
+                       X0=0.5, X=1.0)
     mesh = build_mesh(1.0, 10, tau=0.1, M=1)
     coeffs = sample(prob, mesh)
     xm = 0.5 * (mesh.x[:-1] + mesh.x[1:])
@@ -211,25 +220,29 @@ def test_example1_tail_accepted_under_tolerance():
 
 
 def test_sample_rejects_negative_diffusivity():
-    prob = zero_problem()
-    bad = ProblemSpec(rho=prob.rho, b=lambda x: -np.ones(np.shape(x)),
-                      c=prob.c, f=prob.f, g=prob.g, u0=prob.u0,
-                      rho_inf=1.0, b_inf=1.0, c_inf=0.0,
-                      X0=0.5, X=1.0, rho_lower=1.0, b_lower=1.0)
+    # and a density that is not positive, or a negative reaction
     mesh = build_mesh(1.0, 8, tau=0.1, M=1)
-    with pytest.raises(ValueError, match="diffusivity"):
-        sample(bad, mesh)
+    for field, value, message in (
+            ("b", -1.0, "diffusivity sample is not positive"),
+            ("rho", 0.0, "density sample is not positive"),
+            ("c", -1e-3, "reaction coefficient sample is negative")):
+        tail = 0.0 if field == "c" else 1.0
+        bad = replace(zero_problem(), **{field: lambda x: np.where(
+            np.asarray(x) < 0.25, value, tail)})
+        with pytest.raises(ValueError, match=message):
+            sample(bad, mesh)
 
 
 def test_sample_rejects_nonvanishing_tail_data():
-    prob = zero_problem()
-    bad = ProblemSpec(rho=prob.rho, b=prob.b, c=prob.c, f=prob.f, g=prob.g,
-                      u0=lambda x: 0.1 * np.ones(np.shape(x)),
-                      rho_inf=1.0, b_inf=1.0, c_inf=0.0,
-                      X0=0.5, X=1.0, rho_lower=1.0, b_lower=1.0)
     mesh = build_mesh(1.0, 8, tau=0.1, M=1)
-    with pytest.raises(ValueError, match="initial data"):
-        sample(bad, mesh)
+    for field, data, message in (
+            ("u0", lambda x: 0.1 * np.ones(np.shape(x)), "initial data"),
+            ("f", lambda x, t: 0.1 * np.ones(np.broadcast(x, t).shape),
+             "forcing"),
+            ("b", lambda x: 1.0 + np.asarray(x),
+             "coefficient b is not constant on the tail")):
+        with pytest.raises(ValueError, match=message):
+            sample(replace(zero_problem(), **{field: data}), mesh)
 
 
 def test_sample_rejects_wide_tail_step():
@@ -240,6 +253,8 @@ def test_sample_rejects_wide_tail_step():
     narrow = zero_problem(X0=0.75, X=1.0)
     with pytest.raises(ValueError, match="tail step"):
         sample(narrow, mesh)
+    with pytest.raises(ValueError, match="reach past the tail onset"):
+        sample(zero_problem(X0=1.5, X=2.0), mesh)
 
 
 def test_corner_mismatch_warns_but_proceeds():
@@ -248,12 +263,16 @@ def test_corner_mismatch_warns_but_proceeds():
                              g=lambda t: 0.0,
                              u0=lambda x: np.clip(1.0 - 4.0 * np.asarray(x, dtype=float),
                                                   0.0, 1.0),
-                             rho_inf=1.0, b_inf=1.0, c_inf=0.0,
-                             X0=0.5, X=1.0, rho_lower=1.0, b_lower=1.0)
+                             X0=0.5, X=1.0)
     mesh = build_mesh(1.0, 8, tau=0.1, M=1)
     with pytest.warns(UserWarning, match="corner"):
         coeffs = sample(mismatched, mesh)
     assert coeffs.U0[0] == 1.0
+    # a g that cannot be evaluated at t = 0 skips the check without a warning
+    singular = replace(mismatched, g=lambda t: 0.0 * math.log(t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sample(singular, mesh).U0[0] == 1.0
 
 
 def test_example2_preset_data():
@@ -269,22 +288,10 @@ def test_problem_spec_validation():
     prob = zero_problem()
     with pytest.raises(ValueError):
         ProblemSpec(rho=prob.rho, b=prob.b, c=prob.c, f=prob.f, g=prob.g,
-                    u0=prob.u0, rho_inf=-1.0, b_inf=1.0, c_inf=0.0,
-                    X0=0.5, X=1.0, rho_lower=1.0, b_lower=1.0)
-    with pytest.raises(ValueError):
-        ProblemSpec(rho=prob.rho, b=prob.b, c=prob.c, f=prob.f, g=prob.g,
-                    u0=prob.u0, rho_inf=1.0, b_inf=1.0, c_inf=0.0,
-                    X0=1.5, X=1.0, rho_lower=1.0, b_lower=1.0)
+                    u0=prob.u0, X0=1.5, X=1.0)
     for bad in (np.nan, np.inf):
-        for field in ("rho_inf", "b_inf", "c_inf", "tail_tol"):
-            with pytest.raises(ValueError, match="finite"):
-                replace(prob, **{field: bad})
-    # the tail check of sample is NaN-safe too, for a spec built around
-    # the validation above
-    unchecked = replace(prob)
-    object.__setattr__(unchecked, "c_inf", np.nan)
-    with pytest.raises(ValueError, match="not constant on the tail"):
-        sample(unchecked, build_mesh(1.0, 4, tau=0.1, M=1))
+        with pytest.raises(ValueError, match="finite"):
+            replace(prob, tail_tol=bad)
 
 
 def test_mesh_arrays_are_frozen():

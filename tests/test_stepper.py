@@ -117,9 +117,13 @@ def test_tridiagonal_manufactured_solution():
 
 
 def test_tridiagonal_zero_pivot_detected():
-    with pytest.raises(SolverError, match="pivot"):
+    with pytest.raises(SolverError, match="pivot in row 0 "):
         TriFactor(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                   np.array([1.0, 0.0]))
+    # row 1 eliminates to 1 - 1 * (1 / 1) = 0
+    with pytest.raises(SolverError, match="pivot in row 1 "):
+        TriFactor(np.array([0.0, 1.0, 1.0]), np.ones(3),
+                  np.array([1.0, 1.0, 0.0]))
 
 
 @pytest.mark.parametrize("n", [3, 51, 2001])
@@ -324,7 +328,7 @@ def test_every_level_satisfies_its_dense_system(case, mode):
     flux = np.zeros(mesh.M + 1)
     if mode == "dtbc":
         # b_inf / (2 h) * sum_{q=0..m} R_q Phi_{m-q}, the closure's flux term
-        flux = prob.b_inf * convolve_direct(res.kernel, res.U[:, J])
+        flux = res.coeffs.b_h[-1] * convolve_direct(res.kernel, res.U[:, J])
     for m in range(1, mesh.M + 1):
         U, V = res.U[m], res.U[m - 1]
         rhs = B @ V

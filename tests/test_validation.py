@@ -244,7 +244,7 @@ def test_energy_diagnostics_zero_run():
     prob = zero_problem()
     mesh = build_mesh(1.0, 8, tau=0.05, M=10)
     res = march(prob, mesh, SchemeConfig(0.5, 0.0, "dtbc"))
-    diag = diagnose_energy(res, prob)
+    diag = diagnose_energy(res)
     assert diag.first_equality_rel == 0.0
     assert diag.second_equality_rel == 0.0
     assert diag.sb_slack == 0.0
@@ -255,7 +255,7 @@ def test_energy_diagnostics_random_run():
     mesh = build_mesh(1.0, 20, tau=0.02, M=50)
     prob = random_h0_problem(42, mesh.x, 0.5, 1.0)
     res = march(prob, mesh, SchemeConfig(0.5, 0.0, "dtbc"))
-    diag = diagnose_energy(res, prob)
+    diag = diagnose_energy(res)
     assert diag.first_equality_rel <= 1e-10
     assert diag.second_equality_rel <= 1e-10
     assert diag.sb_slack >= 0.0
@@ -268,7 +268,7 @@ def test_energy_diagnostics_require_zero_boundary():
     mesh = build_mesh(1.0, 10, tau=0.01, M=10)
     res = march(prob, mesh, SchemeConfig(0.5, 1.0 / 12.0, "dtbc"))
     with pytest.raises(ValueError, match="zero left boundary"):
-        diagnose_energy(res, prob)
+        diagnose_energy(res)
 
 
 def _diagnostic_run(case, sigma, theta, mode):
@@ -287,7 +287,7 @@ def _diagnostic_run(case, sigma, theta, mode):
             return np.where(x < 0.5, np.sin(2.0 * np.pi * x) * np.cos(3.0 * t),
                             0.0)
         prob = replace(prob, f=f)
-    return prob, march(prob, mesh, SchemeConfig(sigma, theta, mode))
+    return march(prob, mesh, SchemeConfig(sigma, theta, mode))
 
 
 @pytest.mark.parametrize("mode", ["dtbc", "neumann"])
@@ -298,12 +298,12 @@ def test_block_diagnostics_match_the_level_loop(sigma, theta, case, mode,
                                                 monkeypatch):
     # sigma = 2 puts K_sigma at 6; theta = 1/4 + 1e-14 is inside the roundoff
     # slack of the weight check, where c_theta is clamped at 0
-    prob, res = _diagnostic_run(case, sigma, theta, mode)
+    res = _diagnostic_run(case, sigma, theta, mode)
     assert np.any(res.coeffs.F != 0.0) == (case != "unforced")
     # three levels per block: the 61 levels span 21 blocks, the last partial
     monkeypatch.setattr(validation, "EVAL_BLOCK_CELLS", 3 * (res.mesh.J + 1))
-    fast = diagnose_energy(res, prob)
-    ref = diagnose_energy_reference(res, prob)
+    fast = diagnose_energy(res)
+    ref = diagnose_energy_reference(res)
     for field in fields(fast):
         got, want = getattr(fast, field.name), getattr(ref, field.name)
         assert got == want or abs(got - want) <= 1e-13, field.name
@@ -314,8 +314,8 @@ def test_block_diagnostics_match_the_level_loop(sigma, theta, case, mode,
 
 def test_energy_diagnostics_fields_are_floats():
     for case in ("unforced", "uniform"):
-        prob, res = _diagnostic_run(case, 0.5, 1.0 / 12.0, "dtbc")
-        diag = diagnose_energy(res, prob)
+        res = _diagnostic_run(case, 0.5, 1.0 / 12.0, "dtbc")
+        diag = diagnose_energy(res)
         for field in fields(diag):
             assert type(getattr(diag, field.name)) is float, field.name
     params = derive_params(1.0, 1.0, 0.0, 0.1, 0.01, 0.5, 0.0)
@@ -333,7 +333,7 @@ def test_unforced_bound_slacks_tie_exactly_at_zero():
     for sigma, theta in ((0.5, 1.0 / 12.0), (1.0, 0.25)):
         for mode in ("dtbc", "neumann"):
             diag = diagnose_energy(
-                march(run, mesh, SchemeConfig(sigma, theta, mode)), run)
+                march(run, mesh, SchemeConfig(sigma, theta, mode)))
             assert diag.sb_slack == 0.0 and diag.sbA_slack == 0.0
 
 
@@ -348,9 +348,9 @@ def test_unforced_diagnostics_skip_the_forcing(mode, monkeypatch):
     cfg = SchemeConfig(0.5, 1.0 / 12.0, mode)
     res = march(unforced, mesh, cfg)
     assert res.coeffs.F is None
-    fast = diagnose_energy(res, unforced)
-    gridded = diagnose_energy(march(zero, mesh, cfg), zero)
-    ref = diagnose_energy_reference(res, unforced)
+    fast = diagnose_energy(res)
+    gridded = diagnose_energy(march(zero, mesh, cfg))
+    ref = diagnose_energy_reference(res)
     for field in fields(fast):
         got = getattr(fast, field.name)
         assert got == getattr(gridded, field.name), field.name
@@ -368,7 +368,7 @@ def test_diagnose_energy_memory_stays_bounded(monkeypatch):
     res = march(prob, mesh, SchemeConfig(0.5, 1.0 / 12.0, "dtbc"))
     tracemalloc.start()
     try:
-        diagnose_energy(res, prob)
+        diagnose_energy(res)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

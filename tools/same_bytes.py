@@ -33,7 +33,12 @@ before it):
   ``table.csv``;
 * a ``boundary = reference`` configuration (example1, J=50, M=100,
   factor 3) through ``solve`` with diagnostics and through ``table``: its
-  four CSVs and the exit codes.
+  four CSVs and the exit codes; and the same configuration through
+  ``kernel --compare``, giving its ``kernel.csv`` and exit code.
+
+``diagnose_energy`` is called with the signature of the tree under test:
+``(result)``, or ``(result, problem)`` in trees whose ``ProblemSpec``
+still declares its tail constants.
 
 Needs only the standard library and numpy (plus what the package itself
 imports).  Exits 0 when every digest matches, 1 naming the keys that
@@ -44,6 +49,7 @@ of a 2-vCPU Intel Xeon host.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -193,9 +199,12 @@ def digests() -> dict:
         out.update((f"{key}.{item}", _digest(value))
                    for item, value in items.items())
 
+    takes_problem = len(inspect.signature(pd.diagnose_energy).parameters) > 1
     for key, problem, config in _energy_cases(pd):
         mesh = pd.build_mesh(problem.X, 50, tau=1.0 / 3000, M=3000)
-        diag = pd.diagnose_energy(pd.march(problem, mesh, config), problem)
+        result = pd.march(problem, mesh, config)
+        diag = (pd.diagnose_energy(result, problem) if takes_problem
+                else pd.diagnose_energy(result))
         out.update((f"{key}.{f.name}", _digest(getattr(diag, f.name)))
                    for f in fields(diag))
 
@@ -208,7 +217,9 @@ def digests() -> dict:
                  ("cli_session.table", CLI_CONFIG, ("table.csv",),
                   (["table"],)),
                  ("reference_mode", REFERENCE_CONFIG, REFERENCE_OUTPUTS,
-                  (["solve"], ["table"]))]
+                  (["solve"], ["table"])),
+                 ("reference_mode.kernel", REFERENCE_CONFIG, ("kernel.csv",),
+                  (["kernel", "--compare"],))]
         for key, config_text, outputs, commands in runs:
             run_dir = Path(tmp) / key
             run_dir.mkdir()
