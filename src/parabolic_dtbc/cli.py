@@ -214,37 +214,152 @@ def _fmt(value: float) -> str:
     return FLOAT_FMT % value
 
 
-def _write_solution(handle, U, exact, mesh) -> None:
+# FLOAT_FMT in numpy (see _format_e17): 10^k for k in _POW10_K as
+# double-doubles hi + lo, hi also split in halves of 26 bits, and the text
+# pieces of a formatted value.  For 1e-280 <= |x| < 1e300 the k needed lie
+# in _POW10_K, lo stays normal and the splits of x and hi stay finite.
+_POW10_K = range(-290, 300)
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+
+
+def _split(a):
+    t = a * _SPLIT
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _pow10_table():
+    exact = [Fraction(10) ** k for k in _POW10_K]
+    hi = np.array([float(p) for p in exact])
+    lo = [float(p - Fraction(h)) for p, h in zip(exact, hi.tolist())]
+    return (hi, *_split(hi), np.array(lo))
+
+
+def _fields(texts):
+    """ASCII ``texts`` as the NUL-padded rows of a uint8 array."""
+    items = np.array([text.encode() for text in texts])
+    return items.view(np.uint8).reshape(items.size, items.itemsize)
+
+
+def _lut(texts):
+    """ASCII ``texts`` as NUL-padded items of one void dtype."""
+    rows = _fields(texts)
+    return rows.view(f"V{rows.shape[1]}")[:, 0]
+
+
+_POW10 = _pow10_table()
+_HEAD = _lut(f"{g // 100}.{g % 100:02d}" for g in range(1000))
+_GROUP = _lut(f"{g:03d}" for g in range(1000))
+_E_MIN = -300
+_EXP = _lut(f"e{e:+03d}" for e in range(_E_MIN, 301))
+
+
+def _scaled(a, E):
+    """``a * 10^(17 - E)`` as ``p + r``: p the rounded product of a and the
+    table's hi, r the rest (Dekker's exact two-product plus a * lo) with an
+    error below 1e-12 for p + r below 1e19."""
+    i = (17 - _POW10_K.start) - E
+    hi, hi_hi, hi_lo, lo = (column[i] for column in _POW10)
+    p = a * hi
+    a_hi, a_lo = _split(a)
+    err = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo
+    return p, err + a * lo
+
+
+def _put(out, at, lut, index):
+    out[:, at:at + lut.itemsize].view(lut.dtype)[:, 0] = lut.take(index)
+
+
+def _format_e17(out, x) -> None:
+    """``FLOAT_FMT % v`` of each value of ``x``, NUL-padded, into the rows
+    of the uint8 array ``out`` of shape (x.size, 25): a sign or NUL, "d.dd",
+    five groups of three digits, then "e+dd" or "e+ddd" and a NUL or not.
+
+    After Gay (1990) and Adams ("Ryu revisited", 2019): the 18 digits are
+    d = round-half-even(|x| 10^(17-E)), with E from ``log10`` moved by one
+    where p + r of :func:`_scaled` leaves [1e17, 1e18).  There p is an
+    integer, so d = p + rint(r), added in int64.  Zero is written
+    directly; NaN, infinities, other |x| outside [1e-280, 1e300), a d
+    outside [1e17, 1e18) (a carry to the next power of ten) and an r within
+    1e-6 of a tie, exact ties included, go to :func:`_fmt`.
+    """
+    a = np.abs(x)
+    zero = a == 0
+    ok = (a >= 1e-280) & (a < 1e300)  # false on NaN
+    a = np.where(ok, a, 1.0)
+    E = np.floor(np.log10(a)).astype(np.int64)
+    p, r = _scaled(a, E)
+    fix = ((p - 1e18) + r >= 0).astype(np.int64) - ((p - 1e17) + r < 0)
+    if fix.any():
+        E += fix
+        p, r = _scaled(a, E)
+    q = np.rint(r)
+    d = p.astype(np.int64) + q.astype(np.int64)
+    ok &= (d >= 10**17) & (d < 10**18) & (abs(abs(r - q) - 0.5) > 1e-6)
+    # zero, where a = 1 and E = 0, reads "0.00000000000000000e+00"
+    d = np.where(ok, d, 0)
+    out[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+    for at in (17, 14, 11, 8, 5):
+        d, group = np.divmod(d, 1000)
+        _put(out, at, _GROUP, group)
+    _put(out, 1, _HEAD, d)
+    _put(out, 20, _EXP, E - _E_MIN)
+    bad = np.flatnonzero(~(ok | zero))
+    if bad.size:
+        texts = [_fmt(v).encode() for v in x[bad].tolist()]
+        out[bad] = np.array(texts, "S25").view(np.uint8).reshape(-1, 25)
+
+
+def _rows(levels, nodes, columns, end: bytes):
+    """The bytes of the rows of some levels: ``levels`` and ``nodes`` hold
+    the ``m,t,`` and ``j,x,`` fields (see :func:`_fields`), ``columns``
+    the values, each of shape (levels, nodes), and ``end`` closes a row.
+    The rows are the fixed-width rows of one uint8 canvas, whose NUL
+    padding is dropped at the end."""
+    (n_levels, w_level), (n_nodes, w_node) = levels.shape, nodes.shape
+    at = w_level + w_node
+    width = at + 26 * len(columns) - 1 + len(end)
+    canvas = np.zeros((n_levels * n_nodes, width), np.uint8)
+    grid = canvas.reshape(n_levels, n_nodes, width)
+    grid[:, :, :w_level] = levels[:, None]
+    grid[:, :, w_level:at] = nodes
+    for column in columns:
+        _format_e17(canvas[:, at:at + 25], column.ravel())
+        canvas[:, at + 25] = ord(",")
+        at += 26
+    canvas[:, at - 1:] = np.frombuffer(end, np.uint8)
+    return canvas[canvas != 0]
+
+
+def write_solution(handle, U, exact, mesh) -> None:
     """Write the ``m,t,j,x,U,exact,error`` rows of a trajectory.
 
-    Each level is one ``%`` format of a row template built once per mesh;
-    the bytes are those ``csv.writer`` gives for the same fields formatted
+    The bytes are those ``csv.writer`` gives for the same fields formatted
     by ``_fmt`` (no field ever needs quoting, ``\\r\\n`` ends each row), with
-    empty ``exact``/``error`` fields when ``exact`` is None.  The exact
-    solution is evaluated in the level blocks of
-    :func:`validation.eval_on_grid`, so beyond the trajectory the extra
-    memory is O(J) plus one block of 2^16 cells.  What remains of the cost
-    is the correctly rounded ``%.17e`` formatting of every value.
+    empty ``exact``/``error`` fields when ``exact`` is None, and they go
+    straight to ``handle.buffer`` after a flush of ``handle``.  The values
+    are formatted by numpy (:func:`_format_e17`), in sub-blocks of a
+    sixteenth of the level blocks of :func:`validation.eval_on_grid` in
+    which the exact solution is evaluated; the Python work is O(1) per
+    level.  Beyond the trajectory the memory is O(J) plus one block of 2^16
+    cells and the canvas and temporaries of one sub-block.
     """
-    if exact is None:
-        tail, n_args = f",{FLOAT_FMT},,\r\n", 2
-    else:
-        tail, n_args = f",{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\r\n", 4
-    template = "".join(f"%s,{j},{_fmt(xj)}{tail}"
-                       for j, xj in enumerate(mesh.x.tolist()))
-    # one row of format arguments per node: "m,t", U, exact, error
-    args = np.empty((mesh.J + 1, n_args), dtype=object)
+    nodes = _fields(f"{j},{_fmt(xj)}," for j, xj in enumerate(mesh.x.tolist()))
+    end = b"\r\n" if exact is not None else b",,\r\n"
     times = mesh.times()
+    handle.flush()
     for lo, hi in validation._level_blocks(mesh.M + 1, mesh.J + 1):
         if exact is not None:
             E = validation.eval_on_grid(exact, mesh.x, times[lo:hi])
-        for m in range(lo, hi):
-            args[:, 0] = f"{m},{_fmt(times[m])}"
-            args[:, 1] = U[m]
+        step = max(1, (hi - lo) // 16)
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            levels = _fields(f"{m},{_fmt(t)}," for m, t
+                             in zip(range(a, b), times[a:b].tolist()))
+            columns = [U[a:b]]
             if exact is not None:
-                args[:, 2] = E[m - lo]
-                args[:, 3] = U[m] - E[m - lo]
-            handle.write(template % tuple(args.ravel().tolist()))
+                columns += [E[a - lo:b - lo], U[a:b] - E[a - lo:b - lo]]
+            handle.buffer.write(_rows(levels, nodes, columns, end))
 
 
 def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool,
@@ -263,7 +378,7 @@ def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool,
     if cfg.emit_snapshots:
         with _open(out / "solution.csv", deterministic) as handle:
             handle.write("m,t,j,x,U,exact,error\r\n")
-            _write_solution(handle, result.U, exact, mesh)
+            write_solution(handle, result.U, exact, mesh)
 
     rows = [["quantity", "value"], ["problem", problem.label],
             ["sigma", _fmt(cfg.sigma)], ["theta", _fmt(cfg.theta)],

@@ -180,7 +180,7 @@ def reference_solution_csv(U, exact, mesh):
     """Bytes of ``solution.csv`` written row by row with ``csv.writer``.
 
     One ``writerow`` per node and level, every float through ``_fmt``:
-    the direct reference for the template writer of ``cli solve``.  The
+    the direct reference for the numpy writer of ``cli solve``.  The
     ``#`` timestamp line is not included.
     """
     handle = io.StringIO(newline="")

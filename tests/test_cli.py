@@ -13,7 +13,7 @@ import pytest
 from parabolic_dtbc import (SchemeConfig, build_mesh, cli, diagnose_energy,
                             dtbc_kernel, example2, march, validation)
 from parabolic_dtbc.cli import (ConfigError, RunConfig, _load_problem,
-                                _make_mesh, _write_solution, main, read_config)
+                                _make_mesh, main, read_config, write_solution)
 
 from _support import reference_solution_csv
 
@@ -395,24 +395,42 @@ PROBLEM = ProblemSpec(
 EXACT = lambda x, t: -u2(x, t)
 """
 
+# example2 with an exact solution that is NaN, +inf and -inf at t = 0 only:
+# error_report skips level 0, so these values reach the writer's fallback
+CUSTOM_NONFINITE_LEVEL0 = """\
+import numpy as np
+from parabolic_dtbc import example2
+
+PROBLEM, ramp = example2()
+SPECIAL = np.array([np.nan, np.inf, -np.inf])
+EXACT = lambda x, t: np.where(
+    t == 0, SPECIAL[np.searchsorted([0.3, 0.6], x)], ramp(x, t))
+"""
+
 # name: (custom problem module or None, config lines, --deterministic,
-#        byte strings the output must contain)
+#        byte strings the output must contain); at M = 100 the writer
+#        formats sub-blocks of several levels, at M = 20 of one level
 SOLUTION_CASES = {
-    "example2": (None, "problem = example2\nJ = 10\n", True, []),
-    "no-exact": (CUSTOM_RAMP_NO_EXACT, "J = 8\n", True, [b",,\r\n"]),
+    "example2": (None, "problem = example2\nJ = 10\nM = 20\n", True, []),
+    "no-exact": (CUSTOM_RAMP_NO_EXACT, "J = 8\nM = 20\n", True, [b",,\r\n"]),
     "graded-signed": (CUSTOM_SIGNED_RAMP,
                       "nodes = 0, 0.02, 0.06, 0.12, 0.2, 0.3, 0.45, 0.6, "
-                      "0.8, 1\n", True,
+                      "0.8, 1\nM = 20\n", True,
                       [b",-0.00000000000000000e+00,", b",0.00000000000000000e+00",
                        b",-1.", b",2,5.99999999999999978e-02,"]),
-    "timestamped": (None, "problem = example2\nJ = 10\n", False, []),
+    "timestamped": (None, "problem = example2\nJ = 10\nM = 20\n", False, []),
+    "nonfinite-level0": (CUSTOM_NONFINITE_LEVEL0, "J = 10\nM = 20\n", True,
+                         [b",nan,nan\r\n", b",inf,-inf\r\n",
+                          b",-inf,inf\r\n"]),
+    "multi-level-blocks": (None, "problem = example2\nJ = 10\nM = 100\n",
+                           True, [b"\r\n100,1.00000000000000000e+00,10,"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SOLUTION_CASES))
 def test_solution_csv_matches_row_by_row_writer(tmp_path, case):
     module, lines, deterministic, tokens = SOLUTION_CASES[case]
-    text = "sigma = 1/2\ntheta = 1/12\ntau = 0.01\nM = 20\n" + lines
+    text = "sigma = 1/2\ntheta = 1/12\ntau = 0.01\n" + lines
     if module is not None:
         write(tmp_path / "prob.py", module)
         text += f"problem = custom\ncustom_path = {tmp_path / 'prob.py'}\n"
@@ -436,9 +454,11 @@ def test_solution_csv_matches_row_by_row_writer(tmp_path, case):
 
 
 def test_solution_writer_memory_stays_bounded(monkeypatch):
-    # O(J) template, format arguments and row strings plus the temporaries
-    # of one block of the ramp solution; a small block puts the whole
-    # exact grid (8 bytes per cell) well past the bound at a small M
+    # O(J) node fields plus the temporaries of one block of the ramp
+    # solution, or, after it, that block and the canvas, the formatting
+    # temporaries and the output bytes of one sub-block of its levels (here
+    # one level); a small block puts the whole exact grid (8 bytes per
+    # cell) well past the bound at a small M
     monkeypatch.setattr(validation, "EVAL_BLOCK_CELLS", 1 << 10)
     _, exact = example2()
     J, M = 50, 1000
@@ -449,11 +469,73 @@ def test_solution_writer_memory_stays_bounded(monkeypatch):
     with open(os.devnull, "w", newline="") as sink:
         tracemalloc.start()
         try:
-            _write_solution(sink, U, exact, mesh)
+            write_solution(sink, U, exact, mesh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peak <= bound
+
+
+def test_solution_writer_peak_stays_at_the_exact_solution_block():
+    # at the size of the benchmark's CLI session the peak of both is set by
+    # the evaluation of one block of the exact solution
+    problem, exact = example2()
+    mesh = build_mesh(1.0, 200, tau=1e-3, M=1000)
+    U = march(problem, mesh, SchemeConfig(0.5, 1.0 / 12.0)).U
+    peaks = []
+    with open(os.devnull, "w", newline="") as sink:
+        for call in (lambda: validation.error_report(U, exact, mesh),
+                     lambda: write_solution(sink, U, exact, mesh)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
+def formatted(values) -> bytes:
+    """``values`` through the writer's formatter, each followed by a comma."""
+    canvas = np.zeros((values.size, 26), np.uint8)
+    cli._format_e17(canvas[:, :25], values)
+    canvas[:, 25] = ord(",")
+    return canvas[canvas != 0].tobytes()
+
+
+def percent_formatted(values) -> bytes:
+    """The same bytes from ``FLOAT_FMT % v``, value by value."""
+    return "".join(f"{cli.FLOAT_FMT % v}," for v in values.tolist()).encode()
+
+
+def test_formatter_matches_percent_format(monkeypatch):
+    rng = np.random.default_rng(20261019)
+    bits = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64,
+                        endpoint=False)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    values = np.concatenate([
+        bits.view(np.float64), [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        [5e-324, np.finfo(float).max]])
+    # every class of float64 with either sign bit, NaN included
+    a, tiny = np.abs(values), np.finfo(float).tiny
+    negative = np.signbit(values)
+    for cls in (a >= tiny, (a > 0) & (a < tiny), a == 0, np.isinf(values),
+                np.isnan(values)):
+        assert (cls & negative).any() and (cls & ~negative).any()
+    assert formatted(values) == percent_formatted(values)
+
+    # exact ties m/8, m odd, round half to even and take the fallback
+    odd = 2 * rng.integers(4 * 10**15, 2**52, size=2000) + 1
+    ties = np.concatenate([[1000000000000000.125, 1000000000000000.375],
+                           odd / 8.0])
+    assert cli.FLOAT_FMT % ties[0] == "1.00000000000000012e+15"
+    assert cli.FLOAT_FMT % ties[1] == "1.00000000000000038e+15"
+    fallbacks = []
+    monkeypatch.setattr(cli, "_fmt",
+                        lambda v: fallbacks.append(v) or cli.FLOAT_FMT % v)
+    assert formatted(ties) == percent_formatted(ties)
+    assert fallbacks == ties.tolist()
 
 
 def test_kernel_command_and_compare(tmp_path, capsys):
