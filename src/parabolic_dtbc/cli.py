@@ -5,8 +5,8 @@ Subcommands:
 * ``solve``    march one configuration, write solution.csv / report.csv
 * ``table``    sweep (M, theta) pairs, write the error matrix
 * ``kernel``   dump the boundary kernel (m, R_m, lg|R_m|)
-* ``diagnose`` dissipativity certification plus energy checks on a
-  companion zero-boundary run with seeded random initial data
+* ``diagnose`` dissipativity certification plus energy checks on the
+  run's own trajectory, write diagnostics.csv
 
 Configurations are line-oriented ``key = value`` files with ``#``
 comments; fractions such as ``1/12`` are accepted for every number key.
@@ -366,7 +366,6 @@ def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool,
               seed: int) -> int:
     problem, exact = _load_problem(cfg)
     mesh = _make_mesh(cfg, problem)
-    companion = _companion(problem, mesh, seed) if cfg.run_diagnostics else None
     t_begin = time.perf_counter()
     result = _march(cfg, problem, mesh)
     runtime = time.perf_counter() - t_begin
@@ -392,9 +391,13 @@ def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool,
                  ["argmax_node", report.argmax_node]]
     _write_csv(out / "report.csv", deterministic, rows)
 
-    if cfg.run_diagnostics and not _run_diagnostics(cfg, companion, mesh, out,
-                                                    deterministic, seed):
-        return 2
+    if cfg.run_diagnostics:
+        # a reference run's trajectory is a zero-flux run on a larger
+        # interval, whose identities do not close on [0, X]
+        if result.config != cfg.scheme():
+            result = march(problem, mesh, cfg.scheme())
+        if not _run_diagnostics(cfg, result, out, deterministic, seed):
+            return 2
     return 0
 
 
@@ -446,34 +449,11 @@ def cmd_kernel(cfg: RunConfig, out: Path, deterministic: bool,
     return 0
 
 
-def _companion(problem: ProblemSpec, mesh, seed: int) -> ProblemSpec:
-    """Zero-boundary companion of ``problem`` for the energy checks.
-
-    The energy identities require vanishing left data, so the companion
-    keeps the coefficients but has g = 0, no forcing and seeded random
-    initial values at the nodes in (0, X0 - 1e-12).  With no such node the
-    run would be all zero and pass vacuously: a ConfigError.
-    """
-    live = mesh.x < problem.X0 - 1e-12
-    live[0] = False
-    if not live.any():
-        raise ConfigError(
-            f"the energy diagnostics need a mesh node in (0, X0 - 1e-12) "
-            f"with X0={problem.X0!r} for the random initial data of their "
-            f"companion run; the first node past 0 is x={float(mesh.x[1])!r}")
-    rng = np.random.default_rng(seed)
-    vals = np.where(live, rng.uniform(-1.0, 1.0, size=live.size), 0.0)
-    knots = mesh.x.copy()
-    return replace(problem, f=None, g=lambda t: 0.0,
-                   u0=lambda x: np.interp(x, knots, vals),
-                   label=problem.label + "-diagnostic")
-
-
-def _run_diagnostics(cfg: RunConfig, companion: ProblemSpec, mesh, out: Path,
-                     deterministic: bool, seed: int) -> bool:
-    """Kernel dissipativity plus energy checks on the :func:`_companion` run."""
-    result = march(companion, mesh, cfg.scheme())
-    params = derive_params(*result.coeffs.tail, mesh.h_tail, cfg.tau,
+def _run_diagnostics(cfg: RunConfig, result, out: Path, deterministic: bool,
+                     seed: int) -> bool:
+    """Kernel dissipativity, probed with ``seed``, plus energy checks on the
+    run ``result``."""
+    params = derive_params(*result.coeffs.tail, result.mesh.h_tail, cfg.tau,
                            cfg.sigma, cfg.theta)
     levels = 200  # horizon of the dissipativity certificate
     kernel = kernel_by_recurrence(params, levels)
@@ -505,10 +485,8 @@ def _run_diagnostics(cfg: RunConfig, companion: ProblemSpec, mesh, out: Path,
 def cmd_diagnose(cfg: RunConfig, out: Path, deterministic: bool,
                  seed: int) -> int:
     problem, _ = _load_problem(cfg)
-    mesh = _make_mesh(cfg, problem)
-    ok = _run_diagnostics(cfg, _companion(problem, mesh, seed), mesh, out,
-                          deterministic, seed)
-    return 0 if ok else 2
+    result = march(problem, _make_mesh(cfg, problem), cfg.scheme())
+    return 0 if _run_diagnostics(cfg, result, out, deterministic, seed) else 2
 
 
 def main(argv=None) -> int:
@@ -524,8 +502,8 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", action="store_true",
                         help="kernel: add closed-form and oracle columns")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized diagnostics (diagnose, and "
-                        "solve with run_diagnostics)")
+                        help="seed of the dissipativity probes (diagnose, "
+                        "and solve with run_diagnostics)")
     args = parser.parse_args(argv)
 
     try:

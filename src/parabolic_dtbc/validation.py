@@ -225,9 +225,10 @@ class EnergyForm:
 class EnergyDiagnostics:
     """Residuals of the two energy identities and slacks of their bounds.
 
-    The identities hold to roundoff for any trajectory of the scheme with
-    zero left-boundary data; the bounds additionally need the boundary
-    convolution to be dissipative and therefore carry nonnegative slack.
+    The identities hold to roundoff for any trajectory of the scheme, on
+    its lift (see :func:`diagnose_energy`); the bounds additionally need the
+    boundary convolution to be dissipative and therefore carry nonnegative
+    slack.
     """
 
     first_equality_rel: float
@@ -254,21 +255,27 @@ def _worst_residual(lhs, rhs) -> float:
 def diagnose_energy(result) -> EnergyDiagnostics:
     """Evaluate the energy identities and bounds on a computed run.
 
-    ``result`` is a stepper result whose trajectory was produced with
-    g = 0 (required; the identities anchor on vanishing left data and a
-    boundary operator equal to the run's own closure).  Equality residuals
-    are normalized by the largest participating term and are tracked over
-    every truncation level M' <= M; the reported value is the worst one.
-    The tail constants are ``result.coeffs.tail``, the density bound of the
-    a-priori bounds the smallest density sample.
+    ``result`` is a stepper result with the run's own closure and any left
+    data g.  The identities anchor on zero left data, so they are evaluated
+    on the lift V = U - g e_0 (U with its Dirichlet column U[:, 0] = g set
+    to zero), which solves the same scheme with the forcing F + F~, where
+    F~ is zero but at node 1:
 
-    Every per-level term is a 2-D array expression over one block of whole
-    levels of at most EVAL_BLOCK_CELLS (2^16) cells, with the stencil
+        F~_1^m = -(a_sigma[1] U[m, 0] - a_(sigma-1)[1] U[m-1, 0]) / hbar_1,
+
+    a_w the off-diagonal weight of ``stepper.scheme_weights``.  Equality
+    residuals are normalized by the largest participating term and are
+    tracked over every truncation level M' <= M; the reported value is the
+    worst one.  The tail constants are ``result.coeffs.tail``, the density
+    bound of the a-priori bounds the smallest density sample.
+
+    Every per-level term is a 2-D array expression over one lifted block of
+    whole levels of at most EVAL_BLOCK_CELLS (2^16) cells, with the stencil
     weights of the forms computed once per call; the running sums are
-    cumulative sums carried from block to block; an unforced run (no
-    ``F`` grid) skips the forcing products.  Beyond the trajectory,
-    the memory is O(M) (the boundary sums S and the transients of their FFT,
-    some 100 (M+1) bytes) plus a few block-sized temporaries.
+    cumulative sums carried from block to block; a run with g = 0 and no
+    ``F`` grid skips the forcing products.  Beyond the trajectory, the
+    memory is O(M) (S, F~ and the transients of the FFT of S, some
+    100 (M+1) bytes) plus a few block-sized temporaries.
     """
     U = result.U
     mesh = result.mesh
@@ -279,8 +286,8 @@ def diagnose_energy(result) -> EnergyDiagnostics:
     tau, M, J = mesh.tau, mesh.M, mesh.J
     rho_inf, b_inf, c_inf = coeffs.tail
 
-    if np.max(np.abs(U[:, 0])) > 1e-13 * (1.0 + max(U.max(), -U.min())):
-        raise ValueError("energy diagnostics require zero left boundary data")
+    # deferred: stepper imports problem, which imports this module
+    from .stepper import scheme_weights
 
     rho_h, b_h, c_h, F = coeffs.rho_h, coeffs.b_h, coeffs.c_h, coeffs.F
     mass = EnergyForm(mesh, theta, rho_h, rho_inf)
@@ -293,10 +300,19 @@ def diagnose_energy(result) -> EnergyDiagnostics:
     else:
         S = np.zeros(M + 1)
 
-    mass2_0 = mass.evaluate(U[0], U[0])
-    ell2_0 = ell.evaluate(U[0], U[0])
+    g = U[:, 0]
+    lift = None  # F~_1 of levels 1..M
+    if g.any():
+        a_new, a_old = (scheme_weights(coeffs, mesh, w, theta)[0][1]
+                        for w in (sigma, sigma - 1.0))
+        lift = -(a_new * g[1:] - a_old * g[:-1]) / h_in[0]
 
-    # running sums of the identity terms, carried from block to block:
+    V0 = np.r_[0.0, U[0, 1:]]
+    mass2_0 = mass.evaluate(V0, V0)
+    ell2_0 = ell.evaluate(V0, V0)
+
+    # running sums of the identity terms of the lift (U read as V, F as
+    # F + F~), carried from block to block:
     #  0 sum tau^2 ||d_t U||_mass^2      6 sum tau^2 ||d_t U||_ell^2
     #  1 sum tau ||sqrt(b) dx U^(s)||^2  7 sum tau S^m d_t U_J^m
     #  2 sum tau ||U^(s)||_c^2           8 sum tau (F^m, d_t U^m)
@@ -310,8 +326,14 @@ def diagnose_energy(result) -> EnergyDiagnostics:
     max_ell = math.sqrt(max(ell2_0, 0.0))
 
     for lo, hi in _level_blocks(M, J + 1):
-        Um, Up = U[lo + 1:hi + 1], U[lo:hi]   # levels m = lo+1..hi
+        V = U[lo:hi + 1].copy()   # the lift of levels lo..hi
+        V[:, 0] = 0.0
+        Um, Up = V[1:], V[:-1]    # levels m = lo+1..hi
         S_m = S[lo + 1:hi + 1]
+        f = None if F is None else F[lo + 1:hi + 1, 1:J]
+        if lift is not None:
+            f = np.zeros((hi - lo, J - 1)) if f is None else f.copy()
+            f[:, 0] += lift[lo:hi]
         acc = np.zeros((11, hi - lo))  # forcing rows stay 0 when unforced
         dU = (Um - Up) / tau
         n_dU_mass = mass.evaluate(dU, dU)
@@ -319,15 +341,14 @@ def diagnose_energy(result) -> EnergyDiagnostics:
         acc[5] = n_dU_mass * tau
         acc[6] = ell.evaluate(dU, dU) * tau * tau
         acc[7] = S_m * dU[:, J] * tau
-        if F is not None:
-            f = F[lo + 1:hi + 1, 1:J]
+        if f is not None:
             acc[8] = (f * dU[:, 1:J]) @ h_in * tau
         del dU
         Us = sigma * Um + (1.0 - sigma) * Up
         acc[1] = ell.flux(Us, Us) * tau
         acc[2] = react.evaluate(Us, Us) * tau
         acc[3] = S_m * Us[:, J] * tau
-        if F is not None:
+        if f is not None:
             acc[4] = (f * Us[:, 1:J]) @ h_in * tau
             fnorm2 = (f * f) @ h_in
             acc[9] = np.sqrt(fnorm2) * tau

@@ -259,11 +259,12 @@ def dissipativity_sums_reference(kernel, probes):
 def diagnose_energy_reference(result):
     """Energy identities and bounds by a Python loop over the levels.
 
-    Five form evaluations on grid vectors per level and the direct
-    convolution: the reference for the block evaluation of
-    ``diagnose_energy``, with the same fields.
+    The lift is built densely: a copy of the trajectory with its column 0
+    zeroed and a full forcing grid F + F~, F~ the lift's forcing at node 1
+    from the stepper's off-diagonal weights.  Then five form evaluations on
+    grid vectors per level and the direct convolution: the reference for
+    the block evaluation of ``diagnose_energy``, with the same fields.
     """
-    U = result.U
     mesh = result.mesh
     coeffs = result.coeffs
     cfg = result.config
@@ -272,12 +273,16 @@ def diagnose_energy_reference(result):
     tau, M, J = mesh.tau, mesh.M, mesh.J
     _, b_inf, c_inf = coeffs.tail
 
-    if np.max(np.abs(U[:, 0])) > 1e-13 * (1.0 + np.max(np.abs(U))):
-        raise ValueError("energy diagnostics require zero left boundary data")
-
-    rho_h, b_h, c_h, F = coeffs.rho_h, coeffs.b_h, coeffs.c_h, coeffs.F
-    if F is None:
-        F = np.zeros((M + 1, J + 1))
+    rho_h, b_h, c_h = coeffs.rho_h, coeffs.b_h, coeffs.c_h
+    g = result.U[:, 0].copy()
+    U = result.U.copy()
+    U[:, 0] = 0.0
+    F = np.zeros((M + 1, J + 1)) if coeffs.F is None else coeffs.F.copy()
+    if np.any(g != 0.0):
+        a_new = scheme_weights(coeffs, mesh, sigma, theta)[0][1]
+        a_old = scheme_weights(coeffs, mesh, sigma - 1.0, theta)[0][1]
+        for m in range(1, M + 1):
+            F[m, 1] += -(a_new * g[m] - a_old * g[m - 1]) / mesh.hbar[1]
     mass = EnergyForm(mesh, theta, rho_h, rho_h[J])
     ell = EnergyForm(mesh, theta, c_h, c_inf, b_h)
     react_form = EnergyForm(mesh, theta, c_h, c_h[J])

@@ -143,10 +143,6 @@ CUSTOM_NO_EXACT = CUSTOM_ZERO.replace("EXACT = ", "UNUSED = ")
      "table command needs a problem with a reference solution"),
     ("table", {"table_M": "5", "table_theta": "0, 0.3"},
      "theta=0.3 unsupported"),
-    # example2 has X0 = 0.1: at J = 10 no node is left for the random
-    # initial data of the diagnostics companion run
-    ("solve", {"run_diagnostics": "true"}, "X0=0.1"),
-    ("diagnose", {}, "X0=0.1"),
     # kernel.csv comes from the kernel command only
     ("solve", {"emit_kernel": "true"}, "unknown config keys: ['emit_kernel']"),
     # kernel samples the problem on its mesh, as solve does
@@ -154,8 +150,7 @@ CUSTOM_NO_EXACT = CUSTOM_ZERO.replace("EXACT = ", "UNUSED = ")
 ], ids=["malformed-line", "bad-boolean", "unknown-problem", "custom-no-path",
         "tau-zero", "M-zero", "custom-file-missing", "custom-no-PROBLEM",
         "no-J-or-nodes", "J-and-nodes", "table-no-lists", "table-no-exact",
-        "table-bad-theta", "solve-diagnostics-no-node", "diagnose-no-node",
-        "removed-emit-kernel", "kernel-mesh-before-X0"])
+        "table-bad-theta", "removed-emit-kernel", "kernel-mesh-before-X0"])
 def test_config_errors_exit_one_with_their_message(tmp_path, capsys, command,
                                                    keys, message):
     write(tmp_path / "empty.py", "X = 1\n")
@@ -676,8 +671,8 @@ trials = 50
 
 
 def test_solve_diagnostics_follow_the_seed(tmp_path):
-    # example1 leaves room for the seeded random initial profile of the
-    # companion run, so its energy residuals differ between seeds
+    # solve checks the run it wrote and diagnose marches the same run, with
+    # the seed of the dissipativity probes: the same diagnostics.csv
     cfg = write(tmp_path / "run.cfg", """\
 problem = example1
 sigma = 1/2
@@ -696,6 +691,95 @@ run_diagnostics = true
                      "--deterministic", "--seed", "7"]) == 0
         written[command] = (out / "diagnostics.csv").read_bytes()
     assert written["solve"] == written["diagnose"]
+
+
+def read_checks(path: Path) -> dict:
+    with path.open() as handle:
+        return {row[0]: row[3] for row in csv.reader(handle)
+                if row[0] != "check"}
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_diagnostics_run_with_no_node_left_of_x0(tmp_path, command):
+    # example2 has X0 = 0.1, and at J = 10 the first node past 0 is x = 0.1:
+    # the checks run on the ramp run itself, whatever its initial data
+    keys = {**BASE_KEYS, "run_diagnostics": "true", "trials": "20"}
+    cfg = write(tmp_path / "run.cfg", config_text(**keys))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 "--deterministic"]) == 0
+    checks = read_checks(out / "diagnostics.csv")
+    assert len(checks) == 6 and set(checks.values()) == {"true"}
+
+
+RAMP_DIAGNOSTICS = """\
+problem = example2
+sigma = 1/2
+theta = 1/12
+tau = 0.001
+M = 200
+J = 50
+trials = 20
+emit_snapshots = false
+run_diagnostics = true
+"""
+
+
+@pytest.mark.parametrize("boundary", ["dtbc", "neumann"])
+def test_solve_diagnostics_march_once(tmp_path, monkeypatch, boundary):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return march(*args)
+
+    monkeypatch.setattr(cli, "march", counted)
+    cfg = write(tmp_path / "run.cfg",
+                RAMP_DIAGNOSTICS + f"boundary = {boundary}\n")
+    assert main(["solve", "--config", str(cfg), "--out",
+                 str(tmp_path / "out"), "--deterministic"]) == 0
+    assert calls == [SchemeConfig(0.5, 1.0 / 12.0, boundary)]
+
+
+def test_reference_mode_diagnoses_the_dtbc_march(tmp_path, monkeypatch):
+    # the written trajectory is a restricted zero-flux run on a larger
+    # interval; the checks go to the transparent march of the same data
+    checked = []
+
+    def recording(result):
+        checked.append(result)
+        return diagnose_energy(result)
+
+    monkeypatch.setattr(cli, "diagnose_energy", recording)
+    written = {}
+    for boundary in ("reference\nextension_factor = 3", "dtbc"):
+        cfg = write(tmp_path / "run.cfg",
+                    RAMP_DIAGNOSTICS + f"boundary = {boundary}\n")
+        out = tmp_path / boundary[:4]
+        assert main(["solve", "--config", str(cfg), "--out", str(out),
+                     "--deterministic"]) == 0
+        written[boundary[:4]] = (out / "diagnostics.csv").read_bytes()
+    assert written["refe"] == written["dtbc"]
+    assert [res.config for res in checked] == [
+        SchemeConfig(0.5, 1.0 / 12.0, "dtbc")] * 2
+    np.testing.assert_array_equal(checked[0].U, checked[1].U)
+
+
+def test_solve_exits_two_on_a_perturbed_trajectory(tmp_path, monkeypatch):
+    # one interior value of one level moved by 1e-6 relative breaks the
+    # first identity on the run that solve writes
+    def perturbed(*args):
+        result = march(*args)
+        result.U[100, 5] *= 1.0 + 1e-6
+        return result
+
+    monkeypatch.setattr(cli, "march", perturbed)
+    cfg = write(tmp_path / "run.cfg", RAMP_DIAGNOSTICS)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out),
+                 "--deterministic"]) == 2
+    checks = read_checks(out / "diagnostics.csv")
+    assert checks["first_energy_equality_rel"] == "false"
 
 
 def test_solve_with_failing_diagnostics_exits_two(tmp_path, monkeypatch):
@@ -719,11 +803,10 @@ run_diagnostics = true
                  "--deterministic"]) == 2
     for name in ("solution.csv", "report.csv"):
         assert (out / name).stat().st_size > 0, name
-    with (out / "diagnostics.csv").open() as handle:
-        rows = {row[0]: row[3] for row in csv.reader(handle)}
+    rows = read_checks(out / "diagnostics.csv")
     assert rows["first_energy_equality_rel"] == "false"
     assert [ok for name, ok in rows.items()
-            if name not in ("check", "first_energy_equality_rel")] == ["true"] * 5
+            if name != "first_energy_equality_rel"] == ["true"] * 5
     monkeypatch.undo()
     assert main(["solve", "--config", str(cfg), "--out", str(out),
                  "--deterministic"]) == 0

@@ -262,18 +262,30 @@ def test_energy_diagnostics_random_run():
     assert diag.sbA_slack >= 0.0
 
 
-def test_energy_diagnostics_require_zero_boundary():
-    from parabolic_dtbc import example2
+@pytest.mark.parametrize("mode", ["dtbc", "neumann"])
+def test_lifted_diagnostics_close_on_the_ramp(mode, monkeypatch):
+    # g = t^2: the identities hold on the lift V = U - g e_0, whose extra
+    # forcing sits at node 1; four levels per block, so the lift's forcing
+    # column is cut at block boundaries
     prob, _ = example2()
-    mesh = build_mesh(1.0, 10, tau=0.01, M=10)
-    res = march(prob, mesh, SchemeConfig(0.5, 1.0 / 12.0, "dtbc"))
-    with pytest.raises(ValueError, match="zero left boundary"):
-        diagnose_energy(res)
+    mesh = build_mesh(1.0, 50, tau=1e-3, M=200)
+    res = march(prob, mesh, SchemeConfig(0.5, 1.0 / 12.0, mode))
+    assert res.U[-1, 0] == 0.2 ** 2
+    monkeypatch.setattr(validation, "EVAL_BLOCK_CELLS", 4 * (mesh.J + 1))
+    diag = diagnose_energy(res)
+    assert diag.first_equality_rel <= 1e-12
+    assert diag.second_equality_rel <= 1e-12
+    assert diag.sb_slack >= 0.0 and diag.sbA_slack >= 0.0
+    ref = diagnose_energy_reference(res)
+    for field in fields(diag):
+        got, want = getattr(diag, field.name), getattr(ref, field.name)
+        assert abs(got - want) <= 1e-13, field.name
 
 
 def _diagnostic_run(case, sigma, theta, mode):
-    """Zero-boundary run with variable coefficients, forced unless
-    ``case`` is "unforced", on a uniform or a graded mesh."""
+    """Run with variable coefficients, forced unless ``case`` is
+    "unforced", on a uniform or a graded mesh; zero left data unless
+    ``case`` is "lifted" (uniform mesh, g = 0.3 cos 5t)."""
     if case == "graded":
         nodes = np.concatenate(([0.0, 0.05, 0.15, 0.3, 0.5],
                                 np.arange(0.6, 1.0001, 0.1)))
@@ -287,11 +299,18 @@ def _diagnostic_run(case, sigma, theta, mode):
             return np.where(x < 0.5, np.sin(2.0 * np.pi * x) * np.cos(3.0 * t),
                             0.0)
         prob = replace(prob, f=f)
+    if case == "lifted":
+        # u0 gains a hat of height g(0) on the first cell, which the other
+        # nodes do not see
+        u0 = prob.u0
+        prob = replace(prob, g=lambda t: 0.3 * math.cos(5.0 * t),
+                       u0=lambda x: u0(x) + 0.3 * np.maximum(
+                           1.0 - np.asarray(x) / mesh.h_tail, 0.0))
     return march(prob, mesh, SchemeConfig(sigma, theta, mode))
 
 
 @pytest.mark.parametrize("mode", ["dtbc", "neumann"])
-@pytest.mark.parametrize("case", ["unforced", "uniform", "graded"])
+@pytest.mark.parametrize("case", ["unforced", "uniform", "graded", "lifted"])
 @pytest.mark.parametrize("theta", [0.0, 1.0 / 12.0, 0.25, 0.25 + 1e-14])
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
 def test_block_diagnostics_match_the_level_loop(sigma, theta, case, mode,
@@ -357,15 +376,14 @@ def test_unforced_diagnostics_skip_the_forcing(mode, monkeypatch):
         assert abs(got - getattr(ref, field.name)) <= 1e-13, field.name
 
 
-def test_diagnose_energy_memory_stays_bounded(monkeypatch):
-    # O(M) bookkeeping (the boundary sums and their FFT) plus a few
-    # block-sized temporaries; one difference of the whole trajectory alone
-    # would be over twice the bound
+def _check_diagnose_energy_memory(monkeypatch, problem):
+    # O(M) bookkeeping (the boundary sums and their FFT, the lift's forcing
+    # column) plus a few block-sized temporaries; one difference of the
+    # whole trajectory alone would be over twice the bound
     monkeypatch.setattr(validation, "EVAL_BLOCK_CELLS", 1 << 10)
     J, M = 50, 4000
     mesh = build_mesh(1.0, J, tau=1.0 / M, M=M)
-    prob = random_h0_problem(3, mesh.x, 0.5, 1.0)
-    res = march(prob, mesh, SchemeConfig(0.5, 1.0 / 12.0, "dtbc"))
+    res = march(problem(mesh), mesh, SchemeConfig(0.5, 1.0 / 12.0, "dtbc"))
     tracemalloc.start()
     try:
         diagnose_energy(res)
@@ -375,6 +393,19 @@ def test_diagnose_energy_memory_stays_bounded(monkeypatch):
     bound = 8 * (16 * (M + 1) + 16 * validation.EVAL_BLOCK_CELLS)
     assert 2 * bound < res.U.nbytes
     assert peak <= bound
+    return res
+
+
+def test_diagnose_energy_memory_stays_bounded(monkeypatch):
+    _check_diagnose_energy_memory(
+        monkeypatch, lambda mesh: random_h0_problem(3, mesh.x, 0.5, 1.0))
+
+
+def test_lifted_diagnose_energy_memory_stays_bounded(monkeypatch):
+    # the ramp g = t^2 is lifted block by block
+    res = _check_diagnose_energy_memory(monkeypatch,
+                                        lambda mesh: example2()[0])
+    assert res.coeffs.F is None and res.U[-1, 0] == 1.0
 
 
 def test_zero_probe_gives_exactly_zero_sums():

@@ -22,8 +22,7 @@ before it):
 * the four ``diagnose_energy`` fields of zero-boundary forced runs (the
   ``forced.broadcasting`` forcing with g = 0, J=50, M=3000) for sigma in
   {1/2, 1, 2}, theta in {0, 1/12, 1/4, 1/4 + 1e-14} and both closures,
-  which reach the bound constants c_theta and K_sigma that the unforced
-  companion run of the CLI never does;
+  which reach every case of the bound constants c_theta and K_sigma;
 * the ``cli_session`` configuration through ``cli.main`` under
   ``--deterministic``: ``solve`` with diagnostics at diag seeds 0-9, each
   followed by ``kernel --compare``, giving ``solution.csv``,
@@ -75,8 +74,6 @@ m_max = 200
 table_M = 250, 500, 1000
 table_theta = 0, 1/12, 1/4
 """
-# example1 leaves room for the random initial data of the diagnostics
-# companion run, which the example2 data (X0 = 0.1) would zero at J = 10
 REFERENCE_CONFIG = """\
 problem = example1
 sigma = 1/2
