@@ -241,17 +241,19 @@ def _fields(texts):
     return items.view(np.uint8).reshape(items.size, items.itemsize)
 
 
-def _lut(texts):
-    """ASCII ``texts`` as NUL-padded items of one void dtype."""
-    rows = _fields(texts)
-    return rows.view(f"V{rows.shape[1]}")[:, 0]
+def _words(texts, size=4):
+    """ASCII ``texts`` of at most ``size`` (4 or 1) bytes, NUL-padded, as
+    little-endian unsigned words: one store each."""
+    return np.array([text.encode() for text in texts], f"S{size}").view(
+        f"<u{size}")
 
 
 _POW10 = _pow10_table()
-_HEAD = _lut(f"{g // 100}.{g % 100:02d}" for g in range(1000))
-_GROUP = _lut(f"{g:03d}" for g in range(1000))
+_HEAD = _words(f"{g // 100}.{g % 100:02d}" for g in range(1000))
+_GROUP = _words(f"{g:03d}" for g in range(1000))
 _E_MIN = -300
-_EXP = _lut(f"e{e:+03d}" for e in range(_E_MIN, 301))
+_EXP = _words(f"e{e:+03d}"[:4] for e in range(_E_MIN, 301))
+_EXP3 = _words((f"e{e:+03d}"[4:] for e in range(_E_MIN, 301)), 1)
 
 
 def _scaled(a, E):
@@ -273,7 +275,8 @@ def _put(out, at, lut, index):
 def _format_e17(out, x) -> None:
     """``FLOAT_FMT % v`` of each value of ``x``, NUL-padded, into the rows
     of the uint8 array ``out`` of shape (x.size, 25): a sign or NUL, "d.dd",
-    five groups of three digits, then "e+dd" or "e+ddd" and a NUL or not.
+    five groups of three digits, then "e+dd" and a NUL or "e+ddd".  Every
+    byte of ``out`` is written.
 
     After Gay (1990) and Adams ("Ryu revisited", 2019): the 18 digits are
     d = round-half-even(|x| 10^(17-E)), with E from ``log10`` moved by one
@@ -298,12 +301,19 @@ def _format_e17(out, x) -> None:
     ok &= (d >= 10**17) & (d < 10**18) & (abs(abs(r - q) - 0.5) > 1e-6)
     # zero, where a = 1 and E = 0, reads "0.00000000000000000e+00"
     d = np.where(ok, d, 0)
+    groups = []
+    for _ in range(5):
+        q = d // 1000
+        groups.append(d - q * 1000)
+        d = q
+    # one word per table entry, left to right: each group's NUL is
+    # overwritten by the next store
     out[:, 0] = np.signbit(x) * np.uint8(ord("-"))
-    for at in (17, 14, 11, 8, 5):
-        d, group = np.divmod(d, 1000)
-        _put(out, at, _GROUP, group)
     _put(out, 1, _HEAD, d)
+    for at, group in zip((5, 8, 11, 14, 17), reversed(groups)):
+        _put(out, at, _GROUP, group)
     _put(out, 20, _EXP, E - _E_MIN)
+    _put(out, 24, _EXP3, E - _E_MIN)
     bad = np.flatnonzero(~(ok | zero))
     if bad.size:
         texts = [_fmt(v).encode() for v in x[bad].tolist()]
@@ -319,7 +329,7 @@ def _rows(levels, nodes, columns, end: bytes):
     (n_levels, w_level), (n_nodes, w_node) = levels.shape, nodes.shape
     at = w_level + w_node
     width = at + 26 * len(columns) - 1 + len(end)
-    canvas = np.zeros((n_levels * n_nodes, width), np.uint8)
+    canvas = np.empty((n_levels * n_nodes, width), np.uint8)
     grid = canvas.reshape(n_levels, n_nodes, width)
     grid[:, :, :w_level] = levels[:, None]
     grid[:, :, w_level:at] = nodes
@@ -328,7 +338,7 @@ def _rows(levels, nodes, columns, end: bytes):
         canvas[:, at + 25] = ord(",")
         at += 26
     canvas[:, at - 1:] = np.frombuffer(end, np.uint8)
-    return canvas[canvas != 0]
+    return canvas.tobytes().replace(b"\0", b"")
 
 
 def write_solution(handle, U, exact, mesh) -> None:

@@ -272,10 +272,11 @@ def diagnose_energy(result) -> EnergyDiagnostics:
     Every per-level term is a 2-D array expression over one lifted block of
     whole levels of at most EVAL_BLOCK_CELLS (2^16) cells, with the stencil
     weights of the forms computed once per call; the running sums are
-    cumulative sums carried from block to block; a run with g = 0 and no
-    ``F`` grid skips the forcing products.  Beyond the trajectory, the
-    memory is O(M) (S, F~ and the transients of the FFT of S, some
-    100 (M+1) bytes) plus a few block-sized temporaries.
+    cumulative sums carried from block to block; a run with no ``F`` grid
+    skips the forcing products when g = 0 and forms them at node 1 alone
+    otherwise.  Beyond the trajectory, the memory is O(M) (S, F~ and the
+    transients of the FFT of S, some 100 (M+1) bytes) plus a few
+    block-sized temporaries.
     """
     U = result.U
     mesh = result.mesh
@@ -331,9 +332,12 @@ def diagnose_energy(result) -> EnergyDiagnostics:
         Um, Up = V[1:], V[:-1]    # levels m = lo+1..hi
         S_m = S[lo + 1:hi + 1]
         f = None if F is None else F[lo + 1:hi + 1, 1:J]
-        if lift is not None:
-            f = np.zeros((hi - lo, J - 1)) if f is None else f.copy()
+        if lift is not None and f is None:
+            f = lift[lo:hi, None]  # F~ alone lives at node 1
+        elif lift is not None:
+            f = f.copy()
             f[:, 0] += lift[lo:hi]
+        k = 0 if f is None else f.shape[1]  # the forcing's nodes are 1..k
         acc = np.zeros((11, hi - lo))  # forcing rows stay 0 when unforced
         dU = (Um - Up) / tau
         n_dU_mass = mass.evaluate(dU, dU)
@@ -342,15 +346,15 @@ def diagnose_energy(result) -> EnergyDiagnostics:
         acc[6] = ell.evaluate(dU, dU) * tau * tau
         acc[7] = S_m * dU[:, J] * tau
         if f is not None:
-            acc[8] = (f * dU[:, 1:J]) @ h_in * tau
+            acc[8] = (f * dU[:, 1:k + 1]) @ h_in[:k] * tau
         del dU
         Us = sigma * Um + (1.0 - sigma) * Up
         acc[1] = ell.flux(Us, Us) * tau
         acc[2] = react.evaluate(Us, Us) * tau
         acc[3] = S_m * Us[:, J] * tau
         if f is not None:
-            acc[4] = (f * Us[:, 1:J]) @ h_in * tau
-            fnorm2 = (f * f) @ h_in
+            acc[4] = (f * Us[:, 1:k + 1]) @ h_in[:k] * tau
+            fnorm2 = (f * f) @ h_in[:k]
             acc[9] = np.sqrt(fnorm2) * tau
             acc[10] = fnorm2 * tau
         del Us

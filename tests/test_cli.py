@@ -1,4 +1,5 @@
 import csv
+import io
 import os
 import re
 import sys
@@ -422,8 +423,9 @@ SOLUTION_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(SOLUTION_CASES))
-def test_solution_csv_matches_row_by_row_writer(tmp_path, case):
+def check_solution_case(tmp_path, case):
+    """``cli solve`` on ``SOLUTION_CASES[case]`` writes the bytes of the
+    row-by-row reference writer."""
     module, lines, deterministic, tokens = SOLUTION_CASES[case]
     text = "sigma = 1/2\ntheta = 1/12\ntau = 0.01\n" + lines
     if module is not None:
@@ -446,6 +448,47 @@ def test_solution_csv_matches_row_by_row_writer(tmp_path, case):
     assert written == reference_solution_csv(U, exact, mesh)
     for token in tokens:
         assert token in written
+
+
+@pytest.mark.parametrize("case", sorted(SOLUTION_CASES))
+def test_solution_csv_matches_row_by_row_writer(tmp_path, case):
+    check_solution_case(tmp_path, case)
+
+
+@pytest.mark.parametrize("case", ["example2", "graded-signed"])
+def test_every_canvas_byte_is_written(tmp_path, monkeypatch, case):
+    # the writer takes its canvas from np.empty and writes every byte of
+    # it, NUL padding included; here new uint8 arrays come filled with
+    # 0xFF, so a byte left unwritten shows in the output
+    empty = np.empty
+
+    def filled(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype == np.uint8:
+            out.fill(0xFF)
+        return out
+
+    monkeypatch.setattr(np, "empty", filled)
+    check_solution_case(tmp_path, case)
+
+
+def test_solution_writer_at_the_benchmark_size(monkeypatch):
+    # the benchmark's CLI session: example2, J = 200, M = 1000, 603,603
+    # values, of which at most 2 take the fallback: _fmt also formats the
+    # J + 1 node and M + 1 level fields
+    problem, exact = example2()
+    mesh = build_mesh(1.0, 200, tau=1e-3, M=1000)
+    U = march(problem, mesh, SchemeConfig(0.5, 1.0 / 12.0)).U
+    reference = reference_solution_csv(U, exact, mesh)
+    calls = []
+    fmt = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or fmt(v))
+    handle = io.TextIOWrapper(io.BytesIO(), newline="")
+    handle.write("m,t,j,x,U,exact,error\r\n")
+    write_solution(handle, U, exact, mesh)
+    handle.flush()
+    assert handle.buffer.getvalue() == reference
+    assert len(calls) - (mesh.J + 1) - (mesh.M + 1) <= 2
 
 
 def test_solution_writer_memory_stays_bounded(monkeypatch):
