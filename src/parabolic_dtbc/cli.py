@@ -5,8 +5,8 @@ Subcommands:
 * ``solve``    march one configuration, write solution.csv / report.csv
 * ``table``    sweep (M, theta) pairs, write the error matrix
 * ``kernel``   dump the boundary kernel (m, R_m, lg|R_m|)
-* ``diagnose`` dissipativity certification plus energy checks on the
-  run's own trajectory, write diagnostics.csv
+* ``diagnose`` exact dissipativity certificate of the boundary kernel
+  plus energy checks on the run's own trajectory, write diagnostics.csv
 
 Configurations are line-oriented ``key = value`` files with ``#``
 comments; fractions such as ``1/12`` are accepted for every number key.
@@ -98,7 +98,6 @@ class RunConfig:
     emit_snapshots: bool = True
     run_diagnostics: bool = False
     m_max: int = 100
-    trials: int = 200
     table_M: list[int] = field(default_factory=list)
     table_theta: list[float] = field(default_factory=list)
 
@@ -372,8 +371,7 @@ def write_solution(handle, U, exact, mesh) -> None:
             handle.buffer.write(_rows(levels, nodes, columns, end))
 
 
-def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool,
-              seed: int) -> int:
+def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool) -> int:
     problem, exact = _load_problem(cfg)
     mesh = _make_mesh(cfg, problem)
     t_begin = time.perf_counter()
@@ -406,7 +404,7 @@ def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool,
         # interval, whose identities do not close on [0, X]
         if result.config != cfg.scheme():
             result = march(problem, mesh, cfg.scheme())
-        if not _run_diagnostics(cfg, result, out, deterministic, seed):
+        if not _run_diagnostics(cfg, result, out, deterministic):
             return 2
     return 0
 
@@ -459,32 +457,25 @@ def cmd_kernel(cfg: RunConfig, out: Path, deterministic: bool,
     return 0
 
 
-def _run_diagnostics(cfg: RunConfig, result, out: Path, deterministic: bool,
-                     seed: int) -> bool:
-    """Kernel dissipativity, probed with ``seed``, plus energy checks on the
-    run ``result``."""
+def _run_diagnostics(cfg: RunConfig, result, out: Path,
+                     deterministic: bool) -> bool:
+    """Kernel dissipativity, certified exactly over 200 levels, plus energy
+    checks on the run ``result``."""
     params = derive_params(*result.coeffs.tail, result.mesh.h_tail, cfg.tau,
                            cfg.sigma, cfg.theta)
-    levels = 200  # horizon of the dissipativity certificate
-    kernel = kernel_by_recurrence(params, levels)
-    dissip = certify_dissipativity(kernel, trials=cfg.trials, M=levels,
-                                   seed=seed)
+    dissip = certify_dissipativity(kernel_by_recurrence(params, 200), M=200)
     energy = diagnose_energy(result)
 
-    checks = [
-        ("dissipativity_weighted", dissip.worst_weighted, dissip.tol,
-         dissip.worst_weighted <= dissip.tol),
-        ("dissipativity_increment", dissip.worst_increment, dissip.tol,
-         dissip.worst_increment <= dissip.tol),
-        ("first_energy_equality_rel", energy.first_equality_rel, 1e-10,
-         energy.first_equality_rel <= 1e-10),
-        ("second_energy_equality_rel", energy.second_equality_rel, 1e-10,
-         energy.second_equality_rel <= 1e-10),
-        ("first_energy_bound_slack", energy.sb_slack, 0.0,
-         energy.sb_slack >= 0.0),
-        ("second_energy_bound_slack", energy.sbA_slack, 0.0,
-         energy.sbA_slack >= 0.0),
-    ]
+    at_most = [("dissipativity_weighted", dissip.worst_weighted, dissip.tol),
+               ("dissipativity_increment", dissip.worst_increment, dissip.tol),
+               ("first_energy_equality_rel", energy.first_equality_rel, 1e-10),
+               ("second_energy_equality_rel", energy.second_equality_rel,
+                1e-10)]
+    slacks = [("first_energy_bound_slack", energy.sb_slack),
+              ("second_energy_bound_slack", energy.sbA_slack)]
+    checks = ([(name, value, bound, value <= bound)
+               for name, value, bound in at_most]
+              + [(name, value, 0.0, value >= 0.0) for name, value in slacks])
     rows = [["check", "value", "threshold", "pass"]]
     rows += [[name, _fmt(value), _fmt(threshold), "true" if ok else "false"]
              for name, value, threshold, ok in checks]
@@ -492,11 +483,10 @@ def _run_diagnostics(cfg: RunConfig, result, out: Path, deterministic: bool,
     return all(ok for *_, ok in checks)
 
 
-def cmd_diagnose(cfg: RunConfig, out: Path, deterministic: bool,
-                 seed: int) -> int:
+def cmd_diagnose(cfg: RunConfig, out: Path, deterministic: bool) -> int:
     problem, _ = _load_problem(cfg)
     result = march(problem, _make_mesh(cfg, problem), cfg.scheme())
-    return 0 if _run_diagnostics(cfg, result, out, deterministic, seed) else 2
+    return 0 if _run_diagnostics(cfg, result, out, deterministic) else 2
 
 
 def main(argv=None) -> int:
@@ -512,20 +502,17 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", action="store_true",
                         help="kernel: add closed-form and oracle columns")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed of the dissipativity probes (diagnose, "
-                        "and solve with run_diagnostics)")
+                        help="accepted for old scripts; has no effect")
     args = parser.parse_args(argv)
 
     try:
         cfg = read_config(args.config)
         out = Path(args.out)
-        if args.command == "solve":
-            return cmd_solve(cfg, out, args.deterministic, args.seed)
-        if args.command == "table":
-            return cmd_table(cfg, out, args.deterministic)
         if args.command == "kernel":
             return cmd_kernel(cfg, out, args.deterministic, args.compare)
-        return cmd_diagnose(cfg, out, args.deterministic, args.seed)
+        command = {"solve": cmd_solve, "table": cmd_table,
+                   "diagnose": cmd_diagnose}[args.command]
+        return command(cfg, out, args.deterministic)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import typing
@@ -146,12 +147,15 @@ CUSTOM_NO_EXACT = CUSTOM_ZERO.replace("EXACT = ", "UNUSED = ")
      "theta=0.3 unsupported"),
     # kernel.csv comes from the kernel command only
     ("solve", {"emit_kernel": "true"}, "unknown config keys: ['emit_kernel']"),
+    # dissipativity is certified exactly, with no random probes to count
+    ("diagnose", {"trials": "200"}, "unknown config keys: ['trials']"),
     # kernel samples the problem on its mesh, as solve does
     ("kernel", {"X": "0.05"}, "mesh must reach past the tail onset X0"),
 ], ids=["malformed-line", "bad-boolean", "unknown-problem", "custom-no-path",
         "tau-zero", "M-zero", "custom-file-missing", "custom-no-PROBLEM",
         "no-J-or-nodes", "J-and-nodes", "table-no-lists", "table-no-exact",
-        "table-bad-theta", "removed-emit-kernel", "kernel-mesh-before-X0"])
+        "table-bad-theta", "removed-emit-kernel", "removed-trials",
+        "kernel-mesh-before-X0"])
 def test_config_errors_exit_one_with_their_message(tmp_path, capsys, command,
                                                    keys, message):
     write(tmp_path / "empty.py", "X = 1\n")
@@ -173,7 +177,7 @@ EVERY_KEY = {
     "M": "20", "X": "1", "J": "10.0", "nodes": "0, 0.5, 1",
     "boundary": "Neumann", "extension_factor": "2", "custom_path": "unused.py",
     "emit_snapshots": "no", "run_diagnostics": "on",
-    "m_max": "7", "trials": "3e1", "table_M": "5, 10", "table_theta": "0, 1/12",
+    "m_max": "3e1", "table_M": "5, 10", "table_theta": "0, 1/12",
 }
 
 
@@ -198,7 +202,7 @@ def test_every_run_config_field_is_a_key_parsed_to_its_type(tmp_path):
     cfg = read_config(write(tmp_path / "run.cfg", config_text(**EVERY_KEY)))
     for name, hint in typing.get_type_hints(RunConfig).items():
         assert is_instance(getattr(cfg, name), hint), name
-    assert (cfg.J, cfg.trials, cfg.table_M) == (10, 30, [5, 10])
+    assert (cfg.J, cfg.m_max, cfg.table_M) == (10, 30, [5, 10])
     assert cfg.boundary == "neumann" and cfg.emit_snapshots is False
     assert cfg.table_theta == [0.0, 1.0 / 12.0]
     # a key is required exactly when its field has no default
@@ -212,7 +216,7 @@ def test_every_run_config_field_is_a_key_parsed_to_its_type(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("M", "10.7"), ("J", "10.9"), ("m_max", "-1"), ("trials", "-5"),
+    ("M", "10.7"), ("J", "10.9"), ("m_max", "-1"), ("J", "-5"),
     ("table_M", "5, 10.5"), ("M", "1/2"),
 ])
 def test_integer_keys_reject_fractions_and_negatives(tmp_path, capsys, key,
@@ -669,6 +673,29 @@ m_max = 0
     assert len(rows) == 2
 
 
+def test_import_and_kernel_leave_scipy_linalg_unloaded(tmp_path):
+    # the factorization and the dissipativity certificate import
+    # scipy.linalg when first called, so importing the package and
+    # dumping a kernel (with the oracle) never load it
+    cfg = write(tmp_path / "run.cfg", config_text(**BASE_KEYS, m_max="20"))
+    code = (
+        "import sys\n"
+        "import parabolic_dtbc\n"
+        "from parabolic_dtbc import cli\n"
+        "loaded = 'scipy.linalg' in sys.modules\n"
+        f"rc = cli.main(['kernel', '--config', {str(cfg)!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}, '--deterministic', '--compare'])\n"
+        "print(loaded, rc, 'scipy.linalg' in sys.modules, "
+        "'scipy.special' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "False 0 False True"
+
+
 def test_table_single_cell_matches_solve(tmp_path):
     common = """\
 problem = example2
@@ -701,7 +728,6 @@ theta = 1/12
 tau = 0.01
 M = 50
 J = 20
-trials = 50
 """)
     out = tmp_path / "out"
     assert main(["diagnose", "--config", str(cfg), "--out", str(out),
@@ -713,9 +739,9 @@ trials = 50
     assert all(row[3] == "true" for row in rows[1:])
 
 
-def test_solve_diagnostics_follow_the_seed(tmp_path):
-    # solve checks the run it wrote and diagnose marches the same run, with
-    # the seed of the dissipativity probes: the same diagnostics.csv
+def test_diagnostics_ignore_the_seed(tmp_path):
+    # solve checks the run it wrote and diagnose marches the same run; the
+    # certificate draws no random numbers, so --seed changes no byte
     cfg = write(tmp_path / "run.cfg", """\
 problem = example1
 sigma = 1/2
@@ -723,17 +749,17 @@ theta = 1/12
 tau = 1/1500
 M = 20
 J = 50
-trials = 20
 emit_snapshots = false
 run_diagnostics = true
 """)
-    written = {}
+    written = set()
     for command in ("solve", "diagnose"):
-        out = tmp_path / command
-        assert main([command, "--config", str(cfg), "--out", str(out),
-                     "--deterministic", "--seed", "7"]) == 0
-        written[command] = (out / "diagnostics.csv").read_bytes()
-    assert written["solve"] == written["diagnose"]
+        for seed in ("0", "7"):
+            out = tmp_path / f"{command}{seed}"
+            assert main([command, "--config", str(cfg), "--out", str(out),
+                         "--deterministic", "--seed", seed]) == 0
+            written.add((out / "diagnostics.csv").read_bytes())
+    assert len(written) == 1
 
 
 def read_checks(path: Path) -> dict:
@@ -746,7 +772,7 @@ def read_checks(path: Path) -> dict:
 def test_diagnostics_run_with_no_node_left_of_x0(tmp_path, command):
     # example2 has X0 = 0.1, and at J = 10 the first node past 0 is x = 0.1:
     # the checks run on the ramp run itself, whatever its initial data
-    keys = {**BASE_KEYS, "run_diagnostics": "true", "trials": "20"}
+    keys = {**BASE_KEYS, "run_diagnostics": "true"}
     cfg = write(tmp_path / "run.cfg", config_text(**keys))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out),
@@ -762,7 +788,6 @@ theta = 1/12
 tau = 0.001
 M = 200
 J = 50
-trials = 20
 emit_snapshots = false
 run_diagnostics = true
 """
@@ -838,7 +863,6 @@ theta = 1/12
 tau = 0.01
 M = 20
 J = 20
-trials = 20
 run_diagnostics = true
 """)
     out = tmp_path / "out"
@@ -863,7 +887,6 @@ theta = 1/12
 tau = 0.01
 M = 20
 J = 20
-trials = 20
 run_diagnostics = true
 m_max = 10
 table_M = 5, 10

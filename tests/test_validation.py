@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from parabolic_dtbc import (SchemeConfig, build_mesh, certify_dissipativity,
-                            convolve_all, derive_params, diagnose_energy,
-                            error_report, iterated_erfc,
+from parabolic_dtbc import (Kernel, SchemeConfig, build_mesh,
+                            certify_dissipativity, convolve_all, derive_params,
+                            diagnose_energy, error_report, iterated_erfc,
                             example2, kernel_by_recurrence, march, u1, u2)
 from parabolic_dtbc import validation
 from parabolic_dtbc.validation import EVAL_BLOCK_CELLS, eval_on_grid
 
-from _support import (diagnose_energy_reference, dissipativity_sums_reference,
-                      random_h0_problem, u2_reference, zero_problem)
+from _support import (convolve_direct, diagnose_energy_reference,
+                      dissipativity_sums_reference, random_h0_problem,
+                      u2_reference, zero_problem)
 
 # 30-digit reference values for the complementary error function,
 # computed with arbitrary-precision arithmetic while writing this test
@@ -422,26 +423,106 @@ def test_dissipativity_smoke():
     assert rep.passed
     assert rep.worst_weighted < 0.0
     assert rep.worst_increment < 0.0
-    assert rep.n_sequences == 53
+    assert [f.name for f in fields(rep)] == ["passed", "worst_weighted",
+                                              "worst_increment", "tol"]
+    # the probes only cross-check the suprema, which they never move
+    assert rep == certify_dissipativity(kernel, M=200)
 
 
-@pytest.mark.parametrize("trials", [0, 40])
-def test_batched_dissipativity_matches_probe_loop(trials):
-    params = derive_params(1.0, 1.0, 0.0, 0.1, 0.01, 0.75, 1.0 / 12.0)
-    kernel = kernel_by_recurrence(params, 120)
-    M = 100
-    rep = certify_dissipativity(kernel, trials=trials, M=M, seed=3)
-    # the same probes: random rows, then spike, alternating signs and ramp
-    probes = np.zeros((trials + 3, M + 1))
-    probes[:trials, 1:] = np.random.default_rng(3).uniform(-1.0, 1.0,
-                                                           size=(trials, M))
-    probes[trials, 1 + M // 3] = 1.0
-    probes[trials + 1, 1:] = (-1.0) ** np.arange(M)
-    probes[trials + 2, 1:] = np.arange(1, M + 1) / M
-    worst_w, worst_i = dissipativity_sums_reference(kernel, probes)
-    assert rep.n_sequences == trials + 3
-    assert abs(rep.worst_weighted - worst_w) <= 1e-13
-    assert abs(rep.worst_increment - worst_i) <= 1e-13
+def _assembled_suprema(kernel, M):
+    """Largest eigenvalues of the symmetric parts of the two forms, the
+    forms assembled one column per unit sequence by the direct sum."""
+    sigma, tau = kernel.params.sigma, kernel.params.tau
+    Q_w = np.empty((M, M))
+    Q_i = np.empty((M, M))
+    for k in range(M):
+        phi = np.zeros(M + 1)
+        phi[1 + k] = 1.0
+        S = np.r_[convolve_direct(kernel, phi)[1:], 0.0]  # S_1 .. S_(M+1)
+        # entry (i, k) pairs e_k with e_i: phi_i meets S_i, and S_(i+1)
+        # through the lagged term of the average or the difference
+        Q_w[:, k] = sigma * S[:-1] + (1.0 - sigma) * S[1:]
+        Q_i[:, k] = (S[:-1] - S[1:]) / tau
+    return tuple(float(np.linalg.eigvalsh(0.5 * (Q + Q.T))[-1])
+                 for Q in (Q_w, Q_i))
+
+
+# (rho_inf, b_inf, c_inf, h, tau, sigma, theta)
+CERTIFICATE_WEIGHTS = [
+    (1.0, 1.0, 0.0, 0.1, 0.01, 0.5, 0.0),
+    (1.0, 1.0, 0.0, 0.1, 0.01, 1.0, 0.25),
+    (1.0, 1.0, 5.0, 0.1, 0.01, 0.5, 1.0 / 12.0),
+    (1.0, 1.0, 5.0, 0.1, 0.01, 1.0, 0.0),
+    (2.0, 0.5, 0.0, 0.05, 1e-3, 0.75, -0.5),
+    (1.0, 1.0, 0.0, 1.0 / 200.0, 1e-3, 0.5, 1.0 / 12.0),
+    (3.0, 2.0, 5.0, 0.3, 0.1, 3.0, 0.25),
+]
+
+
+@pytest.mark.parametrize("weights", CERTIFICATE_WEIGHTS)
+def test_certificate_is_the_top_eigenvalue_of_the_assembled_forms(weights):
+    M = 60
+    kernel = kernel_by_recurrence(derive_params(*weights), M)
+    rep = certify_dissipativity(kernel, M=M)
+    ref_w, ref_i = _assembled_suprema(kernel, M)
+    assert abs(rep.worst_weighted - ref_w) <= 1e-12 * abs(ref_w)
+    assert abs(rep.worst_increment - ref_i) <= 1e-12 * abs(ref_i)
+    assert rep.passed and ref_w < 0.0 and ref_i < 0.0
+
+
+def _criterion_3_probes(M):
+    """1000 random probes plus the spike, alternating and ramp shapes."""
+    probes = np.zeros((1003, M + 1))
+    probes[:1000, 1:] = np.random.default_rng(2024).uniform(-1.0, 1.0,
+                                                            size=(1000, M))
+    probes[1000, 1 + M // 3] = 1.0
+    probes[1001, 1:] = (-1.0) ** np.arange(M)
+    probes[1002, 1:] = np.arange(1, M + 1) / M
+    return probes
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0])
+@pytest.mark.parametrize("theta", [0.0, 1.0 / 12.0, 1.0 / 6.0, 0.25])
+def test_no_probe_exceeds_the_certificate(sigma, theta):
+    M = 200
+    kernel = kernel_by_recurrence(
+        derive_params(1.0, 1.0, 0.0, 0.1, 0.01, sigma, theta), M)
+    rep = certify_dissipativity(kernel, M=M)
+    s = np.abs(kernel.R[:M]).sum() / (2.0 * kernel.params.h)
+    worst_w, worst_i = dissipativity_sums_reference(kernel,
+                                                    _criterion_3_probes(M))
+    assert worst_w <= rep.worst_weighted + 1e-12 * (sigma + abs(1.0 - sigma)) * s
+    assert worst_i <= rep.worst_increment + 1e-12 * 2.0 * s / kernel.params.tau
+    # the probes come nowhere near the supremum at sigma = 1/2
+    if sigma == 0.5:
+        assert worst_w < 2.0 * rep.worst_weighted
+
+
+def test_certificate_fails_a_mutation_the_probes_pass():
+    # the kernel of sigma = 1/2 paired with a sigma-average of 0.499: the
+    # weighted form turns positive, which criterion 3's probes miss
+    M = 200
+    params = derive_params(1.0, 1.0, 0.0, 0.1, 0.01, 0.5, 0.0)
+    kernel = kernel_by_recurrence(params, M)
+    mutant = Kernel(R=kernel.R, params=replace(params, sigma=0.499))
+    rep = certify_dissipativity(mutant, M=M)
+    assert not rep.passed
+    assert rep.worst_weighted > 1e-2
+    worst_w, worst_i = dissipativity_sums_reference(mutant,
+                                                    _criterion_3_probes(M))
+    assert worst_w < -1e-3 and worst_i < 0.0
+
+
+def test_probe_cross_check_fails_a_wrong_convolution(monkeypatch):
+    # probes that see a sign-flipped convolution exceed the suprema
+    params = derive_params(1.0, 1.0, 0.0, 0.1, 0.01, 0.5, 1.0 / 12.0)
+    kernel = kernel_by_recurrence(params, 50)
+    assert certify_dissipativity(kernel, trials=20, M=50).passed
+    monkeypatch.setattr(validation, "convolve_all",
+                        lambda k, history: -convolve_all(k, history))
+    rep = certify_dissipativity(kernel, trials=20, M=50)
+    assert not rep.passed
+    assert rep.worst_weighted < 0.0 and rep.worst_increment < 0.0
 
 
 def test_dissipativity_rejects_short_kernel():

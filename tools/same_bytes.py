@@ -24,7 +24,7 @@ before it):
   {1/2, 1, 2}, theta in {0, 1/12, 1/4, 1/4 + 1e-14} and both closures,
   which reach every case of the bound constants c_theta and K_sigma;
 * the ``cli_session`` configuration through ``cli.main`` under
-  ``--deterministic``: ``solve`` with diagnostics at diag seeds 0-9, each
+  ``--deterministic``: ``solve`` with diagnostics at ``--seed`` 0 and 7, each
   followed by ``kernel --compare``, giving ``solution.csv``,
   ``report.csv``, ``diagnostics.csv``, ``kernel.csv`` and the exit codes;
   then ``kernel`` without ``--compare`` (m_max = 200), giving its
@@ -84,14 +84,13 @@ J = 50
 boundary = reference
 extension_factor = 3
 run_diagnostics = true
-trials = 50
 table_M = 25, 50, 100
 table_theta = 0, 1/12, 1/4
 """
 CLI_OUTPUTS = ("solution.csv", "report.csv", "diagnostics.csv", "kernel.csv")
 REFERENCE_OUTPUTS = ("solution.csv", "report.csv", "diagnostics.csv",
                      "table.csv")
-DIAG_SEEDS = range(10)
+DIAG_SEEDS = (0, 7)  # --seed has no effect; two seeds check that
 
 
 def _digest(value) -> str:
