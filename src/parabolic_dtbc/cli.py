@@ -346,29 +346,25 @@ def write_solution(handle, U, exact, mesh) -> None:
     The bytes are those ``csv.writer`` gives for the same fields formatted
     by ``_fmt`` (no field ever needs quoting, ``\\r\\n`` ends each row), with
     empty ``exact``/``error`` fields when ``exact`` is None, and they go
-    straight to ``handle.buffer`` after a flush of ``handle``.  The values
-    are formatted by numpy (:func:`_format_e17`), in sub-blocks of a
-    sixteenth of the level blocks of :func:`validation.eval_on_grid` in
-    which the exact solution is evaluated; the Python work is O(1) per
-    level.  Beyond the trajectory the memory is O(J) plus one block of 2^16
-    cells and the canvas and temporaries of one sub-block.
+    straight to ``handle.buffer`` after a flush of ``handle``.  Each block
+    of whole levels of at most a sixteenth of ``validation.EVAL_BLOCK_CELLS``
+    cells evaluates the exact solution (:func:`validation.eval_on_grid`) and
+    is formatted by numpy (:func:`_format_e17`): the Python work is O(1) per
+    level, and beyond the trajectory the memory is O(J) plus the canvas and
+    temporaries of one block.
     """
     nodes = _fields(f"{j},{_fmt(xj)}," for j, xj in enumerate(mesh.x.tolist()))
     end = b"\r\n" if exact is not None else b",,\r\n"
     times = mesh.times()
     handle.flush()
-    for lo, hi in validation._level_blocks(mesh.M + 1, mesh.J + 1):
+    for a, b in validation._level_blocks(mesh.M + 1, 16 * (mesh.J + 1)):
+        levels = _fields(f"{m},{_fmt(t)}," for m, t
+                         in zip(range(a, b), times[a:b].tolist()))
+        columns = [U[a:b]]
         if exact is not None:
-            E = validation.eval_on_grid(exact, mesh.x, times[lo:hi])
-        step = max(1, (hi - lo) // 16)
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            levels = _fields(f"{m},{_fmt(t)}," for m, t
-                             in zip(range(a, b), times[a:b].tolist()))
-            columns = [U[a:b]]
-            if exact is not None:
-                columns += [E[a - lo:b - lo], U[a:b] - E[a - lo:b - lo]]
-            handle.buffer.write(_rows(levels, nodes, columns, end))
+            E = validation.eval_on_grid(exact, mesh.x, times[a:b])
+            columns += [E, U[a:b] - E]
+        handle.buffer.write(_rows(levels, nodes, columns, end))
 
 
 def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool) -> int:
@@ -404,7 +400,7 @@ def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool) -> int:
         # interval, whose identities do not close on [0, X]
         if result.config != cfg.scheme():
             result = march(problem, mesh, cfg.scheme())
-        if not _run_diagnostics(cfg, result, out, deterministic):
+        if not _run_diagnostics(result, out, deterministic):
             return 2
     return 0
 
@@ -457,12 +453,12 @@ def cmd_kernel(cfg: RunConfig, out: Path, deterministic: bool,
     return 0
 
 
-def _run_diagnostics(cfg: RunConfig, result, out: Path,
-                     deterministic: bool) -> bool:
+def _run_diagnostics(result, out: Path, deterministic: bool) -> bool:
     """Kernel dissipativity, certified exactly over 200 levels, plus energy
     checks on the run ``result``."""
-    params = derive_params(*result.coeffs.tail, result.mesh.h_tail, cfg.tau,
-                           cfg.sigma, cfg.theta)
+    scheme, mesh = result.config, result.mesh
+    params = derive_params(*result.coeffs.tail, mesh.h_tail, mesh.tau,
+                           scheme.sigma, scheme.theta)
     dissip = certify_dissipativity(kernel_by_recurrence(params, 200), M=200)
     energy = diagnose_energy(result)
 
@@ -486,7 +482,7 @@ def _run_diagnostics(cfg: RunConfig, result, out: Path,
 def cmd_diagnose(cfg: RunConfig, out: Path, deterministic: bool) -> int:
     problem, _ = _load_problem(cfg)
     result = march(problem, _make_mesh(cfg, problem), cfg.scheme())
-    return 0 if _run_diagnostics(cfg, result, out, deterministic) else 2
+    return 0 if _run_diagnostics(result, out, deterministic) else 2
 
 
 def main(argv=None) -> int:

@@ -273,11 +273,11 @@ def diagnose_energy(result) -> EnergyDiagnostics:
     Every per-level term is a 2-D array expression over one lifted block of
     whole levels of at most EVAL_BLOCK_CELLS (2^16) cells, with the stencil
     weights of the forms computed once per call; the running sums are
-    cumulative sums carried from block to block; a run with no ``F`` grid
-    skips the forcing products when g = 0 and forms them at node 1 alone
-    otherwise.  Beyond the trajectory, the memory is O(M) (S, F~ and the
-    transients of the FFT of S, some 100 (M+1) bytes) plus a few
-    block-sized temporaries.
+    cumulative sums carried from block to block.  The forcing of a block is
+    F + F~, or F~ alone at node 1 for a run with no ``F`` grid; with g = 0,
+    F~ is a signed zero, which changes no bit of the sums.  Beyond the
+    trajectory, the memory is O(M) (S, F~ and the transients of the FFT of
+    S, some 100 (M+1) bytes) plus a few block-sized temporaries.
     """
     U = result.U
     mesh = result.mesh
@@ -303,11 +303,9 @@ def diagnose_energy(result) -> EnergyDiagnostics:
         S = np.zeros(M + 1)
 
     g = U[:, 0]
-    lift = None  # F~_1 of levels 1..M
-    if g.any():
-        a_new, a_old = (scheme_weights(coeffs, mesh, w, theta)[0][1]
-                        for w in (sigma, sigma - 1.0))
-        lift = -(a_new * g[1:] - a_old * g[:-1]) / h_in[0]
+    a_new, a_old = (scheme_weights(coeffs, mesh, w, theta)[0][1]
+                    for w in (sigma, sigma - 1.0))
+    lift = -(a_new * g[1:] - a_old * g[:-1]) / h_in[0]  # F~_1, m = 1..M
 
     V0 = np.r_[0.0, U[0, 1:]]
     mass2_0 = mass.evaluate(V0, V0)
@@ -332,32 +330,29 @@ def diagnose_energy(result) -> EnergyDiagnostics:
         V[:, 0] = 0.0
         Um, Up = V[1:], V[:-1]    # levels m = lo+1..hi
         S_m = S[lo + 1:hi + 1]
-        f = None if F is None else F[lo + 1:hi + 1, 1:J]
-        if lift is not None and f is None:
+        if F is None:
             f = lift[lo:hi, None]  # F~ alone lives at node 1
-        elif lift is not None:
-            f = f.copy()
+        else:
+            f = F[lo + 1:hi + 1, 1:J].copy()
             f[:, 0] += lift[lo:hi]
-        k = 0 if f is None else f.shape[1]  # the forcing's nodes are 1..k
-        acc = np.zeros((11, hi - lo))  # forcing rows stay 0 when unforced
+        k = f.shape[1]  # the forcing's nodes are 1..k
+        acc = np.empty((11, hi - lo))
         dU = (Um - Up) / tau
         n_dU_mass = mass.evaluate(dU, dU)
         acc[0] = n_dU_mass * tau * tau
         acc[5] = n_dU_mass * tau
         acc[6] = ell.evaluate(dU, dU) * tau * tau
         acc[7] = S_m * dU[:, J] * tau
-        if f is not None:
-            acc[8] = (f * dU[:, 1:k + 1]) @ h_in[:k] * tau
+        acc[8] = (f * dU[:, 1:k + 1]) @ h_in[:k] * tau
         del dU
         Us = sigma * Um + (1.0 - sigma) * Up
         acc[1] = ell.flux(Us, Us) * tau
         acc[2] = react.evaluate(Us, Us) * tau
         acc[3] = S_m * Us[:, J] * tau
-        if f is not None:
-            acc[4] = (f * Us[:, 1:k + 1]) @ h_in[:k] * tau
-            fnorm2 = (f * f) @ h_in[:k]
-            acc[9] = np.sqrt(fnorm2) * tau
-            acc[10] = fnorm2 * tau
+        acc[4] = (f * Us[:, 1:k + 1]) @ h_in[:k] * tau
+        fnorm2 = (f * f) @ h_in[:k]
+        acc[9] = np.sqrt(fnorm2) * tau
+        acc[10] = fnorm2 * tau
         del Us
         acc[:, 0] += totals
         np.cumsum(acc, axis=1, out=acc)
@@ -439,9 +434,12 @@ def certify_dissipativity(kernel: Kernel, trials: int = 0, M: int = 200,
     increment sums are phi^T Q phi / |phi|^2, Q_w = sigma T + (1 - sigma) N T
     and Q_i = (T - N T) / tau, so their suprema are the largest eigenvalues
     of (Q + Q^T)/2 (Grenander and Szegő, *Toeplitz Forms and Their
-    Applications*, 1958): one ``scipy.linalg.eigh`` each, accurate to a
-    small multiple of eps times ||Q_w|| <= (sigma + |1 - sigma|) s and
-    ||Q_i|| <= 2 s / tau, s = sum_(q<M) |R[q]| / (2h).
+    Applications*, 1958): one Householder tridiagonalization (LAPACK
+    ``dsytrd``) and one bisection for the top eigenvalue of the tridiagonal
+    matrix (``scipy.linalg.eigvalsh_tridiagonal``) each, the same bits at
+    1 to 4 OpenBLAS threads, accurate to a small multiple of eps times
+    ||Q_w|| <= (sigma + |1 - sigma|) s and ||Q_i|| <= 2 s / tau,
+    s = sum_(q<M) |R[q]| / (2h).
 
     ``trials > 0`` adds that many probes, uniform on [-1, 1] from ``seed``,
     through :func:`convolve_all`, an independent FFT path: ``passed`` then
@@ -450,16 +448,21 @@ def certify_dissipativity(kernel: Kernel, trials: int = 0, M: int = 200,
     """
     if kernel.length < M:
         raise ValueError("kernel too short for the requested horizon M")
-    from scipy.linalg import eigh, toeplitz  # deferred, as in TriFactor
+    from scipy.linalg import eigvalsh_tridiagonal, toeplitz
+    from scipy.linalg.lapack import dsytrd  # deferred, as in TriFactor
 
     sigma, tau = kernel.params.sigma, kernel.params.tau
     col = kernel.R[:M] / (2.0 * kernel.params.h)
     T = toeplitz(col, np.zeros(M))
     NT = np.zeros((M, M))
     NT[:-1] = T[1:]
-    worst = [float(eigh(0.5 * (Q + Q.T), eigvals_only=True,
-                        subset_by_index=[M - 1, M - 1])[0])
-             for Q in (sigma * T + (1.0 - sigma) * NT, (T - NT) / tau)]
+    worst = []
+    for Q in (sigma * T + (1.0 - sigma) * NT, (T - NT) / tau):
+        # lwork = 1 holds dsytrd to LAPACK's unblocked reduction, whose sums,
+        # unlike those of the blocked one, do not move with the BLAS threads
+        _, d, e, _, _ = dsytrd(0.5 * (Q + Q.T), lower=1, lwork=1)
+        worst.append(float(eigvalsh_tridiagonal(
+            d, e, select="i", select_range=(M - 1, M - 1))[0]))
     passed = all(w <= tol for w in worst)
     if trials > 0:
         probes = np.zeros((trials, M + 1))

@@ -284,9 +284,10 @@ def test_lifted_diagnostics_close_on_the_ramp(mode, monkeypatch):
 
 
 def _diagnostic_run(case, sigma, theta, mode):
-    """Run with variable coefficients, forced unless ``case`` is
-    "unforced", on a uniform or a graded mesh; zero left data unless
-    ``case`` is "lifted" (uniform mesh, g = 0.3 cos 5t)."""
+    """Run with variable coefficients on a uniform or a graded mesh: forced,
+    with a zero forcing grid for ``case`` "unforced" and no forcing grid
+    (f = None) for "lifted-f-none"; zero left data unless ``case`` starts
+    with "lifted" (uniform mesh, g = 0.3 cos 5t)."""
     if case == "graded":
         nodes = np.concatenate(([0.0, 0.05, 0.15, 0.3, 0.5],
                                 np.arange(0.6, 1.0001, 0.1)))
@@ -294,13 +295,15 @@ def _diagnostic_run(case, sigma, theta, mode):
     else:
         mesh = build_mesh(1.0, 20, tau=0.02, M=61)
     prob = random_h0_problem(7, mesh.x, 0.5, 1.0, variable=True)
-    if case != "unforced":
+    if case == "lifted-f-none":
+        prob = replace(prob, f=None)
+    elif case != "unforced":
         def f(x, t):
             x = np.asarray(x, dtype=float)
             return np.where(x < 0.5, np.sin(2.0 * np.pi * x) * np.cos(3.0 * t),
                             0.0)
         prob = replace(prob, f=f)
-    if case == "lifted":
+    if case.startswith("lifted"):
         # u0 gains a hat of height g(0) on the first cell, which the other
         # nodes do not see
         u0 = prob.u0
@@ -311,7 +314,8 @@ def _diagnostic_run(case, sigma, theta, mode):
 
 
 @pytest.mark.parametrize("mode", ["dtbc", "neumann"])
-@pytest.mark.parametrize("case", ["unforced", "uniform", "graded", "lifted"])
+@pytest.mark.parametrize("case", ["unforced", "uniform", "graded", "lifted",
+                                  "lifted-f-none"])
 @pytest.mark.parametrize("theta", [0.0, 1.0 / 12.0, 0.25, 0.25 + 1e-14])
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
 def test_block_diagnostics_match_the_level_loop(sigma, theta, case, mode,
@@ -319,7 +323,10 @@ def test_block_diagnostics_match_the_level_loop(sigma, theta, case, mode,
     # sigma = 2 puts K_sigma at 6; theta = 1/4 + 1e-14 is inside the roundoff
     # slack of the weight check, where c_theta is clamped at 0
     res = _diagnostic_run(case, sigma, theta, mode)
-    assert np.any(res.coeffs.F != 0.0) == (case != "unforced")
+    if case == "lifted-f-none":
+        assert res.coeffs.F is None   # F~ alone forces node 1
+    else:
+        assert np.any(res.coeffs.F != 0.0) == (case != "unforced")
     # three levels per block: the 61 levels span 21 blocks, the last partial
     monkeypatch.setattr(validation, "EVAL_BLOCK_CELLS", 3 * (res.mesh.J + 1))
     fast = diagnose_energy(res)
@@ -358,7 +365,7 @@ def test_unforced_bound_slacks_tie_exactly_at_zero():
 
 
 @pytest.mark.parametrize("mode", ["dtbc", "neumann"])
-def test_unforced_diagnostics_skip_the_forcing(mode, monkeypatch):
+def test_unforced_diagnostics_match_a_zero_forcing_grid(mode, monkeypatch):
     # a run without an F grid gives the fields of the same run with a zero
     # forcing grid, bit for bit, and agrees with the level loop
     monkeypatch.setattr(validation, "EVAL_BLOCK_CELLS", 3 * 21)

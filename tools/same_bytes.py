@@ -22,7 +22,10 @@ before it):
 * the four ``diagnose_energy`` fields of zero-boundary forced runs (the
   ``forced.broadcasting`` forcing with g = 0, J=50, M=3000) for sigma in
   {1/2, 1, 2}, theta in {0, 1/12, 1/4, 1/4 + 1e-14} and both closures,
-  which reach every case of the bound constants c_theta and K_sigma;
+  which reach every case of the bound constants c_theta and K_sigma; and
+  at sigma = 1/2, theta = 1/12, of a run with g = 0 and no forcing grid
+  (the ``coefficients.variable`` problem) and of one with g = t^2 and a
+  forcing grid (``forced.broadcasting``);
 * the ``cli_session`` configuration through ``cli.main`` under
   ``--deterministic``: ``solve`` with diagnostics at ``--seed`` 0 and 7, each
   followed by ``kernel --compare``, giving ``solution.csv``,
@@ -35,10 +38,6 @@ before it):
   four CSVs and the exit codes; and the same configuration through
   ``kernel --compare``, giving its ``kernel.csv`` and exit code.
 
-``diagnose_energy`` is called with the signature of the tree under test:
-``(result)``, or ``(result, problem)`` in trees whose ``ProblemSpec``
-still declares its tail constants.
-
 Needs only the standard library and numpy (plus what the package itself
 imports).  Exits 0 when every digest matches, 1 naming the keys that
 differ or exist in one tree only.  Takes about 12 s per tree on one core
@@ -48,7 +47,6 @@ of a 2-vCPU Intel Xeon host.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import math
 import os
@@ -167,14 +165,19 @@ def _library_cases(pd):
 
 
 def _energy_cases(pd):
-    """(key, problem, config) of every zero-boundary forced energy run."""
-    problem, _ = _forced_problems(pd)["forced.broadcasting"]
-    problem = replace(problem, g=lambda t: 0.0)
+    """(key, problem, config) of every energy run."""
+    problems = _forced_problems(pd)
+    forced, _ = problems["forced.broadcasting"]
+    problem = replace(forced, g=lambda t: 0.0)
     for sigma in (0.5, 1.0, 2.0):
         for theta in (0.0, 1.0 / 12.0, 0.25, 0.25 + 1e-14):
             for boundary in ("dtbc", "neumann"):
                 yield (f"energy.{boundary}.sigma={sigma!r}.theta={theta!r}",
                        problem, pd.SchemeConfig(sigma, theta, boundary))
+    config = pd.SchemeConfig(0.5, 1.0 / 12.0)
+    unforced, _ = problems["coefficients.variable"]
+    yield "energy.unforced", replace(unforced, g=lambda t: 0.0), config
+    yield "energy.lifted-forced", forced, config
 
 
 def digests() -> dict:
@@ -195,12 +198,9 @@ def digests() -> dict:
         out.update((f"{key}.{item}", _digest(value))
                    for item, value in items.items())
 
-    takes_problem = len(inspect.signature(pd.diagnose_energy).parameters) > 1
     for key, problem, config in _energy_cases(pd):
         mesh = pd.build_mesh(problem.X, 50, tau=1.0 / 3000, M=3000)
-        result = pd.march(problem, mesh, config)
-        diag = (pd.diagnose_energy(result, problem) if takes_problem
-                else pd.diagnose_energy(result))
+        diag = pd.diagnose_energy(pd.march(problem, mesh, config))
         out.update((f"{key}.{f.name}", _digest(getattr(diag, f.name)))
                    for f in fields(diag))
 
