@@ -172,9 +172,10 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
     there must equal the last one (:attr:`SampledCoefficients.tail`), rho
     and b samples be positive, c samples nonnegative, and u0, f must
     vanish below the problem's tail tolerance.  Non-finite samples of rho,
-    b, c, u0 or f raise ValueError naming the field, and a non-finite
-    ``g(t_m)`` raises ValueError naming the first such level.  Every x-dependent callable
-    goes through :func:`~parabolic_dtbc.validation.eval_on_grid`: rho, b
+    b, c, u0 or f raise ValueError naming the field, and a ``g(t_m)`` that
+    is no finite number raises ValueError naming the first such level.
+    Every x-dependent callable goes through
+    :func:`~parabolic_dtbc.validation.eval_on_grid`: rho, b
     and c at the cell midpoints and u0 at the nodes as one level, ``f``
     into ``F[1:]`` in place, one call per block of whole levels; each
     falls back to one call per level and then to one per point where a
@@ -233,10 +234,16 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
                              f"(tolerance {problem.tail_tol:g})")
 
     times = t.tolist()
-    G = np.array([np.nan] + [float(problem.g(t_m)) for t_m in times])
+    G = [np.nan]
+    try:
+        for t_m in times:
+            G.append(float(problem.g(t_m)))
+    except (TypeError, ValueError):
+        G.append(math.nan)  # no number: the check below names its level
+    G = np.array(G)
     if not (math.isfinite(G[1:].min()) and math.isfinite(G[1:].max())):
         m = int(np.argmin(np.isfinite(G[1:])))
-        raise ValueError(f"boundary data g is not finite at "
+        raise ValueError(f"boundary data g is not a finite number at "
                          f"t_m={times[m]!r} (level {m + 1})")
 
     try:

@@ -75,9 +75,9 @@ def test_criterion_3_dissipativity_suite():
             if not rep.passed:
                 _report(3, False, f"failed at sigma={sigma}, theta={theta}")
     _report(3, worst_w <= 1e-10 and worst_i <= 1e-10,
-            f"exact suprema over 200 levels x 8 weight pairs, cross-checked "
-            f"by 1000 probes, worst normalized sums {worst_w:.3e} / "
-            f"{worst_i:.3e} (<= 1e-10)")
+            f"closed-form suprema over every horizon x 8 weight pairs, "
+            f"cross-checked by 1000 probes of 200 levels, worst normalized "
+            f"sums {worst_w:.3e} / {worst_i:.3e} (<= 1e-10)")
 
 
 def test_criterion_4_transparent_closure_exactness():

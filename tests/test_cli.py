@@ -147,7 +147,7 @@ CUSTOM_NO_EXACT = CUSTOM_ZERO.replace("EXACT = ", "UNUSED = ")
      "theta=0.3 unsupported"),
     # kernel.csv comes from the kernel command only
     ("solve", {"emit_kernel": "true"}, "unknown config keys: ['emit_kernel']"),
-    # dissipativity is certified exactly, with no random probes to count
+    # dissipativity is certified in closed form, with no probes to count
     ("diagnose", {"trials": "200"}, "unknown config keys: ['trials']"),
     # kernel samples the problem on its mesh, as solve does
     ("kernel", {"X": "0.05"}, "mesh must reach past the tail onset X0"),
@@ -323,6 +323,37 @@ J = 8
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
     assert "not finite at level 3 " in capsys.readouterr().err
+    assert not out.exists()
+
+
+# custom problems whose callables fail even point by point
+MALFORMED_CALLABLES = {
+    "exact-not-callable": CUSTOM_ZERO + "EXACT = 5\n",
+    "exact-matrix": CUSTOM_ZERO + "EXACT = lambda x, t: np.zeros((2, 2))\n",
+    "g-list": CUSTOM_ZERO + "from dataclasses import replace\n"
+              "PROBLEM = replace(PROBLEM, g=lambda t: [t, t])\n",
+    "rho-matrix": CUSTOM_ZERO + "from dataclasses import replace\n"
+                  "PROBLEM = replace(PROBLEM, rho=lambda x: np.eye(2))\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CALLABLES))
+def test_solve_malformed_callable_exits_one(tmp_path, capsys, case):
+    write(tmp_path / "prob.py", MALFORMED_CALLABLES[case])
+    cfg = write(tmp_path / "run.cfg", f"""\
+problem = custom
+custom_path = {tmp_path / 'prob.py'}
+sigma = 1/2
+theta = 0
+tau = 0.05
+M = 10
+J = 8
+""")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert ("t_m=0.05 (level 1)" if case == "g-list" else "at x=") in err
     assert not out.exists()
 
 
@@ -701,22 +732,25 @@ def package_env(**extra):
 
 
 def test_import_and_kernel_leave_scipy_linalg_unloaded(tmp_path):
-    # the factorization and the dissipativity certificate import
-    # scipy.linalg when first called, so importing the package and
-    # dumping a kernel (with the oracle) never load it
+    # the factorization imports scipy.linalg when first called, so
+    # importing the package, dumping a kernel (with the oracle) and
+    # certifying dissipativity (with probes) never load it
     cfg = write(tmp_path / "run.cfg", config_text(**BASE_KEYS, m_max="20"))
     code = (
         "import sys\n"
-        "import parabolic_dtbc\n"
+        "import parabolic_dtbc as pd\n"
         "from parabolic_dtbc import cli\n"
         "loaded = 'scipy.linalg' in sys.modules\n"
         f"rc = cli.main(['kernel', '--config', {str(cfg)!r}, '--out', "
         f"{str(tmp_path / 'out')!r}, '--deterministic', '--compare'])\n"
-        "print(loaded, rc, 'scipy.linalg' in sys.modules, "
+        "params = pd.derive_params(1.0, 1.0, 5.0, 0.1, 0.01, 1.0, 0.0)\n"
+        "rep = pd.certify_dissipativity(pd.kernel_by_recurrence(params, 50), "
+        "trials=5, M=50)\n"
+        "print(loaded, rc, rep.passed, 'scipy.linalg' in sys.modules, "
         "'scipy.special' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], env=package_env(),
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "False 0 False True"
+    assert proc.stdout.splitlines()[-1] == "False 0 True False True"
 
 
 def test_table_single_cell_matches_solve(tmp_path):
@@ -786,8 +820,7 @@ run_diagnostics = true
 
 
 def test_diagnostics_are_the_same_at_one_and_two_blas_threads(tmp_path):
-    # the certificate tridiagonalizes without LAPACK's blocked reduction,
-    # whose sums move with the number of BLAS threads
+    # no row of diagnostics.csv may move with the number of BLAS threads
     cfg = write(tmp_path / "run.cfg", """\
 problem = example2
 sigma = 1/2
@@ -825,6 +858,30 @@ def test_diagnostics_run_with_no_node_left_of_x0(tmp_path, command):
                  "--deterministic"]) == 0
     checks = read_checks(out / "diagnostics.csv")
     assert len(checks) == 6 and set(checks.values()) == {"true"}
+
+
+def test_dissipativity_rows_take_the_certificate_thresholds(tmp_path):
+    # sigma just below 1/2, as check_weights admits: the weighted row reads
+    # about +2e-10, inside its threshold tol * scale / 2h (about 5e-7)
+    cfg = write(tmp_path / "run.cfg", """\
+problem = example2
+sigma = 0.49999999999999
+theta = 0
+tau = 1e-5
+M = 20
+J = 10
+""")
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", str(cfg), "--out", str(out),
+                 "--deterministic"]) == 0
+    with (out / "diagnostics.csv").open() as handle:
+        rows = {row[0]: row[1:] for row in csv.reader(handle)}
+    value, threshold, ok = rows["dissipativity_weighted"]
+    assert 1e-10 < float(value) < 1e-9 < float(threshold) and ok == "true"
+    value, threshold, ok = rows["dissipativity_increment"]
+    assert float(value) == 0.0 and ok == "true"
+    assert float(threshold) == 2.0 * float(
+        rows["dissipativity_weighted"][1]) / 1e-5
 
 
 RAMP_DIAGNOSTICS = """\

@@ -189,6 +189,23 @@ def test_blocked_error_report_matches_full_grid():
     assert np.isnan(rep.per_level[0])
 
 
+def _scalar_below_half(xs, ts):
+    if np.ndim(xs) or xs >= 0.5:
+        raise TypeError("scalar x below 1/2 only")
+    return 0.0
+
+
+@pytest.mark.parametrize("fn, point", [
+    (lambda xs, ts: [xs, ts], "x=0.0"),           # never one number
+    (lambda xs, ts: np.zeros((2, 2)), "x=0.0"),   # always the wrong shape
+    (_scalar_below_half, "x=0.5"),
+], ids=["list", "matrix", "from-a-point"])
+def test_eval_on_grid_names_the_first_point_that_fails(fn, point):
+    x = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match=rf"at {point}, t=0\.25$"):
+        eval_on_grid(fn, x, np.array([0.25, 0.5]))
+
+
 def test_eval_on_grid_falls_back_to_pointwise_per_block():
     # each callable fails on both blocks; one that also fails on a level
     # is evaluated point by point, and every value is the pointwise one
@@ -428,8 +445,8 @@ def test_dissipativity_smoke():
     kernel = kernel_by_recurrence(params, 200)
     rep = certify_dissipativity(kernel, trials=50, M=200, seed=7)
     assert rep.passed
-    assert rep.worst_weighted < 0.0
-    assert rep.worst_increment < 0.0
+    assert rep.worst_weighted == 0.0
+    assert rep.worst_increment == 0.0
     assert [f.name for f in fields(rep)] == ["passed", "worst_weighted",
                                               "worst_increment", "tol"]
     # the probes only cross-check the suprema, which they never move
@@ -466,15 +483,65 @@ CERTIFICATE_WEIGHTS = [
 ]
 
 
-@pytest.mark.parametrize("weights", CERTIFICATE_WEIGHTS)
-def test_certificate_is_the_top_eigenvalue_of_the_assembled_forms(weights):
-    M = 60
-    kernel = kernel_by_recurrence(derive_params(*weights), M)
-    rep = certify_dissipativity(kernel, M=M)
-    ref_w, ref_i = _assembled_suprema(kernel, M)
-    assert abs(rep.worst_weighted - ref_w) <= 1e-12 * abs(ref_w)
-    assert abs(rep.worst_increment - ref_i) <= 1e-12 * abs(ref_i)
-    assert rep.passed and ref_w < 0.0 and ref_i < 0.0
+# the eight (sigma, theta) pairs of acceptance criterion 3
+CRITERION_3_WEIGHTS = [(1.0, 1.0, 0.0, 0.1, 0.01, sigma, theta)
+                       for sigma in (0.5, 1.0)
+                       for theta in (0.0, 1.0 / 12.0, 1.0 / 6.0, 0.25)]
+
+
+def test_no_finite_horizon_exceeds_the_certificate():
+    # the rows bound the top eigenvalue of the assembled forms at every
+    # horizon, which approaches them as the horizon grows
+    for weights in CERTIFICATE_WEIGHTS + CRITERION_3_WEIGHTS:
+        gaps = []
+        for M in (20, 200, 800):
+            kernel = kernel_by_recurrence(derive_params(*weights), M)
+            rep = certify_dissipativity(kernel, M=M)
+            assert rep.passed
+            ref_w, ref_i = _assembled_suprema(kernel, M)
+            unit = kernel.params.scale / (2.0 * kernel.params.h)
+            assert ref_w <= rep.worst_weighted + 1e-12 * unit, (weights, M)
+            assert ref_i <= rep.worst_increment + 1e-12 * unit, (weights, M)
+            gaps.append((rep.worst_weighted - ref_w,
+                         rep.worst_increment - ref_i))
+        for row in (0, 1):
+            assert gaps[2][row] < gaps[1][row] < gaps[0][row], weights
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.75, 1.0, 3.0])
+def test_the_symbol_on_the_circle_stays_below_the_certificate(sigma):
+    # the weighted row is the symbol's value at z = 1 or z = -1; that no
+    # other point of the circle exceeds it is checked here, not proven
+    params = derive_params(1.0, 1.0, 0.0, 0.1, 0.01, sigma, 0.0)
+    unit = params.scale / (2.0 * params.h)
+    z = np.exp(2j * np.pi * np.arange(1 << 13) / (1 << 13))
+    for a0 in np.linspace(-1.0, 1.0, 17):
+        for a1 in np.linspace(-1.0, 1.0, 17):
+            p = replace(params, alpha0=a0, alpha1=a1, alpha=a0 * a1,
+                        beta=0.5 * (a0 + a1))
+            rep = certify_dissipativity(kernel_by_recurrence(p, 1), M=1)
+            K = -unit * np.sqrt(1.0 - a0 * z) * np.sqrt(1.0 - a1 * z)
+            weighted = (K * (sigma + (1.0 - sigma) * z.conj())).real
+            increment = (K * (1.0 - z.conj())).real / p.tau
+            size = sigma + abs(1.0 - sigma)
+            assert weighted.max() <= rep.worst_weighted + 1e-14 * size * unit
+            assert increment.max() <= 1e-14 * 2.0 * unit / p.tau
+            assert rep.worst_increment == 0.0
+
+
+def test_certificate_passes_the_roundoff_that_check_weights_admits():
+    # sigma just below 1/2 reads about +2e-10, above a plain 1e-10 but far
+    # inside tol times the row's scale, 5e3 here
+    params = derive_params(1.0, 1.0, 0.0, 0.1, 1e-5, 0.5 - 1e-14, 0.0)
+    rep = certify_dissipativity(kernel_by_recurrence(params, 20), M=20)
+    assert rep.passed and 1e-10 < rep.worst_weighted < 1e-9
+    # theta just above 1/4 takes 1 + alpha1 below 0 by roundoff
+    for c_inf in (0.0, 5.0):
+        params = derive_params(1.0, 1.0, c_inf, 0.1, 0.01, 0.5, 0.25 + 1e-14)
+        assert 1.0 + params.alpha1 < 0.0
+        rep = certify_dissipativity(kernel_by_recurrence(params, 20), M=20)
+        assert rep.passed
+        assert math.copysign(1.0, rep.worst_weighted) == 1.0
 
 
 def _criterion_3_probes(M):
@@ -529,7 +596,7 @@ def test_probe_cross_check_fails_a_wrong_convolution(monkeypatch):
                         lambda k, history: -convolve_all(k, history))
     rep = certify_dissipativity(kernel, trials=20, M=50)
     assert not rep.passed
-    assert rep.worst_weighted < 0.0 and rep.worst_increment < 0.0
+    assert rep.worst_weighted == 0.0 and rep.worst_increment == 0.0
 
 
 def test_dissipativity_rejects_short_kernel():

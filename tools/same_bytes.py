@@ -26,6 +26,10 @@ before it):
   at sigma = 1/2, theta = 1/12, of a run with g = 0 and no forcing grid
   (the ``coefficients.variable`` problem) and of one with g = t^2 and a
   forcing grid (``forced.broadcasting``);
+* the four ``certify_dissipativity`` fields (library call, kernel and
+  probe horizon 200, no probes) on the eight (sigma, theta) pairs of
+  acceptance criterion 3 and on the weight sets of the certificate tests,
+  keyed by ``(rho_inf, b_inf, c_inf, h, tau, sigma, theta)``;
 * the ``cli_session`` configuration through ``cli.main`` under
   ``--deterministic``: ``solve`` with diagnostics at ``--seed`` 0 and 7, each
   followed by ``kernel --compare``, giving ``solution.csv``,
@@ -89,6 +93,19 @@ CLI_OUTPUTS = ("solution.csv", "report.csv", "diagnostics.csv", "kernel.csv")
 REFERENCE_OUTPUTS = ("solution.csv", "report.csv", "diagnostics.csv",
                      "table.csv")
 DIAG_SEEDS = (0, 7)  # --seed has no effect; two seeds check that
+# (rho_inf, b_inf, c_inf, h, tau, sigma, theta) of the certificate items:
+# the pairs of acceptance criterion 3, then the sets of the certificate
+# tests (tests/test_validation.py)
+CERTIFICATE_WEIGHTS = list(dict.fromkeys(
+    [(1.0, 1.0, 0.0, 0.1, 0.01, sigma, theta) for sigma in (0.5, 1.0)
+     for theta in (0.0, 1.0 / 12.0, 1.0 / 6.0, 0.25)]
+    + [(1.0, 1.0, 0.0, 0.1, 0.01, 0.5, 0.0),
+       (1.0, 1.0, 0.0, 0.1, 0.01, 1.0, 0.25),
+       (1.0, 1.0, 5.0, 0.1, 0.01, 0.5, 1.0 / 12.0),
+       (1.0, 1.0, 5.0, 0.1, 0.01, 1.0, 0.0),
+       (2.0, 0.5, 0.0, 0.05, 1e-3, 0.75, -0.5),
+       (1.0, 1.0, 0.0, 1.0 / 200.0, 1e-3, 0.5, 1.0 / 12.0),
+       (3.0, 2.0, 5.0, 0.3, 0.1, 3.0, 0.25)]))
 
 
 def _digest(value) -> str:
@@ -203,6 +220,12 @@ def digests() -> dict:
         diag = pd.diagnose_energy(pd.march(problem, mesh, config))
         out.update((f"{key}.{f.name}", _digest(getattr(diag, f.name)))
                    for f in fields(diag))
+
+    for weights in CERTIFICATE_WEIGHTS:
+        kernel = pd.kernel_by_recurrence(pd.derive_params(*weights), 200)
+        report = pd.certify_dissipativity(kernel, M=200)
+        out.update((f"certificate.{weights!r}.{f.name}",
+                    _digest(getattr(report, f.name))) for f in fields(report))
 
     with tempfile.TemporaryDirectory() as tmp:
         runs = [(f"cli_session.seed{seed}", CLI_CONFIG, CLI_OUTPUTS,
