@@ -32,8 +32,9 @@ class ProblemSpec:
     """Continuous problem data on the half-line truncated at X.
 
     ``rho``, ``b``, ``c`` are callables of x (density, diffusivity,
-    reaction), ``f`` of (x, t) or None for an unforced problem, ``g`` of t,
-    ``u0`` of x.  For x >= X0 the coefficients must be constant and f, u0
+    reaction), ``f`` of (x, t) or None for an unforced problem, ``g`` of t
+    (best one that accepts an array of times, as ``t * t`` does), ``u0``
+    of x.  For x >= X0 the coefficients must be constant and f, u0
     must vanish; u0 and f are allowed to be merely below ``tail_tol``
     there, since physically relevant initial data often only decays.  The
     tail constants and the density bound of the diagnostics are measured
@@ -171,16 +172,17 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
     already lies in the constant-coefficient region; coefficient samples
     there must equal the last one (:attr:`SampledCoefficients.tail`), rho
     and b samples be positive, c samples nonnegative, and u0, f must
-    vanish below the problem's tail tolerance.  Non-finite samples of rho,
-    b, c, u0 or f raise ValueError naming the field, and a ``g(t_m)`` that
-    is no finite number raises ValueError naming the first such level.
-    Every x-dependent callable goes through
-    :func:`~parabolic_dtbc.validation.eval_on_grid`: rho, b
-    and c at the cell midpoints and u0 at the nodes as one level, ``f``
-    into ``F[1:]`` in place, one call per block of whole levels; each
-    falls back to one call per level and then to one per point where a
-    call fails.  An unforced problem (``f`` is None) gets no forcing grid:
-    ``F`` is None.  ``g`` is scalar: one call ``float(g(t_m))`` per level.
+    vanish below the problem's tail tolerance.  Every callable goes
+    through :func:`~parabolic_dtbc.validation.eval_on_grid`: rho, b and c
+    at the cell midpoints and u0 at the nodes as one level, ``f`` into
+    ``F[1:]`` and ``g`` (on the one-node column x_0) into ``G[1:]`` in
+    place, one call per block of whole levels; each falls back to one call
+    per level and then to one per point where a call fails, and a point
+    that fails or gives no number is NaN.  Non-finite samples of rho, b,
+    c, u0 or f raise ValueError naming the field, and of g naming the
+    first such level.  An unforced problem (``f`` is None) gets no forcing
+    grid: ``F`` is None.  ``g`` is called once more, at t = 0, only to
+    warn when it disagrees with u0(0).
     """
     x, J, M = mesh.x, mesh.J, mesh.M
     x_end = float(x[J])
@@ -233,18 +235,12 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
             raise ValueError("forcing does not vanish on the tail "
                              f"(tolerance {problem.tail_tol:g})")
 
-    times = t.tolist()
-    G = [np.nan]
-    try:
-        for t_m in times:
-            G.append(float(problem.g(t_m)))
-    except (TypeError, ValueError):
-        G.append(math.nan)  # no number: the check below names its level
-    G = np.array(G)
+    G = np.full(M + 1, np.nan)
+    eval_on_grid(lambda _x, ts: problem.g(ts), x[:1], t, out=G[1:, None])
     if not (math.isfinite(G[1:].min()) and math.isfinite(G[1:].max())):
         m = int(np.argmin(np.isfinite(G[1:])))
         raise ValueError(f"boundary data g is not a finite number at "
-                         f"t_m={times[m]!r} (level {m + 1})")
+                         f"t_m={t.item(m)!r} (level {m + 1})")
 
     try:
         g0 = float(problem.g(0.0))
@@ -291,7 +287,7 @@ def example2() -> tuple[ProblemSpec, Callable]:
     """
     prob = ProblemSpec(
         rho=_const(1.0), b=_const(1.0), c=_const(0.0), f=None,
-        g=lambda t: float(t) ** 2,
+        g=lambda t: t * t,
         u0=_const(0.0), X0=0.1, X=1.0, label="example2")
     return prob, u2
 

@@ -121,7 +121,7 @@ def eval_on_grid(fn, x, t, out=None):
     returns the wrong shape is evaluated one level at a time,
     ``fn(x, t_m)``, a scalar result filling its level; a level that fails
     too is evaluated point by point, and a point at which ``fn`` fails or
-    returns no scalar raises ValueError naming it.
+    returns no scalar is NaN, for the caller's finite check to name.
     """
     vals = np.empty((t.size, x.size)) if out is None else out
     for lo, hi in _level_blocks(t.size, x.size):
@@ -137,10 +137,7 @@ def eval_on_grid(fn, x, t, out=None):
                 continue
             for j, xj in enumerate(x.tolist()):
                 got = _call(fn, xj, t_m, ((),))
-                if got is None:
-                    raise ValueError(f"a callable fails or returns no number "
-                                     f"at x={xj!r}, t={t_m!r}")
-                row[j] = got
+                row[j] = math.nan if got is None else got
     return vals
 
 

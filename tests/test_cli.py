@@ -326,20 +326,26 @@ J = 8
     assert not out.exists()
 
 
-# custom problems whose callables fail even point by point
+# custom problems whose callables fail even point by point, with the part
+# of the message that names the field or the level
 MALFORMED_CALLABLES = {
-    "exact-not-callable": CUSTOM_ZERO + "EXACT = 5\n",
-    "exact-matrix": CUSTOM_ZERO + "EXACT = lambda x, t: np.zeros((2, 2))\n",
-    "g-list": CUSTOM_ZERO + "from dataclasses import replace\n"
-              "PROBLEM = replace(PROBLEM, g=lambda t: [t, t])\n",
-    "rho-matrix": CUSTOM_ZERO + "from dataclasses import replace\n"
-                  "PROBLEM = replace(PROBLEM, rho=lambda x: np.eye(2))\n",
+    "exact-not-callable": (CUSTOM_ZERO + "EXACT = 5\n",
+                           "not finite at level 1 (t_m=0.05)"),
+    "exact-matrix": (CUSTOM_ZERO + "EXACT = lambda x, t: np.zeros((2, 2))\n",
+                     "not finite at level 1 (t_m=0.05)"),
+    "g-list": (CUSTOM_ZERO + "from dataclasses import replace\n"
+               "PROBLEM = replace(PROBLEM, g=lambda t: [t, t])\n",
+               "g is not a finite number at t_m=0.05 (level 1)"),
+    "rho-matrix": (CUSTOM_ZERO + "from dataclasses import replace\n"
+                   "PROBLEM = replace(PROBLEM, rho=lambda x: np.eye(2))\n",
+                   "error: rho samples are not finite"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CALLABLES))
 def test_solve_malformed_callable_exits_one(tmp_path, capsys, case):
-    write(tmp_path / "prob.py", MALFORMED_CALLABLES[case])
+    source, message = MALFORMED_CALLABLES[case]
+    write(tmp_path / "prob.py", source)
     cfg = write(tmp_path / "run.cfg", f"""\
 problem = custom
 custom_path = {tmp_path / 'prob.py'}
@@ -353,7 +359,7 @@ J = 8
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    assert ("t_m=0.05 (level 1)" if case == "g-list" else "at x=") in err
+    assert message in err and "x=" not in err
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from parabolic_dtbc import (Mesh, SchemeConfig, build_mesh, example1, example2,
-                            march, sample, u2)
+                            march, sample, u2, validation)
 from parabolic_dtbc.problem import ProblemSpec
 from parabolic_dtbc.stepper import TriFactor
 from parabolic_dtbc.validation import _level_blocks
@@ -200,6 +200,67 @@ def test_x_only_data_fall_back_block_level_point(field, kind):
     else:
         values = np.broadcast_to(counted(nodes), nodes.shape)
     assert got.tobytes() == np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("M, cells", [(2000, None), (50000, None),
+                                      (2000, 1 << 10)])
+@pytest.mark.parametrize("preset", [example1, example2])
+def test_preset_boundary_data_take_one_call_per_block(preset, M, cells,
+                                                      monkeypatch):
+    # g goes through the evaluator as a one-node column: one call per block
+    # of levels, plus the scalar call of the corner check at t = 0
+    if cells is not None:
+        monkeypatch.setattr(validation, "EVAL_BLOCK_CELLS", cells)
+    prob, exact = preset()
+    calls = []
+
+    def counted(t):
+        calls.append(np.shape(t))
+        return prob.g(t)
+
+    mesh = build_mesh(prob.X, 50, tau=1.0 / M, M=M)
+    G = sample(replace(prob, g=counted), mesh).G
+    blocks = list(_level_blocks(M, 1))
+    assert len(blocks) == (2 if cells else 1)
+    assert calls == [(hi - lo, 1) for lo, hi in blocks] + [()]
+    t = mesh.times()[1:]
+    assert np.isnan(G[0])
+    assert np.array_equal(G[1:], [float(prob.g(t_m)) for t_m in t.tolist()])
+    assert np.array_equal(G[1:], exact(0.0, t))
+
+
+SCALAR_G = {  # g whose block call fails or gives no column: one call a level
+    "scalar-only": lambda t: 0.75 * math.cos(7.0 * t),
+    "constant": lambda t: 0.75,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCALAR_G))
+def test_scalar_boundary_data_are_sampled_per_level(kind):
+    g = SCALAR_G[kind]
+    calls = []
+
+    def counted(t):
+        calls.append(np.shape(t))
+        return g(t)
+
+    # u0(0) = g(0) = 0.75, so the corner check stays quiet
+    prob = replace(zero_problem(), g=counted,
+                   u0=lambda x: np.where(np.asarray(x) == 0.0, 0.75, 0.0))
+    M = 2000
+    mesh = build_mesh(1.0, 10, tau=1e-3, M=M)
+    G = sample(prob, mesh).G
+    assert calls == [(M, 1)] + [()] * M + [()]
+    assert np.array_equal(G[1:], [float(g(t_m))
+                                  for t_m in mesh.times()[1:].tolist()])
+
+
+def test_boundary_data_that_give_no_number_name_the_first_level():
+    prob = replace(zero_problem(), g=lambda t: None)
+    mesh = build_mesh(1.0, 10, tau=0.01, M=5)
+    with pytest.raises(ValueError, match=r"g is not a finite number at "
+                                         r"t_m=0\.01 \(level 1\)$"):
+        sample(prob, mesh)
 
 
 def test_unforced_problem_has_no_forcing_grid():

@@ -12,10 +12,11 @@ before it):
   ``fine_mesh`` (example1, J=2000, M=2000, with the default and a
   jittered pulse) and ``cli_session`` (example2, J=200, M=1000) through
   the library: ``U``, ``min_pivot``, every ``ErrorReport`` field, and
-  ``rho_h``, ``b_h``, ``c_h``, ``U0`` and ``F``;
-* the same items for forced problems and for variable, scalar-only and
-  constant-returning coefficients at J=50, M=3000, which take every
-  fallback of the callable evaluator;
+  ``rho_h``, ``b_h``, ``c_h``, ``G``, ``U0`` and ``F``;
+* the same items for forced problems, for variable, scalar-only and
+  constant-returning coefficients, and for a scalar-only and a
+  constant-returning ``g`` at J=50, M=3000, which take every fallback of
+  the callable evaluator;
 * at the ``cli_session`` size, the ``neumann`` closure through ``march``
   and the enlarged-interval reference through ``march_reference``
   (factor 5, doubling check on): the same items;
@@ -141,6 +142,9 @@ def _forced_problems(pd):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0.1, 2.0 - 10.0 * x, 1.0)
 
+    def scalar_g(t):
+        return 0.5 * math.sin(3.0 * t) ** 2
+
     knots = np.linspace(0.0, 0.1, 6)   # u0 vanishes at x = 0 and x >= 0.1
     bumps = np.array([0.0, 0.3, -0.2, 0.5, 0.1, 0.0])
     return {
@@ -155,6 +159,9 @@ def _forced_problems(pd):
         "coefficients.variable": (replace(
             base, rho=scalar_rho, b=vector_b, c=lambda x: 0.0,
             u0=lambda x: np.interp(x, knots, bumps)), exact),
+        "boundary.scalar-only": (replace(base, g=scalar_g), exact),
+        # g(0) = 0.5 against u0(0) = 0: the corner warning, then the run
+        "boundary.constant": (replace(base, g=lambda t: 0.5), exact),
     }
 
 
@@ -211,7 +218,7 @@ def digests() -> dict:
         items.update((f"report.{f.name}", getattr(report, f.name))
                      for f in fields(report))
         items.update((name, getattr(result.coeffs, name))
-                     for name in ("rho_h", "b_h", "c_h", "U0", "F"))
+                     for name in ("rho_h", "b_h", "c_h", "G", "U0", "F"))
         out.update((f"{key}.{item}", _digest(value))
                    for item, value in items.items())
 
