@@ -141,8 +141,8 @@ class SampledCoefficients:
     ``rho_h[j]``, ``b_h[j]``, ``c_h[j]`` hold the coefficient value at the
     cell midpoint x_{j-1/2} for 1 <= j <= J (slot 0 is NaN).
     ``F[m, j] = f(x_j, t_m)`` for m >= 1 (row 0 is zero), or None when the
-    problem is unforced (``f`` is None); ``G[m] = g(t_m)`` for m >= 1
-    (slot 0 is NaN); ``U0[j] = u0(x_j)``.
+    problem is unforced (``f`` is None); ``G[m] = g(t_m)`` for every m
+    (slot 0 is NaN where g fails at t = 0); ``U0[j] = u0(x_j)``.
     """
 
     rho_h: np.ndarray
@@ -175,14 +175,15 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
     vanish below the problem's tail tolerance.  Every callable goes
     through :func:`~parabolic_dtbc.validation.eval_on_grid`: rho, b and c
     at the cell midpoints and u0 at the nodes as one level, ``f`` into
-    ``F[1:]`` and ``g`` (on the one-node column x_0) into ``G[1:]`` in
-    place, one call per block of whole levels; each falls back to one call
-    per level and then to one per point where a call fails, and a point
-    that fails or gives no number is NaN.  Non-finite samples of rho, b,
-    c, u0 or f raise ValueError naming the field, and of g naming the
-    first such level.  An unforced problem (``f`` is None) gets no forcing
-    grid: ``F`` is None.  ``g`` is called once more, at t = 0, only to
-    warn when it disagrees with u0(0).
+    ``F[1:]`` in place over t_1..t_M and ``g`` (on the one-node column
+    x_0) over t_0..t_M, one call per block of whole levels; each falls
+    back to one call per level and then to one per point where a call
+    fails, and a point that fails or gives no number is NaN.  Non-finite
+    samples of rho, b, c, u0 or f raise ValueError naming the field, and
+    of g at t_1..t_M naming the first such level.  An unforced problem
+    (``f`` is None) gets no forcing grid: ``F`` is None.  ``G[0]`` serves
+    only the corner check: a value that disagrees with u0(0), an
+    infinite one included, warns, and a NaN one is not checked.
     """
     x, J, M = mesh.x, mesh.J, mesh.M
     x_end = float(x[J])
@@ -225,31 +226,27 @@ def sample(problem: ProblemSpec, mesh: Mesh) -> SampledCoefficients:
         raise ValueError("initial data does not vanish on the tail "
                          f"(tolerance {problem.tail_tol:g})")
 
-    t = mesh.times()[1:]
+    t = mesh.times()
     F = None
     if problem.f is not None:
         F = np.zeros((M + 1, J + 1))
-        eval_on_grid(problem.f, x, t, out=F[1:])
+        eval_on_grid(problem.f, x, t[1:], out=F[1:])
         _check_finite("f", F)
         if np.max(np.abs(F[1:, tail_nodes])) > problem.tail_tol:
             raise ValueError("forcing does not vanish on the tail "
                              f"(tolerance {problem.tail_tol:g})")
 
-    G = np.full(M + 1, np.nan)
-    eval_on_grid(lambda _x, ts: problem.g(ts), x[:1], t, out=G[1:, None])
+    G = eval_on_grid(lambda _x, ts: problem.g(ts), x[:1], t)[:, 0]
     if not (math.isfinite(G[1:].min()) and math.isfinite(G[1:].max())):
-        m = int(np.argmin(np.isfinite(G[1:])))
+        m = int(np.argmin(np.isfinite(G[1:]))) + 1
         raise ValueError(f"boundary data g is not a finite number at "
-                         f"t_m={t.item(m)!r} (level {m + 1})")
+                         f"t_m={t.item(m)!r} (level {m})")
 
-    try:
-        g0 = float(problem.g(0.0))
-    except (TypeError, ValueError, ZeroDivisionError):
-        g0 = None
-    if g0 is not None and abs(U0[0] - g0) > 1e-10 * (1.0 + abs(g0)):
+    # a NaN g(0) compares false and skips the check; an infinite one warns
+    if abs(U0[0] - G[0]) > 1e-10 * (1.0 + abs(U0[0])):
         warnings.warn(
             f"initial and boundary data disagree at the corner: u0(0)={U0[0]:.6g}"
-            f" vs g(0)={g0:.6g}; proceeding with the sampled initial value",
+            f" vs g(0)={G[0]:.6g}; proceeding with the sampled initial value",
             stacklevel=2)
 
     return SampledCoefficients(rho_h=rho_h, b_h=b_h, c_h=c_h, F=F, G=G, U0=U0)

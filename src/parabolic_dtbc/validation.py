@@ -102,10 +102,11 @@ def _level_blocks(n_levels: int, width: int):
 
 def _call(fn, x, t, shapes):
     """``fn(x, t)`` as a float array when its shape is one of ``shapes``;
-    None when it is not or the call raises TypeError/ValueError."""
+    None when it is not or the call raises TypeError, ValueError or
+    ArithmeticError."""
     try:
         got = np.asarray(fn(x, t), dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ArithmeticError):
         return None
     return got if got.shape in shapes else None
 
@@ -117,11 +118,12 @@ def eval_on_grid(fn, x, t, out=None):
     filled in blocks of whole levels of at most EVAL_BLOCK_CELLS (2^16)
     cells, one call ``fn(x[None, :], t[lo:hi, None])`` per block, so a
     vectorized ``fn`` only ever sees, and leaves temporaries of, one
-    block.  A block on which that call raises TypeError/ValueError or
-    returns the wrong shape is evaluated one level at a time,
-    ``fn(x, t_m)``, a scalar result filling its level; a level that fails
-    too is evaluated point by point, and a point at which ``fn`` fails or
-    returns no scalar is NaN, for the caller's finite check to name.
+    block.  A block on which that call fails (raises TypeError, ValueError
+    or ArithmeticError) or returns the wrong shape is evaluated one level
+    at a time, ``fn(x, t_m)``, a scalar result filling its level; a level
+    that fails too is evaluated point by point, and a point at which
+    ``fn`` fails or returns no scalar is NaN, for the caller's finite
+    check to name.
     """
     vals = np.empty((t.size, x.size)) if out is None else out
     for lo, hi in _level_blocks(t.size, x.size):

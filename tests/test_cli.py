@@ -339,6 +339,17 @@ MALFORMED_CALLABLES = {
     "rho-matrix": (CUSTOM_ZERO + "from dataclasses import replace\n"
                    "PROBLEM = replace(PROBLEM, rho=lambda x: np.eye(2))\n",
                    "error: rho samples are not finite"),
+    # math-only callables that raise an ArithmeticError at one point
+    "u0-zerodiv": (CUSTOM_ZERO + "import math\nfrom dataclasses import replace\n"
+                   "PROBLEM = replace(PROBLEM, u0=lambda x: 0.0 / math.fabs(x))\n",
+                   "error: u0 samples are not finite"),
+    "g-overflow": (CUSTOM_ZERO + "import math\nfrom dataclasses import replace\n"
+                   "PROBLEM = replace(PROBLEM,\n"
+                   "                  g=lambda t: math.exp(1e5 * t) * 0.0)\n",
+                   "g is not a finite number at t_m=0.05 (level 1)"),
+    "exact-zerodiv": (CUSTOM_ZERO + "import math\n"
+                      "EXACT = lambda x, t: 0.0 / math.fabs(x)\n",
+                      "not finite at level 1 (t_m=0.05)"),
 }
 
 

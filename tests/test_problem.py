@@ -207,8 +207,8 @@ def test_x_only_data_fall_back_block_level_point(field, kind):
 @pytest.mark.parametrize("preset", [example1, example2])
 def test_preset_boundary_data_take_one_call_per_block(preset, M, cells,
                                                       monkeypatch):
-    # g goes through the evaluator as a one-node column: one call per block
-    # of levels, plus the scalar call of the corner check at t = 0
+    # g goes through the evaluator as a one-node column over t_0..t_M: one
+    # call per block of levels, and G[0] serves the corner check
     if cells is not None:
         monkeypatch.setattr(validation, "EVAL_BLOCK_CELLS", cells)
     prob, exact = preset()
@@ -220,11 +220,11 @@ def test_preset_boundary_data_take_one_call_per_block(preset, M, cells,
 
     mesh = build_mesh(prob.X, 50, tau=1.0 / M, M=M)
     G = sample(replace(prob, g=counted), mesh).G
-    blocks = list(_level_blocks(M, 1))
+    blocks = list(_level_blocks(M + 1, 1))
     assert len(blocks) == (2 if cells else 1)
-    assert calls == [(hi - lo, 1) for lo, hi in blocks] + [()]
+    assert calls == [(hi - lo, 1) for lo, hi in blocks]
     t = mesh.times()[1:]
-    assert np.isnan(G[0])
+    assert G[0] == prob.g(0.0)
     assert np.array_equal(G[1:], [float(prob.g(t_m)) for t_m in t.tolist()])
     assert np.array_equal(G[1:], exact(0.0, t))
 
@@ -250,9 +250,8 @@ def test_scalar_boundary_data_are_sampled_per_level(kind):
     M = 2000
     mesh = build_mesh(1.0, 10, tau=1e-3, M=M)
     G = sample(prob, mesh).G
-    assert calls == [(M, 1)] + [()] * M + [()]
-    assert np.array_equal(G[1:], [float(g(t_m))
-                                  for t_m in mesh.times()[1:].tolist()])
+    assert calls == [(M + 1, 1)] + [()] * (M + 1)
+    assert np.array_equal(G, [float(g(t_m)) for t_m in mesh.times().tolist()])
 
 
 def test_boundary_data_that_give_no_number_name_the_first_level():
@@ -334,6 +333,17 @@ def test_corner_mismatch_warns_but_proceeds():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert sample(singular, mesh).U0[0] == 1.0
+
+
+def test_infinite_corner_value_warns():
+    # G[0] = g(0) is read only by the corner check, so an infinite value
+    # there is a disagreement with u0(0), not a failed sample
+    prob = replace(zero_problem(),
+                   g=lambda t: np.where(np.asarray(t) > 0.0, 0.0, np.inf))
+    mesh = build_mesh(1.0, 8, tau=0.1, M=3)
+    with pytest.warns(UserWarning, match=r"u0\(0\)=0 vs g\(0\)=inf"):
+        coeffs = sample(prob, mesh)
+    assert coeffs.G[0] == np.inf and np.all(coeffs.G[1:] == 0.0)
 
 
 def test_example2_preset_data():

@@ -200,7 +200,11 @@ def _scalar_below_half(xs, ts):
     (lambda xs, ts: np.zeros((2, 2)), 0),   # always the wrong shape
     (lambda xs, ts: None, 0),               # no number at all
     (_scalar_below_half, 2),
-], ids=["list", "matrix", "none", "from-a-point"])
+    # math-only, so that block and level calls fail with TypeError first
+    (lambda xs, ts: 0.0 / (1.0 - math.ceil(xs)), 1),   # ZeroDivisionError
+    (lambda xs, ts: 0.0 * math.exp(1e3 * xs), 3),      # OverflowError
+], ids=["list", "matrix", "none", "from-a-point", "zero-division",
+        "overflow"])
 def test_eval_on_grid_writes_nan_where_a_point_fails(fn, first):
     # the failed points are NaN, for the caller's finite check to name;
     # the points before them keep their values
