@@ -454,20 +454,19 @@ def cmd_kernel(cfg: RunConfig, out: Path, deterministic: bool,
 
 
 def _run_diagnostics(result, out: Path, deterministic: bool) -> bool:
-    """Kernel dissipativity, certified for every horizon, plus energy
-    checks on the run ``result``."""
-    scheme, mesh = result.config, result.mesh
-    params = derive_params(*result.coeffs.tail, mesh.h_tail, mesh.tau,
-                           scheme.sigma, scheme.theta)
-    dissip = certify_dissipativity(kernel_by_recurrence(params, 1))
+    """Energy checks on the run ``result`` and, when the march closed it
+    with a kernel, that kernel's dissipativity, certified for every
+    horizon; a zero-flux run has no kernel and no dissipativity rows."""
+    kernel, at_most = result.kernel, []
+    if kernel is not None:
+        dissip = certify_dissipativity(kernel)
+        bounds = validation._certificate_bounds(kernel.params, dissip.tol)
+        at_most = [("dissipativity_weighted", dissip.worst_weighted, bounds[0]),
+                   ("dissipativity_increment", dissip.worst_increment, bounds[1])]
     energy = diagnose_energy(result)
-
-    bounds = validation._certificate_bounds(params, dissip.tol)
-    at_most = [("dissipativity_weighted", dissip.worst_weighted, bounds[0]),
-               ("dissipativity_increment", dissip.worst_increment, bounds[1]),
-               ("first_energy_equality_rel", energy.first_equality_rel, 1e-10),
-               ("second_energy_equality_rel", energy.second_equality_rel,
-                1e-10)]
+    at_most += [
+        ("first_energy_equality_rel", energy.first_equality_rel, 1e-10),
+        ("second_energy_equality_rel", energy.second_equality_rel, 1e-10)]
     slacks = [("first_energy_bound_slack", energy.sb_slack),
               ("second_energy_bound_slack", energy.sbA_slack)]
     checks = ([(name, value, bound, value <= bound)

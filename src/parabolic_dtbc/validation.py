@@ -102,13 +102,15 @@ def _level_blocks(n_levels: int, width: int):
 
 def _call(fn, x, t, shapes):
     """``fn(x, t)`` as a float array when its shape is one of ``shapes``;
-    None when it is not or the call raises TypeError, ValueError or
-    ArithmeticError."""
+    None when it is not, when the result is complex or when the call
+    raises TypeError, ValueError or ArithmeticError."""
     try:
-        got = np.asarray(fn(x, t), dtype=float)
+        got = np.asarray(fn(x, t))
+        if got.dtype.kind == "c" or got.shape not in shapes:
+            return None
+        return got.astype(float, copy=False)
     except (TypeError, ValueError, ArithmeticError):
         return None
-    return got if got.shape in shapes else None
 
 
 def eval_on_grid(fn, x, t, out=None):
@@ -184,19 +186,18 @@ def error_report(trajectory, exact, mesh) -> ErrorReport:
 class EnergyForm:
     """Bilinear form of the energy analysis with its stencil weights.
 
-    Q(U, W) = sum_{j=1..J} b_j (U_j - U_{j-1}) (W_j - W_{j-1}) / h_j
-            + sum_{j=1..J-1} hbar_j W_j (C_theta U)_j
-            + kappa_end (theta U_{J-1} + (1/2 - theta) U_J) W_J h_J,
+    Q(U, W) = sum_{j=1..J-1} hbar_j W_j (C_theta U)_j
+            + kappa_J (theta U_{J-1} + (1/2 - theta) U_J) W_J h_J,
 
     where C_theta is the averaged multiplication by the midpoint-sampled
-    coefficient ``kappa`` and the flux sum is present only when ``b_h`` is
-    given.  The weights are computed once, so one instance serves any
+    coefficient ``kappa``, whose last sample ``kappa_J`` is the tail
+    constant.  The weights are computed once, so one instance serves any
     number of levels; every method reduces over the last axis (one grid
     vector ``W_0 .. W_J`` or a block of levels).  ``theta`` comes from a
     checked ``SchemeConfig`` and is not checked again.
     """
 
-    def __init__(self, mesh, theta: float, kappa, kappa_end: float, b_h=None):
+    def __init__(self, mesh, theta: float, kappa):
         J = mesh.J
         h, hb = mesh.h, mesh.hbar[1:J]
         s_hat = (h[1:J] * kappa[1:J] + h[2:J + 1] * kappa[2:J + 1]) / (2.0 * hb)
@@ -204,27 +205,18 @@ class EnergyForm:
         self._mid = (1.0 - 2.0 * theta) * s_hat
         self._hi = theta * (h[2:J + 1] / hb) * kappa[2:J + 1]
         self._hbar = hb
-        self._end = (theta, 0.5 - theta, kappa_end * h[J])
-        self._flux = None if b_h is None else b_h[1:] / h[1:]
+        self._end = (theta, 0.5 - theta, kappa[J] * h[J])
 
     def averaged(self, W):
         """(C_theta W)_j at the interior nodes j = 1..J-1."""
         return (self._lo * W[..., :-2] + self._mid * W[..., 1:-1]
                 + self._hi * W[..., 2:])
 
-    def flux(self, U, W):
-        """sum_j b_j (U_j - U_{j-1}) (W_j - W_{j-1}) / h_j."""
-        dU = np.diff(U, axis=-1)
-        dW = dU if W is U else np.diff(W, axis=-1)
-        return (dU * dW) @ self._flux
-
     def evaluate(self, U, W):
         """Q(U, W), one value per level."""
         inner, outer, end = self._end
         val = (self.averaged(U) * W[..., 1:-1]) @ self._hbar
         val += end * (inner * U[..., -2] + outer * U[..., -1]) * W[..., -1]
-        if self._flux is not None:
-            val += self.flux(U, W)
         return val
 
 
@@ -273,8 +265,9 @@ def diagnose_energy(result) -> EnergyDiagnostics:
     a_w the off-diagonal weight of ``stepper.scheme_weights``.  Equality
     residuals are normalized by the largest participating term and are
     tracked over every truncation level M' <= M; the reported value is the
-    worst one.  The tail constants are ``result.coeffs.tail``, the density
-    bound of the a-priori bounds the smallest density sample.
+    worst one.  The elliptic energy is the reaction form plus the flux sum;
+    b_inf is ``result.coeffs.tail``'s, the density bound of the a-priori
+    bounds the smallest density sample.
 
     Every per-level term is a 2-D array expression over one lifted block of
     whole levels of at most EVAL_BLOCK_CELLS (2^16) cells, with the stencil
@@ -292,16 +285,20 @@ def diagnose_energy(result) -> EnergyDiagnostics:
     kernel: Kernel | None = result.kernel
     sigma, theta = cfg.sigma, cfg.theta
     tau, M, J = mesh.tau, mesh.M, mesh.J
-    rho_inf, b_inf, c_inf = coeffs.tail
+    b_inf = coeffs.tail[1]
 
     # deferred: stepper imports problem, which imports this module
     from .stepper import scheme_weights
 
     rho_h, b_h, c_h, F = coeffs.rho_h, coeffs.b_h, coeffs.c_h, coeffs.F
-    mass = EnergyForm(mesh, theta, rho_h, rho_inf)
-    ell = EnergyForm(mesh, theta, c_h, c_inf, b_h)
-    react = EnergyForm(mesh, theta, c_h, c_inf)
+    mass = EnergyForm(mesh, theta, rho_h)
+    react = EnergyForm(mesh, theta, c_h)
+    b_per_h = b_h[1:] / mesh.h[1:]
     h_in = mesh.hbar[1:J]
+
+    def flux(V):  # sum_j b_j (V_j - V_(j-1))^2 / h_j, one value per level
+        dV = np.diff(V, axis=-1)
+        return (dV * dV) @ b_per_h
 
     if kernel is not None:
         S = convolve_all(kernel, U[:, J])
@@ -315,7 +312,7 @@ def diagnose_energy(result) -> EnergyDiagnostics:
 
     V0 = np.r_[0.0, U[0, 1:]]
     mass2_0 = mass.evaluate(V0, V0)
-    ell2_0 = ell.evaluate(V0, V0)
+    ell2_0 = react.evaluate(V0, V0) + flux(V0)
 
     # running sums of the identity terms of the lift (U read as V, F as
     # F + F~), carried from block to block:
@@ -347,12 +344,12 @@ def diagnose_energy(result) -> EnergyDiagnostics:
         n_dU_mass = mass.evaluate(dU, dU)
         acc[0] = n_dU_mass * tau * tau
         acc[5] = n_dU_mass * tau
-        acc[6] = ell.evaluate(dU, dU) * tau * tau
+        acc[6] = (react.evaluate(dU, dU) + flux(dU)) * tau * tau
         acc[7] = S_m * dU[:, J] * tau
         acc[8] = (f * dU[:, 1:k + 1]) @ h_in[:k] * tau
         del dU
         Us = sigma * Um + (1.0 - sigma) * Up
-        acc[1] = ell.flux(Us, Us) * tau
+        acc[1] = flux(Us) * tau
         acc[2] = react.evaluate(Us, Us) * tau
         acc[3] = S_m * Us[:, J] * tau
         acc[4] = (f * Us[:, 1:k + 1]) @ h_in[:k] * tau
@@ -365,7 +362,7 @@ def diagnose_energy(result) -> EnergyDiagnostics:
         totals = acc[:, -1].copy()
 
         mass2_m = mass.evaluate(Um, Um)
-        ell2_m = ell.evaluate(Um, Um)
+        ell2_m = react.evaluate(Um, Um) + flux(Um)
         max_mass = max(max_mass, float(np.sqrt(np.maximum(mass2_m, 0.0)).max()))
         max_ell = max(max_ell, float(np.sqrt(np.maximum(ell2_m, 0.0)).max()))
 
@@ -464,10 +461,11 @@ def certify_dissipativity(kernel: Kernel, trials: int = 0, M: int = 200,
     is +0.0.  ``passed`` compares the rows with ``tol`` times their scales,
     scale / 2h and 2 scale / (2h tau).
 
-    ``trials > 0`` adds that many probes of M levels, uniform on [-1, 1]
-    from ``seed``, through :func:`convolve_all`; ``passed`` then also needs
-    each probe ratio below its supremum plus 1e-12 times its form's norm
-    bound, (sigma + |1 - sigma|) s or 2 s / tau, s = sum_(q<M) |R[q]| / (2h).
+    ``trials > 0`` adds that many probes of M >= 1 levels (ValueError
+    otherwise), uniform on [-1, 1] from ``seed``, through
+    :func:`convolve_all`; ``passed`` then also needs each probe ratio below
+    its supremum plus 1e-12 times its form's norm bound,
+    (sigma + |1 - sigma|) s or 2 s / tau, s = sum_(q<M) |R[q]| / (2h).
     """
     p = kernel.params
     sigma, tau, unit = p.sigma, p.tau, p.scale / (2.0 * p.h)
@@ -477,6 +475,8 @@ def certify_dissipativity(kernel: Kernel, trials: int = 0, M: int = 200,
     worst = [max(K_one, (2.0 * sigma - 1.0) * K_minus_one) + 0.0, 0.0]
     passed = all(w <= b for w, b in zip(worst, _certificate_bounds(p, tol)))
     if trials > 0:
+        if not M >= 1:
+            raise ValueError(f"probe horizon M must be at least 1, got M={M}")
         probes = np.zeros((trials, M + 1))
         probes[:, 1:] = np.random.default_rng(seed).uniform(-1, 1, (trials, M))
         S = convolve_all(kernel, probes)[:, 1:]

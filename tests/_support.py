@@ -271,7 +271,7 @@ def diagnose_energy_reference(result):
     kernel = result.kernel
     sigma, theta = cfg.sigma, cfg.theta
     tau, M, J = mesh.tau, mesh.M, mesh.J
-    _, b_inf, c_inf = coeffs.tail
+    b_inf = coeffs.tail[1]
 
     rho_h, b_h, c_h = coeffs.rho_h, coeffs.b_h, coeffs.c_h
     g = result.U[:, 0].copy()
@@ -283,15 +283,18 @@ def diagnose_energy_reference(result):
         a_old = scheme_weights(coeffs, mesh, sigma - 1.0, theta)[0][1]
         for m in range(1, M + 1):
             F[m, 1] += -(a_new * g[m] - a_old * g[m - 1]) / mesh.hbar[1]
-    mass = EnergyForm(mesh, theta, rho_h, rho_h[J])
-    ell = EnergyForm(mesh, theta, c_h, c_inf, b_h)
-    react_form = EnergyForm(mesh, theta, c_h, c_h[J])
+    mass = EnergyForm(mesh, theta, rho_h)
+    react_form = EnergyForm(mesh, theta, c_h)
 
     def mass2(V):
         return mass.evaluate(V, V)
 
+    def flux(V):
+        dV = (V[1:] - V[:-1]) / mesh.h[1:]
+        return float(np.dot(b_h[1:] * dV * dV, mesh.h[1:]))
+
     def ell2(V):
-        return ell.evaluate(V, V)
+        return react_form.evaluate(V, V) + flux(V)
 
     if kernel is not None:
         S = convolve_direct(kernel, U[:, J])
@@ -315,12 +318,10 @@ def diagnose_energy_reference(result):
         dU = (Um - Up) / tau
         n_dU_mass = mass2(dU)
         n_dU_ell = ell2(dU)
-        dUs = (Us[1:] - Us[:-1]) / mesh.h[1:]
-        flux = float(np.dot(b_h[1:] * dUs * dUs, mesh.h[1:]))
         react = react_form.evaluate(Us, Us)
         f_row = F[m]
         acc_dmass += n_dU_mass * tau * tau
-        acc_flux += flux * tau
+        acc_flux += flux(Us) * tau
         acc_react += react * tau
         acc_S1 += S[m] * Us[J] * tau
         acc_F1 += float(np.dot(f_row[1:J] * Us[1:J], h_in)) * tau

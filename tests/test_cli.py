@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from parabolic_dtbc import (SchemeConfig, build_mesh, cli, diagnose_energy,
-                            dtbc_kernel, example2, march, validation)
+from parabolic_dtbc import (SchemeConfig, build_mesh, certify_dissipativity,
+                            cli, diagnose_energy, dtbc_kernel, example2, march,
+                            validation)
 from parabolic_dtbc.cli import (ConfigError, RunConfig, _load_problem,
                                 _make_mesh, main, read_config, write_solution)
 
@@ -350,6 +351,10 @@ MALFORMED_CALLABLES = {
     "exact-zerodiv": (CUSTOM_ZERO + "import math\n"
                       "EXACT = lambda x, t: 0.0 / math.fabs(x)\n",
                       "not finite at level 1 (t_m=0.05)"),
+    # a complex result is a failed call, not a real part
+    "rho-complex": (CUSTOM_ZERO + "from dataclasses import replace\n"
+                    "PROBLEM = replace(PROBLEM, rho=lambda x: 1 + 0.5j * x)\n",
+                    "error: rho samples are not finite"),
 }
 
 
@@ -951,6 +956,50 @@ def test_reference_mode_diagnoses_the_dtbc_march(tmp_path, monkeypatch):
     assert [res.config for res in checked] == [
         SchemeConfig(0.5, 1.0 / 12.0, "dtbc")] * 2
     np.testing.assert_array_equal(checked[0].U, checked[1].U)
+
+
+ENERGY_ROWS = ["first_energy_equality_rel", "second_energy_equality_rel",
+               "first_energy_bound_slack", "second_energy_bound_slack"]
+
+
+@pytest.mark.parametrize("boundary", ["dtbc", "neumann"])
+def test_diagnose_certifies_the_kernel_of_the_march(tmp_path, monkeypatch,
+                                                    boundary):
+    # the certificate reads the kernel that closed the run; a zero-flux
+    # run has none and writes the four energy rows only
+    runs, certified = [], []
+
+    def recording_march(*args):
+        runs.append(march(*args))
+        return runs[-1]
+
+    def recording_certify(kernel):
+        certified.append(kernel)
+        return certify_dissipativity(kernel)
+
+    monkeypatch.setattr(cli, "march", recording_march)
+    monkeypatch.setattr(cli, "certify_dissipativity", recording_certify)
+    cfg = write(tmp_path / "run.cfg",
+                RAMP_DIAGNOSTICS + f"boundary = {boundary}\n")
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", str(cfg), "--out", str(out),
+                 "--deterministic"]) == 0
+    with (out / "diagnostics.csv").open() as handle:
+        rows = {row[0]: row[1:] for row in csv.reader(handle)}
+    [result] = runs
+    if boundary == "neumann":
+        assert result.kernel is None and certified == []
+        assert list(rows) == ["check"] + ENERGY_ROWS
+        return
+    assert len(certified) == 1 and certified[0] is result.kernel
+    report = certify_dissipativity(result.kernel)
+    bounds = validation._certificate_bounds(result.kernel.params, report.tol)
+    assert list(rows) == ["check", "dissipativity_weighted",
+                          "dissipativity_increment"] + ENERGY_ROWS
+    assert rows["dissipativity_weighted"] == [
+        cli._fmt(report.worst_weighted), cli._fmt(bounds[0]), "true"]
+    assert rows["dissipativity_increment"] == [
+        cli._fmt(report.worst_increment), cli._fmt(bounds[1]), "true"]
 
 
 def test_solve_exits_two_on_a_perturbed_trajectory(tmp_path, monkeypatch):

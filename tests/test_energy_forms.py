@@ -28,11 +28,19 @@ def unit_kappa(mesh):
 
 
 def mass_form(kappa, mesh, theta):
-    return EnergyForm(mesh, theta, kappa, kappa[mesh.J])
+    return EnergyForm(mesh, theta, kappa)
 
 
-def elliptic_form(b_h, c_h, c_inf, mesh, theta):
-    return EnergyForm(mesh, theta, c_h, c_inf, b_h)
+def elliptic_form(b_h, c_h, mesh, theta):
+    # the reaction form plus the flux sum_j b_j dU_j dW_j / h_j, as
+    # diagnose_energy forms its elliptic energy
+    react = EnergyForm(mesh, theta, c_h)
+    b_per_h = b_h[1:] / mesh.h[1:]
+
+    def evaluate(U, W):
+        flux = (np.diff(U, axis=-1) * np.diff(W, axis=-1)) @ b_per_h
+        return react.evaluate(U, W) + flux
+    return evaluate
 
 
 def test_theta_zero_average_is_identity():
@@ -89,18 +97,17 @@ def test_stencil_and_forms_reduce_over_the_last_axis():
     c_h = np.concatenate(([np.nan], rng.uniform(0.0, 1.0, size=mesh.J)))
     for theta in (-0.5, 0.0, 1.0 / 12.0, 0.25):
         mass_q = mass_form(b_h, mesh, theta)
-        ell_q = elliptic_form(b_h, c_h, c_h[-1], mesh, theta)
+        ell_q = elliptic_form(b_h, c_h, mesh, theta)
         field = mass_q.averaged(U)
         mass = mass_q.evaluate(U, W)
-        ell = ell_q.evaluate(U, W)
+        ell = ell_q(U, W)
         assert field.shape == (7, mesh.J - 1)
         assert mass.shape == ell.shape == (7,)
         for i in range(7):
             assert np.array_equal(field[i], mass_q.averaged(U[i]))
             assert mass[i] == pytest.approx(mass_q.evaluate(U[i], W[i]),
                                             abs=1e-14)
-            assert ell[i] == pytest.approx(ell_q.evaluate(U[i], W[i]),
-                                           abs=1e-13)
+            assert ell[i] == pytest.approx(ell_q(U[i], W[i]), abs=1e-13)
 
 
 def test_mass_form_symmetry():
@@ -129,10 +136,9 @@ def test_elliptic_form_symmetry():
             U[0] = W[0] = 0.0
             b_h = np.concatenate(([np.nan], rng.uniform(0.5, 2.0, size=mesh.J)))
             c_h = np.concatenate(([np.nan], rng.uniform(0.0, 1.0, size=mesh.J)))
-            c_inf = c_h[-1]  # tail constant equals the last midpoint sample
-            form = elliptic_form(b_h, c_h, c_inf, mesh, theta)
-            lhs = form.evaluate(U, W)
-            rhs = form.evaluate(W, U)
+            form = elliptic_form(b_h, c_h, mesh, theta)
+            lhs = form(U, W)
+            rhs = form(W, U)
             assert abs(lhs - rhs) <= 1e-13
 
 
@@ -142,7 +148,7 @@ def test_forms_vanish_on_zero_argument():
     W = rng_vector(mesh, 9, anchored=True)
     kappa = np.concatenate(([np.nan], np.full(mesh.J, 1.3)))
     assert mass_form(kappa, mesh, 0.1).evaluate(z, W) == 0.0
-    assert elliptic_form(kappa, kappa, 1.3, mesh, 0.1).evaluate(z, W) == 0.0
+    assert elliptic_form(kappa, kappa, mesh, 0.1)(z, W) == 0.0
 
 
 def test_mass_norm_equivalence_inequality():

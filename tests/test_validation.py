@@ -203,8 +203,9 @@ def _scalar_below_half(xs, ts):
     # math-only, so that block and level calls fail with TypeError first
     (lambda xs, ts: 0.0 / (1.0 - math.ceil(xs)), 1),   # ZeroDivisionError
     (lambda xs, ts: 0.0 * math.exp(1e3 * xs), 3),      # OverflowError
+    (lambda xs, ts: 1.0 + 0.5j * xs, 0),  # complex at every tier
 ], ids=["list", "matrix", "none", "from-a-point", "zero-division",
-        "overflow"])
+        "overflow", "complex"])
 def test_eval_on_grid_writes_nan_where_a_point_fails(fn, first):
     # the failed points are NaN, for the caller's finite check to name;
     # the points before them keep their values
@@ -447,6 +448,16 @@ def test_zero_probe_gives_exactly_zero_sums():
     kernel = kernel_by_recurrence(params, 50)
     S = convolve_all(kernel, np.zeros(51))
     assert np.all(S == 0.0)
+
+
+@pytest.mark.parametrize("M", [0, -3])
+def test_dissipativity_probes_need_one_level(M):
+    # checked before any probe is drawn; without probes M is not read
+    kernel = kernel_by_recurrence(derive_params(1.0, 1.0, 0.0, 0.1, 0.01,
+                                                0.5, 0.0), 5)
+    with pytest.raises(ValueError, match=f"M={M}"):
+        certify_dissipativity(kernel, trials=5, M=M)
+    assert certify_dissipativity(kernel, M=M).passed
 
 
 def test_dissipativity_smoke():
