@@ -271,11 +271,15 @@ def _put(out, at, lut, index):
     out[:, at:at + lut.itemsize].view(lut.dtype)[:, 0] = lut.take(index)
 
 
-def _format_e17(out, x) -> None:
-    """``FLOAT_FMT % v`` of each value of ``x``, NUL-padded, into the rows
-    of the uint8 array ``out`` of shape (x.size, 25): a sign or NUL, "d.dd",
-    five groups of three digits, then "e+dd" and a NUL or "e+ddd".  Every
-    byte of ``out`` is written.
+def _format_e17(x):
+    """The slots of ``FLOAT_FMT % v`` for the values of ``x``: their width
+    and a function that writes them, NUL-padded, into the rows of a uint8
+    array of shape (x.size, width).  A slot is a sign byte (a sign or NUL)
+    when some value has its sign bit set, "d.dd", five groups of three
+    digits, "e+dd", and a third exponent digit (a digit or NUL) when some
+    |E| >= 100: 23 to 25 bytes, and 25 when some value takes the fallback.
+    The digits come first, as they give the width.  Every byte of the
+    array is written.
 
     After Gay (1990) and Adams ("Ryu revisited", 2019): the 18 digits are
     d = round-half-even(|x| 10^(17-E)), with E from ``log10`` moved by one
@@ -300,43 +304,54 @@ def _format_e17(out, x) -> None:
     ok &= (d >= 10**17) & (d < 10**18) & (abs(abs(r - q) - 0.5) > 1e-6)
     # zero, where a = 1 and E = 0, reads "0.00000000000000000e+00"
     d = np.where(ok, d, 0)
-    groups = []
-    for _ in range(5):
-        q = d // 1000
-        groups.append(d - q * 1000)
-        d = q
-    # one word per table entry, left to right: each group's NUL is
-    # overwritten by the next store
-    out[:, 0] = np.signbit(x) * np.uint8(ord("-"))
-    _put(out, 1, _HEAD, d)
-    for at, group in zip((5, 8, 11, 14, 17), reversed(groups)):
-        _put(out, at, _GROUP, group)
-    _put(out, 20, _EXP, E - _E_MIN)
-    _put(out, 24, _EXP3, E - _E_MIN)
     bad = np.flatnonzero(~(ok | zero))
-    if bad.size:
-        texts = [_fmt(v).encode() for v in x[bad].tolist()]
-        out[bad] = np.array(texts, "S25").view(np.uint8).reshape(-1, 25)
+    sign = int(bad.size > 0 or np.signbit(x).any())
+    wide = int(bad.size > 0 or np.abs(E).max(initial=0) >= 100)
+    width = 23 + sign + wide
+
+    def write(out):
+        groups, head = [], d
+        for _ in range(5):
+            q = head // 1000
+            groups.append(head - q * 1000)
+            head = q
+        # one word per table entry, left to right: each group's NUL is
+        # overwritten by the next store
+        if sign:
+            out[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+        _put(out, sign, _HEAD, head)
+        for k, group in enumerate(reversed(groups)):
+            _put(out, sign + 4 + 3 * k, _GROUP, group)
+        _put(out, sign + 19, _EXP, E - _E_MIN)
+        if wide:
+            _put(out, sign + 23, _EXP3, E - _E_MIN)
+        if bad.size:
+            texts = [_fmt(v).encode() for v in x[bad].tolist()]
+            out[bad] = np.array(texts, "S25").view(np.uint8).reshape(-1, 25)
+    return width, write
 
 
 def _rows(levels, nodes, columns, end: bytes):
     """The bytes of the rows of some levels: ``levels`` and ``nodes`` hold
     the ``m,t,`` and ``j,x,`` fields (see :func:`_fields`), ``columns``
     the values, each of shape (levels, nodes), and ``end`` closes a row.
-    The rows are the fixed-width rows of one uint8 canvas, whose NUL
-    padding is dropped at the end."""
+    The rows are the fixed-width rows of one uint8 canvas, each value in
+    the slot its column takes in these levels (:func:`_format_e17`), and
+    the canvas's NUL padding is dropped at the end."""
     (n_levels, w_level), (n_nodes, w_node) = levels.shape, nodes.shape
+    slots = [_format_e17(column.ravel()) for column in columns]
     at = w_level + w_node
-    width = at + 26 * len(columns) - 1 + len(end)
+    width = at + sum(w + 1 for w, _ in slots) - 1 + len(end)
     canvas = np.empty((n_levels * n_nodes, width), np.uint8)
     grid = canvas.reshape(n_levels, n_nodes, width)
     grid[:, :, :w_level] = levels[:, None]
     grid[:, :, w_level:at] = nodes
-    for column in columns:
-        _format_e17(canvas[:, at:at + 25], column.ravel())
-        canvas[:, at + 25] = ord(",")
-        at += 26
+    for w, write in slots:
+        write(canvas[:, at:at + w])
+        canvas[:, at + w] = ord(",")
+        at += w + 1
     canvas[:, at - 1:] = np.frombuffer(end, np.uint8)
+    del slots, write  # their digits, before the two copies of the canvas
     return canvas.tobytes().replace(b"\0", b"")
 
 
@@ -349,9 +364,11 @@ def write_solution(handle, U, exact, mesh) -> None:
     straight to ``handle.buffer`` after a flush of ``handle``.  Each block
     of whole levels of at most a sixteenth of ``validation.EVAL_BLOCK_CELLS``
     cells evaluates the exact solution (:func:`validation.eval_on_grid`) and
-    is formatted by numpy (:func:`_format_e17`): the Python work is O(1) per
-    level, and beyond the trajectory the memory is O(J) plus the canvas and
-    temporaries of one block.
+    is formatted by numpy (:func:`_format_e17`), each column in the
+    narrowest slot that its values in the block need, so that little NUL
+    padding is left to drop: the Python work is O(1) per level, and beyond
+    the trajectory the memory is O(J) plus the canvas and temporaries of
+    one block.
     """
     nodes = _fields(f"{j},{_fmt(xj)}," for j, xj in enumerate(mesh.x.tolist()))
     end = b"\r\n" if exact is not None else b",,\r\n"

@@ -101,12 +101,13 @@ def _level_blocks(n_levels: int, width: int):
 
 
 def _call(fn, x, t, shapes):
-    """``fn(x, t)`` as a float array when its shape is one of ``shapes``;
-    None when it is not, when the result is complex or when the call
-    raises TypeError, ValueError or ArithmeticError."""
+    """``fn(x, t)`` as a float array when it is an array of booleans,
+    integers or floats of one of ``shapes``; None when it is not (a string
+    or a complex number is no value) or when the call raises TypeError,
+    ValueError or ArithmeticError."""
     try:
         got = np.asarray(fn(x, t))
-        if got.dtype.kind == "c" or got.shape not in shapes:
+        if got.dtype.kind not in "biuf" or got.shape not in shapes:
             return None
         return got.astype(float, copy=False)
     except (TypeError, ValueError, ArithmeticError):

@@ -355,6 +355,9 @@ MALFORMED_CALLABLES = {
     "rho-complex": (CUSTOM_ZERO + "from dataclasses import replace\n"
                     "PROBLEM = replace(PROBLEM, rho=lambda x: 1 + 0.5j * x)\n",
                     "error: rho samples are not finite"),
+    "rho-string": (CUSTOM_ZERO + "from dataclasses import replace\n"
+                   "PROBLEM = replace(PROBLEM, rho=lambda x: '1.5')\n",
+                   "error: rho samples are not finite"),
 }
 
 
@@ -460,6 +463,18 @@ EXACT = lambda x, t: np.where(
     t == 0, SPECIAL[np.searchsorted([0.3, 0.6], x)], ramp(x, t))
 """
 
+# example2 with an exact solution negated before t = 0.2 and scaled by
+# -1e-200 from t = 0.4 on: at J = 200 the writer's blocks hold 20 levels,
+# and the exact column changes slot width from block to block
+CUSTOM_WIDTHS_BY_BLOCK = """\
+import numpy as np
+from parabolic_dtbc import example2
+
+PROBLEM, ramp = example2()
+EXACT = lambda x, t: ramp(x, t) * np.where(
+    t < 0.2, -1.0, np.where(t < 0.4, 1.0, -1e-200))
+"""
+
 # name: (custom problem module or None, config lines, --deterministic,
 #        byte strings the output must contain); at J <= 10 the writer
 #        writes each run in one block of all its levels
@@ -477,6 +492,8 @@ SOLUTION_CASES = {
                           b",-inf,inf\r\n"]),
     "multi-level-blocks": (None, "problem = example2\nJ = 10\nM = 100\n",
                            True, [b"\r\n100,1.00000000000000000e+00,10,"]),
+    "widths-by-block": (CUSTOM_WIDTHS_BY_BLOCK, "J = 200\nM = 60\n", True,
+                        [b",-", b"e-201,"]),
 }
 
 
@@ -512,12 +529,19 @@ def test_solution_csv_matches_row_by_row_writer(tmp_path, case):
     check_solution_case(tmp_path, case)
 
 
-@pytest.mark.parametrize("case", ["example2", "graded-signed"])
+@pytest.mark.parametrize("case", ["example2", "graded-signed",
+                                  "widths-by-block"])
 def test_every_canvas_byte_is_written(tmp_path, monkeypatch, case):
     # the writer takes its canvas from np.empty and writes every byte of
     # it, NUL padding included; here new uint8 arrays come filled with
     # 0xFF, so a byte left unwritten shows in the output
     empty = np.empty
+    format_e17, widths = cli._format_e17, []
+
+    def recorded(x):
+        slots = format_e17(x)
+        widths.append(slots[0])
+        return slots
 
     def filled(*args, **kwargs):
         out = empty(*args, **kwargs)
@@ -526,7 +550,12 @@ def test_every_canvas_byte_is_written(tmp_path, monkeypatch, case):
         return out
 
     monkeypatch.setattr(np, "empty", filled)
+    monkeypatch.setattr(cli, "_format_e17", recorded)
     check_solution_case(tmp_path, case)
+    if case == "widths-by-block":
+        # U, exact and error slots of the blocks of levels 0-19, 20-39,
+        # 40-59 and 60: the exact column takes a sign byte, neither, both
+        assert widths == [23, 24, 23, 23, 23, 23, 23, 25, 23, 23, 25, 23]
 
 
 def test_solution_writer_at_the_benchmark_size(monkeypatch):
@@ -609,12 +638,14 @@ def test_solution_writer_peak_stays_at_the_exact_solution_block():
     assert peaks[1] <= 0.6 * peaks[0]
 
 
-def formatted(values) -> bytes:
-    """``values`` through the writer's formatter, each followed by a comma."""
-    canvas = np.zeros((values.size, 26), np.uint8)
-    cli._format_e17(canvas[:, :25], values)
-    canvas[:, 25] = ord(",")
-    return canvas[canvas != 0].tobytes()
+def formatted(values) -> tuple[bytes, int]:
+    """``values`` through the writer's formatter, each followed by a comma,
+    and the slot width it chose for them."""
+    width, write = cli._format_e17(values)
+    canvas = np.zeros((values.size, width + 1), np.uint8)
+    write(canvas[:, :width])
+    canvas[:, width] = ord(",")
+    return canvas[canvas != 0].tobytes(), width
 
 
 def percent_formatted(values) -> bytes:
@@ -637,7 +668,22 @@ def test_formatter_matches_percent_format(monkeypatch):
     for cls in (a >= tiny, (a > 0) & (a < tiny), a == 0, np.isinf(values),
                 np.isnan(values)):
         assert (cls & negative).any() and (cls & ~negative).any()
-    assert formatted(values) == percent_formatted(values)
+    fallbacks = []
+    monkeypatch.setattr(cli, "_fmt",
+                        lambda v: fallbacks.append(v) or cli.FLOAT_FMT % v)
+    assert formatted(values) == (percent_formatted(values), 25)
+
+    # one call per slot layout: 23 bytes, plus a sign byte when some sign
+    # bit is set and a third exponent digit when some |E| >= 100, and 25
+    # when some value takes the fallback
+    fast = ~np.isin(values, fallbacks)
+    short = fast & ((a > 1e-98) & (a < 1e98) | (a == 0))
+    long = fast & ((a >= 1e-280) & (a < 1e-101) | (a >= 1e101) & (a < 1e300))
+    layouts = [(values[short & ~negative], 23), (values[short], 24),
+               (values[long & ~negative], 24), (values[long], 25),
+               (np.append(values[short & ~negative], np.nan), 25)]
+    for cls, width in layouts:
+        assert formatted(cls) == (percent_formatted(cls), width)
 
     # exact ties m/8, m odd, round half to even and take the fallback
     odd = 2 * rng.integers(4 * 10**15, 2**52, size=2000) + 1
@@ -645,10 +691,8 @@ def test_formatter_matches_percent_format(monkeypatch):
                            odd / 8.0])
     assert cli.FLOAT_FMT % ties[0] == "1.00000000000000012e+15"
     assert cli.FLOAT_FMT % ties[1] == "1.00000000000000038e+15"
-    fallbacks = []
-    monkeypatch.setattr(cli, "_fmt",
-                        lambda v: fallbacks.append(v) or cli.FLOAT_FMT % v)
-    assert formatted(ties) == percent_formatted(ties)
+    fallbacks.clear()
+    assert formatted(ties) == (percent_formatted(ties), 25)
     assert fallbacks == ties.tolist()
 
 

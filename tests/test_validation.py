@@ -204,8 +204,9 @@ def _scalar_below_half(xs, ts):
     (lambda xs, ts: 0.0 / (1.0 - math.ceil(xs)), 1),   # ZeroDivisionError
     (lambda xs, ts: 0.0 * math.exp(1e3 * xs), 3),      # OverflowError
     (lambda xs, ts: 1.0 + 0.5j * xs, 0),  # complex at every tier
+    (lambda xs, ts: "1.5", 0),              # a string is not a number
 ], ids=["list", "matrix", "none", "from-a-point", "zero-division",
-        "overflow", "complex"])
+        "overflow", "complex", "string"])
 def test_eval_on_grid_writes_nan_where_a_point_fails(fn, first):
     # the failed points are NaN, for the caller's finite check to name;
     # the points before them keep their values

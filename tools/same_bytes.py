@@ -41,7 +41,11 @@ before it):
 * a ``boundary = reference`` configuration (example1, J=50, M=100,
   factor 3) through ``solve`` with diagnostics and through ``table``: its
   four CSVs and the exit codes; and the same configuration through
-  ``kernel --compare``, giving its ``kernel.csv`` and exit code.
+  ``kernel --compare``, giving its ``kernel.csv`` and exit code;
+* the signed ramp of ``tests/test_cli.py`` (negative U, exact and error,
+  and zeros of both signs) at J=200, M=100, six blocks of the
+  ``solution.csv`` writer, through ``solve``: its ``solution.csv``,
+  ``report.csv`` and exit code.
 
 Needs only the standard library and numpy (plus what the package itself
 imports).  Exits 0 when every digest matches, 1 naming the keys that
@@ -89,6 +93,31 @@ extension_factor = 3
 run_diagnostics = true
 table_M = 25, 50, 100
 table_theta = 0, 1/12, 1/4
+"""
+# CUSTOM_SIGNED_RAMP of tests/test_cli.py, written to a file for the CLI
+SIGNED_RAMP = """\
+import numpy as np
+from parabolic_dtbc import ProblemSpec
+from parabolic_dtbc.validation import u2
+
+PROBLEM = ProblemSpec(
+    rho=lambda x: np.ones(np.shape(x)),
+    b=lambda x: np.ones(np.shape(x)),
+    c=lambda x: np.zeros(np.shape(x)),
+    f=lambda x, t: np.zeros(np.broadcast(x, t).shape),
+    g=lambda t: -float(t) ** 2,
+    u0=lambda x: np.full(np.shape(x), -0.0),
+    X0=0.5, X=1.0, label="signed-ramp")
+EXACT = lambda x, t: -u2(x, t)
+"""
+SIGNED_RAMP_CONFIG = """\
+problem = custom
+custom_path = {tmp}/signed_ramp.py
+sigma = 1/2
+theta = 1/12
+tau = 1e-2
+M = 100
+J = 200
 """
 CLI_OUTPUTS = ("solution.csv", "report.csv", "diagnostics.csv", "kernel.csv")
 REFERENCE_OUTPUTS = ("solution.csv", "report.csv", "diagnostics.csv",
@@ -245,12 +274,15 @@ def digests() -> dict:
                  ("reference_mode", REFERENCE_CONFIG, REFERENCE_OUTPUTS,
                   (["solve"], ["table"])),
                  ("reference_mode.kernel", REFERENCE_CONFIG, ("kernel.csv",),
-                  (["kernel", "--compare"],))]
+                  (["kernel", "--compare"],)),
+                 ("signed_ramp", SIGNED_RAMP_CONFIG,
+                  ("solution.csv", "report.csv"), (["solve"],))]
+        (Path(tmp) / "signed_ramp.py").write_text(SIGNED_RAMP)
         for key, config_text, outputs, commands in runs:
             run_dir = Path(tmp) / key
             run_dir.mkdir()
             config_path = run_dir / "run.cfg"
-            config_path.write_text(config_text)
+            config_path.write_text(config_text.format(tmp=tmp))
             common = ["--config", str(config_path), "--out", str(run_dir),
                       "--deterministic"]
             codes = tuple(cli.main([*command, *common]) for command in commands)
