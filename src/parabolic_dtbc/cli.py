@@ -17,6 +17,7 @@ diagnostic check.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import importlib.util
 import sys
@@ -194,14 +195,27 @@ def _march(cfg: RunConfig, problem: ProblemSpec, mesh):
     return march(problem, mesh, cfg.scheme())
 
 
+@contextlib.contextmanager
 def _open(path: Path, deterministic: bool):
     """Open an output CSV, creating its directory, stamped with a
-    ``# generated`` line unless ``deterministic``."""
+    ``# generated`` line unless ``deterministic``.  The rows go to a
+    ``.part`` sibling that replaces ``path`` when the body returns; when it
+    raises, the ``.part`` file and every directory made for it are removed,
+    so an error leaves no partial CSV and an earlier run's file as it was."""
+    made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
     path.parent.mkdir(parents=True, exist_ok=True)
-    handle = path.open("w", newline="")
-    if not deterministic:
-        handle.write(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
-    return handle
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("w", newline="") as handle:
+            if not deterministic:
+                handle.write(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
+            yield handle
+    except BaseException:
+        part.unlink(missing_ok=True)
+        for directory in made:  # the innermost first
+            directory.rmdir()
+        raise
+    part.replace(path)
 
 
 def _write_csv(path: Path, deterministic: bool, rows) -> None:
@@ -228,9 +242,12 @@ def _split(a):
 
 
 def _pow10_table():
-    exact = [Fraction(10) ** k for k in _POW10_K]
-    hi = np.array([float(p) for p in exact])
-    lo = [float(p - Fraction(h)) for p, h in zip(exact, hi.tolist())]
+    # 10^k = n / d and hi = p / q exactly; Python's int division rounds
+    # correctly, so hi is 10^k rounded and lo is 10^k - hi rounded
+    exact = [(10 ** k, 1) if k >= 0 else (1, 10 ** -k) for k in _POW10_K]
+    hi = np.array([n / d for n, d in exact])
+    lo = [(n * q - p * d) / (d * q) for (n, d), (p, q)
+          in zip(exact, map(float.as_integer_ratio, hi.tolist()))]
     return (hi, *_split(hi), np.array(lo))
 
 
@@ -355,24 +372,27 @@ def _rows(levels, nodes, columns, end: bytes):
     return canvas.tobytes().replace(b"\0", b"")
 
 
-def write_solution(handle, U, exact, mesh) -> None:
-    """Write the ``m,t,j,x,U,exact,error`` rows of a trajectory.
+def write_solution(handle, U, exact, mesh):
+    """Write the ``m,t,j,x,U,exact,error`` rows of a trajectory and return
+    its :class:`~.validation.ErrorReport` (None when ``exact`` is None).
 
     The bytes are those ``csv.writer`` gives for the same fields formatted
     by ``_fmt`` (no field ever needs quoting, ``\\r\\n`` ends each row), with
     empty ``exact``/``error`` fields when ``exact`` is None, and they go
     straight to ``handle.buffer`` after a flush of ``handle``.  Each block
     of whole levels of at most a sixteenth of ``validation.EVAL_BLOCK_CELLS``
-    cells evaluates the exact solution (:func:`validation.eval_on_grid`) and
-    is formatted by numpy (:func:`_format_e17`), each column in the
-    narrowest slot that its values in the block need, so that little NUL
-    padding is left to drop: the Python work is O(1) per level, and beyond
-    the trajectory the memory is O(J) plus the canvas and temporaries of
-    one block.
+    cells evaluates the exact solution (:func:`validation.eval_on_grid`),
+    feeds U - E to the reduction of ``error_report`` (whose ValueError
+    comes before the block is written), and is formatted by numpy
+    (:func:`_format_e17`), each column in the narrowest slot that its
+    values in the block need, so that little NUL padding is left to drop:
+    the Python work is O(1) per level, and beyond the trajectory the
+    memory is O(M + J) plus the canvas and temporaries of one block.
     """
     nodes = _fields(f"{j},{_fmt(xj)}," for j, xj in enumerate(mesh.x.tolist()))
     end = b"\r\n" if exact is not None else b",,\r\n"
     times = mesh.times()
+    errors = None if exact is None else validation._LevelErrors(mesh)
     handle.flush()
     for a, b in validation._level_blocks(mesh.M + 1, 16 * (mesh.J + 1)):
         levels = _fields(f"{m},{_fmt(t)}," for m, t
@@ -380,8 +400,11 @@ def write_solution(handle, U, exact, mesh) -> None:
         columns = [U[a:b]]
         if exact is not None:
             E = validation.eval_on_grid(exact, mesh.x, times[a:b])
-            columns += [E, U[a:b] - E]
+            error = U[a:b] - E
+            errors.add(a, error)
+            columns += [E, error]
         handle.buffer.write(_rows(levels, nodes, columns, end))
+    return None if errors is None else errors.report()
 
 
 def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool) -> int:
@@ -392,13 +415,12 @@ def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool) -> int:
     runtime = time.perf_counter() - t_begin
 
     report = None
-    if exact is not None:
-        report = error_report(result.U, exact, mesh)
-
     if cfg.emit_snapshots:
         with _open(out / "solution.csv", deterministic) as handle:
             handle.write("m,t,j,x,U,exact,error\r\n")
-            write_solution(handle, result.U, exact, mesh)
+            report = write_solution(handle, result.U, exact, mesh)
+    elif exact is not None:
+        report = error_report(result.U, exact, mesh)
 
     rows = [["quantity", "value"], ["problem", problem.label],
             ["sigma", _fmt(cfg.sigma)], ["theta", _fmt(cfg.theta)],

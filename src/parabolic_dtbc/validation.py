@@ -146,6 +146,36 @@ def eval_on_grid(fn, x, t, out=None):
     return vals
 
 
+class _LevelErrors:
+    """Max |U - E| per level m >= 1 (level 0 is data) and its first node,
+    reduced from the U - E of blocks of whole levels fed in level order."""
+
+    def __init__(self, mesh):
+        self.tau, self.per_level = mesh.tau, np.full(mesh.M + 1, np.nan)
+        self.nodes = np.zeros(mesh.M + 1, dtype=np.intp)
+
+    def add(self, lo: int, diff) -> None:
+        """Reduce ``diff``, U - E of levels lo, lo + 1, ...; ValueError at
+        its first level whose error is not finite."""
+        if lo == 0:
+            lo, diff = 1, diff[1:]
+        E, hi = np.abs(diff), lo + len(diff)
+        self.nodes[lo:hi] = np.argmax(E, axis=1)
+        self.per_level[lo:hi] = E[np.arange(hi - lo), self.nodes[lo:hi]]
+        finite = np.isfinite(self.per_level[lo:hi])
+        if not finite.all():
+            m = lo + int(np.argmin(finite))
+            raise ValueError(f"the error is not finite at level {m} "
+                             f"(t_m={m * self.tau!r}): the exact solution or "
+                             "the trajectory has a NaN or infinite value there")
+
+    def report(self) -> ErrorReport:
+        i = int(np.argmax(self.per_level[1:])) + 1
+        return ErrorReport(max_abs_error=float(self.per_level[i]),
+                           argmax_level=i, argmax_node=int(self.nodes[i]),
+                           per_level=self.per_level)
+
+
 def error_report(trajectory, exact, mesh) -> ErrorReport:
     """Compare a computed trajectory with a reference solution on its grid.
 
@@ -156,28 +186,17 @@ def error_report(trajectory, exact, mesh) -> ErrorReport:
     extra memory is O(M) plus one block of 2^16 cells, never the whole
     exact grid.  A non-finite error (a NaN or infinite exact value or
     trajectory entry) raises ValueError naming the first such level.
+    :func:`~.cli.write_solution` feeds the same reduction its own blocks.
     """
     traj = np.asarray(trajectory, dtype=float)
     if traj.shape != (mesh.M + 1, mesh.J + 1):
         raise ValueError("trajectory shape does not match the mesh")
-    t = mesh.times()[1:]
-    per_level = np.empty(t.size + 1)
-    per_level[0] = np.nan
-    nodes = np.empty(t.size, dtype=np.intp)
-    for lo, hi in _level_blocks(t.size, mesh.J + 1):
-        E = np.abs(traj[1 + lo:1 + hi] - eval_on_grid(exact, mesh.x, t[lo:hi]))
-        nodes[lo:hi] = np.argmax(E, axis=1)
-        per_level[1 + lo:1 + hi] = E[np.arange(hi - lo), nodes[lo:hi]]
-    finite = np.isfinite(per_level[1:])
-    if not finite.all():
-        m = int(np.argmin(finite)) + 1
-        raise ValueError(f"the error is not finite at level {m} "
-                         f"(t_m={m * mesh.tau!r}): the exact solution or the "
-                         "trajectory has a NaN or infinite value there")
-    i = int(np.argmax(per_level[1:]))
-    return ErrorReport(max_abs_error=float(per_level[1 + i]),
-                       argmax_level=i + 1, argmax_node=int(nodes[i]),
-                       per_level=per_level)
+    t = mesh.times()
+    errors = _LevelErrors(mesh)
+    for lo, hi in _level_blocks(mesh.M, mesh.J + 1):
+        errors.add(1 + lo, traj[1 + lo:1 + hi]
+                   - eval_on_grid(exact, mesh.x, t[1 + lo:1 + hi]))
+    return errors.report()
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +214,8 @@ class EnergyForm:
     constant.  The weights are computed once, so one instance serves any
     number of levels; every method reduces over the last axis (one grid
     vector ``W_0 .. W_J`` or a block of levels).  ``theta`` comes from a
-    checked ``SchemeConfig`` and is not checked again.
+    checked ``SchemeConfig`` and is not checked again.  With kappa = 0
+    (c = 0) :meth:`evaluate` returns zeros: its terms would all be +-0.
     """
 
     def __init__(self, mesh, theta: float, kappa):
@@ -207,6 +227,7 @@ class EnergyForm:
         self._hi = theta * (h[2:J + 1] / hb) * kappa[2:J + 1]
         self._hbar = hb
         self._end = (theta, 0.5 - theta, kappa[J] * h[J])
+        self._zero = not np.any(kappa[1:J + 1])
 
     def averaged(self, W):
         """(C_theta W)_j at the interior nodes j = 1..J-1."""
@@ -215,6 +236,8 @@ class EnergyForm:
 
     def evaluate(self, U, W):
         """Q(U, W), one value per level."""
+        if self._zero:
+            return np.zeros(U.shape[:-1])
         inner, outer, end = self._end
         val = (self.averaged(U) * W[..., 1:-1]) @ self._hbar
         val += end * (inner * U[..., -2] + outer * U[..., -1]) * W[..., -1]

@@ -327,6 +327,54 @@ J = 8
     assert not out.exists()
 
 
+# example2 with an exact solution that is NaN at t = 0.045 only: level 45
+# at tau = 1e-3, in the third of the writer's blocks of 20 levels at J = 200
+CUSTOM_NAN_AT_LEVEL_45 = """\
+import numpy as np
+from parabolic_dtbc import example2
+
+PROBLEM, ramp = example2()
+EXACT = lambda x, t: np.where(np.abs(t - 0.045) < 1e-9, np.nan, ramp(x, t))
+"""
+
+
+@pytest.mark.parametrize("out_dir", ["new", "nested", "existing"])
+def test_solve_non_finite_exact_solution_in_a_later_block_leaves_no_csv(
+        tmp_path, capsys, monkeypatch, out_dir):
+    # the writer has written two blocks when the third raises; the error
+    # removes the partial file and every directory made for it, and leaves
+    # an earlier run's solution.csv as it was
+    write(tmp_path / "prob.py", CUSTOM_NAN_AT_LEVEL_45)
+    cfg = write(tmp_path / "run.cfg", f"""\
+problem = custom
+custom_path = {tmp_path / 'prob.py'}
+sigma = 1/2
+theta = 1/12
+tau = 1e-3
+M = 100
+J = 200
+""")
+    out = tmp_path / "a" / "b" if out_dir == "nested" else tmp_path / "out"
+    if out_dir == "existing":
+        out.mkdir()
+        write(out / "other.txt", "kept")
+        write(out / "solution.csv", "stale")
+    rows, written = cli._rows, []
+    monkeypatch.setattr(cli, "_rows", lambda *args: written.append(
+        args[0].shape[0]) or rows(*args))
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "not finite at level 45 (t_m=0.045)" in capsys.readouterr().err
+    assert written == [20, 20]
+    if out_dir == "existing":
+        assert sorted(p.name for p in out.iterdir()) == ["other.txt",
+                                                         "solution.csv"]
+        assert (out / "other.txt").read_text() == "kept"
+        assert (out / "solution.csv").read_text() == "stale"
+    else:
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "prob.py",
+                                              tmp_path / "run.cfg"]
+
+
 # custom problems whose callables fail even point by point, with the part
 # of the message that names the field or the level
 MALFORMED_CALLABLES = {
@@ -618,6 +666,68 @@ def test_solution_writer_evaluates_each_level_once_in_the_blocks_it_writes():
     assert max(len(call) for call in calls) <= most
 
 
+def test_solution_writer_returns_the_error_report():
+    # the writer's blocks of 20 levels and error_report's of 326 at J = 200
+    # give the same report, to the bit
+    problem, exact = example2()
+    mesh = build_mesh(1.0, 200, tau=1e-3, M=1000)
+    U = march(problem, mesh, SchemeConfig(0.5, 1.0 / 12.0)).U
+    with open(os.devnull, "w", newline="") as sink:
+        written = write_solution(sink, U, exact, mesh)
+        assert write_solution(sink, U, None, mesh) is None
+    report = validation.error_report(U, exact, mesh)
+    for f in fields(report):
+        assert np.asarray(getattr(written, f.name)).tobytes() == \
+            np.asarray(getattr(report, f.name)).tobytes()
+
+
+def test_solve_evaluates_each_level_of_the_exact_solution_once(
+        tmp_path, monkeypatch):
+    # with snapshots the writer's blocks feed the error report: every
+    # level, 0 included, is evaluated once; without, error_report
+    # evaluates levels 1..M once
+    problem, exact = example2()
+    calls = []
+
+    def counted(x, t):
+        calls.extend(np.ravel(t).tolist())
+        return exact(x, t)
+
+    monkeypatch.setattr(cli, "_load_problem", lambda cfg: (problem, counted))
+    text = ("problem = example2\nsigma = 1/2\ntheta = 1/12\ntau = 1e-3\n"
+            "M = 100\nJ = 200\n")
+    times = build_mesh(1.0, 200, tau=1e-3, M=100).times().tolist()
+    for snapshots, levels in (("true", times), ("false", times[1:])):
+        calls.clear()
+        cfg = write(tmp_path / "run.cfg",
+                    text + f"emit_snapshots = {snapshots}\n")
+        assert main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / snapshots), "--deterministic"]) == 0
+        assert sorted(calls) == levels
+
+
+@pytest.mark.parametrize("case", ["example2", "signed-ramp"])
+def test_report_is_the_same_with_and_without_snapshots(tmp_path, case):
+    if case == "example2":
+        text = "problem = example2\ntau = 1e-3\nM = 1000\nJ = 200\n"
+    else:
+        write(tmp_path / "prob.py", CUSTOM_SIGNED_RAMP)
+        text = (f"problem = custom\ncustom_path = {tmp_path / 'prob.py'}\n"
+                "tau = 1e-2\nM = 100\nJ = 200\n")
+    reports = []
+    for snapshots in ("true", "false"):
+        cfg = write(tmp_path / "run.cfg", text + "sigma = 1/2\ntheta = 1/12\n"
+                    f"emit_snapshots = {snapshots}\n")
+        out = tmp_path / snapshots
+        assert main(["solve", "--config", str(cfg), "--out", str(out),
+                     "--deterministic"]) == 0
+        assert (out / "solution.csv").exists() == (snapshots == "true")
+        assert not list(out.glob("*.part"))
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
+    assert b"max_abs_error" in reports[0]
+
+
 def test_solution_writer_peak_stays_at_the_exact_solution_block():
     # at the size of the benchmark's CLI session the peak of error_report is
     # set by the evaluation of one block of the exact solution; the writer
@@ -636,6 +746,18 @@ def test_solution_writer_peak_stays_at_the_exact_solution_block():
             finally:
                 tracemalloc.stop()
     assert peaks[1] <= 0.6 * peaks[0]
+
+
+def test_pow10_table_matches_the_fraction_construction():
+    # 10^k and 10^k - hi rounded, from exact rational arithmetic
+    from fractions import Fraction
+    exact = [Fraction(10) ** k for k in cli._POW10_K]
+    hi = np.array([float(p) for p in exact])
+    lo = np.array([float(p - Fraction(h)) for p, h in zip(exact, hi.tolist())])
+    table = cli._pow10_table()
+    assert table[0].tobytes() == hi.tobytes()
+    assert table[3].tobytes() == lo.tobytes()
+    assert all(np.array_equal(a, b) for a, b in zip(table[1:3], cli._split(hi)))
 
 
 def formatted(values) -> tuple[bytes, int]:

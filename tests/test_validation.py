@@ -412,6 +412,47 @@ def test_unforced_diagnostics_match_a_zero_forcing_grid(mode, monkeypatch):
         assert abs(got - getattr(ref, field.name)) <= 1e-13, field.name
 
 
+@pytest.mark.parametrize("run", ["example2-dtbc", "example2-neumann",
+                                 "forced-dtbc"])
+def test_zero_reaction_form_matches_its_arithmetic(run, monkeypatch):
+    # c = 0: the reaction form returns zeros without arithmetic, and the
+    # four fields are those of the arithmetic path, bit for bit
+    if run.startswith("example2"):
+        prob, _ = example2()
+        mesh = build_mesh(1.0, 50, tau=1e-3, M=200)
+    else:
+        mesh = build_mesh(1.0, 20, tau=0.02, M=61)
+        prob = replace(random_h0_problem(5, mesh.x, 0.5, 1.0),
+                       f=lambda x, t: np.where(np.asarray(x) < 0.5,
+                                               np.cos(3.0 * t) * x, 0.0))
+    monkeypatch.setattr(validation, "EVAL_BLOCK_CELLS", 7 * (mesh.J + 1))
+    init, zero = validation.EnergyForm.__init__, []
+
+    def recorded(self, *args):
+        init(self, *args)
+        zero.append(self._zero)
+        self._zero &= not arithmetic
+
+    monkeypatch.setattr(validation.EnergyForm, "__init__", recorded)
+    for sigma, theta in ((0.5, 0.0), (0.5, 1.0 / 12.0), (1.0, 0.25)):
+        res = march(prob, mesh, SchemeConfig(sigma, theta, run.split("-")[1]))
+        assert not np.any(res.coeffs.c_h[1:])
+        diags = []
+        for arithmetic in (False, True):
+            zero.clear()
+            diags.append(diagnose_energy(res))
+            assert zero == [False, True]   # the mass form, the reaction form
+        assert repr(diags[0]) == repr(diags[1])
+
+
+def test_zero_form_evaluates_to_zeros():
+    mesh = build_mesh(1.0, 4, tau=0.1, M=1)
+    form = validation.EnergyForm(mesh, 1.0 / 12.0, np.zeros(mesh.J + 1))
+    U = np.full((3, mesh.J + 1), np.inf)
+    assert np.array_equal(form.evaluate(U, U), np.zeros(3))
+    assert form.evaluate(U[0], U[0]).shape == ()
+
+
 def _check_diagnose_energy_memory(monkeypatch, problem):
     # O(M) bookkeeping (the boundary sums and their FFT, the lift's forcing
     # column) plus a few block-sized temporaries; one difference of the

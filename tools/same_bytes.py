@@ -35,9 +35,12 @@ before it):
   ``--deterministic``: ``solve`` with diagnostics at ``--seed`` 0 and 7, each
   followed by ``kernel --compare``, giving ``solution.csv``,
   ``report.csv``, ``diagnostics.csv``, ``kernel.csv`` and the exit codes;
-  then ``kernel`` without ``--compare`` (m_max = 200), giving its
-  ``kernel.csv``, and ``table`` over three M and three theta, giving
-  ``table.csv``;
+  ``cli_session.no_snapshots``, ``solve`` with diagnostics and
+  ``emit_snapshots = false``, giving ``report.csv`` from ``error_report``
+  rather than from the ``solution.csv`` writer, ``diagnostics.csv`` and
+  the exit code; then ``kernel`` without ``--compare`` (m_max = 200),
+  giving its ``kernel.csv``, and ``table`` over three M and three theta,
+  giving ``table.csv``;
 * a ``boundary = reference`` configuration (example1, J=50, M=100,
   factor 3) through ``solve`` with diagnostics and through ``table``: its
   four CSVs and the exit codes; and the same configuration through
@@ -81,6 +84,8 @@ m_max = 200
 table_M = 250, 500, 1000
 table_theta = 0, 1/12, 1/4
 """
+NO_SNAPSHOTS_CONFIG = CLI_CONFIG.replace("emit_snapshots = true",
+                                         "emit_snapshots = false")
 REFERENCE_CONFIG = """\
 problem = example1
 sigma = 1/2
@@ -267,7 +272,9 @@ def digests() -> dict:
         runs = [(f"cli_session.seed{seed}", CLI_CONFIG, CLI_OUTPUTS,
                  (["solve", "--seed", str(seed)], ["kernel", "--compare"]))
                 for seed in DIAG_SEEDS]
-        runs += [("cli_session.kernel", CLI_CONFIG, ("kernel.csv",),
+        runs += [("cli_session.no_snapshots", NO_SNAPSHOTS_CONFIG,
+                  ("report.csv", "diagnostics.csv"), (["solve"],)),
+                 ("cli_session.kernel", CLI_CONFIG, ("kernel.csv",),
                   (["kernel"],)),
                  ("cli_session.table", CLI_CONFIG, ("table.csv",),
                   (["table"],)),
