@@ -228,9 +228,9 @@ def _fmt(value: float) -> str:
 
 
 # FLOAT_FMT in numpy (see _format_e17): 10^k for k in _POW10_K as
-# double-doubles hi + lo, hi also split in halves of 26 bits, and the text
-# pieces of a formatted value.  For 1e-280 <= |x| < 1e300 the k needed lie
-# in _POW10_K, lo stays normal and the splits of x and hi stay finite.
+# double-doubles hi + lo, one row (hi, hi's halves of 26 bits, lo) per k,
+# and the text pieces of a formatted value.  For 1e-280 <= |x| < 1e300 the
+# k needed lie in _POW10_K, lo stays normal and the splits stay finite.
 _POW10_K = range(-290, 300)
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 
@@ -248,7 +248,7 @@ def _pow10_table():
     hi = np.array([n / d for n, d in exact])
     lo = [(n * q - p * d) / (d * q) for (n, d), (p, q)
           in zip(exact, map(float.as_integer_ratio, hi.tolist()))]
-    return (hi, *_split(hi), np.array(lo))
+    return np.stack([hi, *_split(hi), np.array(lo)], axis=1)
 
 
 def _fields(texts):
@@ -276,36 +276,22 @@ def _scaled(a, E):
     """``a * 10^(17 - E)`` as ``p + r``: p the rounded product of a and the
     table's hi, r the rest (Dekker's exact two-product plus a * lo) with an
     error below 1e-12 for p + r below 1e19."""
-    i = (17 - _POW10_K.start) - E
-    hi, hi_hi, hi_lo, lo = (column[i] for column in _POW10)
+    rows = _POW10.take((17 - _POW10_K.start) - E, axis=0)
+    hi, hi_hi, hi_lo, lo = np.moveaxis(rows, -1, 0)
     p = a * hi
     a_hi, a_lo = _split(a)
-    err = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo
-    return p, err + a * lo
+    r = a_hi * hi_hi - p  # the terms summed in place, left to right
+    for u, v in ((a_hi, hi_lo), (a_lo, hi_hi), (a_lo, hi_lo), (a, lo)):
+        r += u * v
+    return p, r
 
 
 def _put(out, at, lut, index):
     out[:, at:at + lut.itemsize].view(lut.dtype)[:, 0] = lut.take(index)
 
 
-def _format_e17(x):
-    """The slots of ``FLOAT_FMT % v`` for the values of ``x``: their width
-    and a function that writes them, NUL-padded, into the rows of a uint8
-    array of shape (x.size, width).  A slot is a sign byte (a sign or NUL)
-    when some value has its sign bit set, "d.dd", five groups of three
-    digits, "e+dd", and a third exponent digit (a digit or NUL) when some
-    |E| >= 100: 23 to 25 bytes, and 25 when some value takes the fallback.
-    The digits come first, as they give the width.  Every byte of the
-    array is written.
-
-    After Gay (1990) and Adams ("Ryu revisited", 2019): the 18 digits are
-    d = round-half-even(|x| 10^(17-E)), with E from ``log10`` moved by one
-    where p + r of :func:`_scaled` leaves [1e17, 1e18).  There p is an
-    integer, so d = p + rint(r), added in int64.  Zero is written
-    directly; NaN, infinities, other |x| outside [1e-280, 1e300), a d
-    outside [1e17, 1e18) (a carry to the next power of ten) and an r within
-    1e-6 of a tie, exact ties included, go to :func:`_fmt`.
-    """
+def _digits(x):
+    """E, d (0 where they fail) and where they hold, for ``x`` (see below)."""
     a = np.abs(x)
     zero = a == 0
     ok = (a >= 1e-280) & (a < 1e300)  # false on NaN
@@ -320,56 +306,94 @@ def _format_e17(x):
     d = p.astype(np.int64) + q.astype(np.int64)
     ok &= (d >= 10**17) & (d < 10**18) & (abs(abs(r - q) - 0.5) > 1e-6)
     # zero, where a = 1 and E = 0, reads "0.00000000000000000e+00"
-    d = np.where(ok, d, 0)
-    bad = np.flatnonzero(~(ok | zero))
-    sign = int(bad.size > 0 or np.signbit(x).any())
-    wide = int(bad.size > 0 or np.abs(E).max(initial=0) >= 100)
-    width = 23 + sign + wide
-
-    def write(out):
-        groups, head = [], d
-        for _ in range(5):
-            q = head // 1000
-            groups.append(head - q * 1000)
-            head = q
-        # one word per table entry, left to right: each group's NUL is
-        # overwritten by the next store
-        if sign:
-            out[:, 0] = np.signbit(x) * np.uint8(ord("-"))
-        _put(out, sign, _HEAD, head)
-        for k, group in enumerate(reversed(groups)):
-            _put(out, sign + 4 + 3 * k, _GROUP, group)
-        _put(out, sign + 19, _EXP, E - _E_MIN)
-        if wide:
-            _put(out, sign + 23, _EXP3, E - _E_MIN)
-        if bad.size:
-            texts = [_fmt(v).encode() for v in x[bad].tolist()]
-            out[bad] = np.array(texts, "S25").view(np.uint8).reshape(-1, 25)
-    return width, write
+    return E, np.where(ok, d, 0), ok | zero
 
 
-def _rows(levels, nodes, columns, end: bytes):
+def _format_e17(x):
+    """The slots of ``FLOAT_FMT % v`` for the values of each row of ``x``,
+    of shape (columns, n): per row, a slot width and a function that writes
+    the row's slots, NUL-padded, into the rows of a uint8 array of shape
+    (n, width).  A slot is a sign byte (a sign or NUL) when some value of
+    the row has its sign bit set, "d.dd", five groups of three digits,
+    "e+dd", and a third exponent digit (a digit or NUL) when some |E| >=
+    100: 23 to 25 bytes, and 25 when some value takes the fallback.  One
+    set of numpy passes formats every row, and the digits come first, as
+    they give the widths.  Every byte of the array is written.
+
+    After Gay (1990) and Adams ("Ryu revisited", 2019): the 18 digits are
+    d = round-half-even(|x| 10^(17-E)), with E from ``log10`` moved by one
+    where p + r of :func:`_scaled` leaves [1e17, 1e18).  There p is an
+    integer, so d = p + rint(r), added in int64.  Zero is written
+    directly; NaN, infinities, other |x| outside [1e-280, 1e300), a d
+    outside [1e17, 1e18) (a carry to the next power of ten) and an r within
+    1e-6 of a tie, exact ties included, go to :func:`_fmt`.  The groups of
+    three digits come from d's upper and lower nine digits, one int64
+    division, divided by 1000 in int32.
+    """
+    E, d, good = _digits(x)
+    upper = d // 10**9
+    nines = np.stack([upper, d - upper * 10**9]).astype(np.int32)
+    thousands = nines // 1000
+    heads = thousands // 1000
+    # per half of d: its groups of three digits, left to right
+    groups = (heads, thousands - heads * 1000, nines - thousands * 1000)
+    negative = np.signbit(x)
+    fallback = ~good.all(axis=1)
+    signs = fallback | negative.any(axis=1)
+    wides = fallback | (np.abs(E).max(axis=1, initial=0) >= 100)
+
+    def slots(row):
+        sign, wide = int(signs[row]), int(wides[row])
+        width = 23 + sign + wide
+        head, *rest = (g[half, row] for half in (0, 1) for g in groups)
+
+        def write(out):
+            # one word per table entry, left to right, each group's NUL
+            # overwritten by the next store, into dense rows that stay in
+            # cache; then one copy of a row's bytes per value
+            dense = np.empty(out.shape, np.uint8)
+            if sign:
+                dense[:, 0] = negative[row] * np.uint8(ord("-"))
+            _put(dense, sign, _HEAD, head)
+            for k, group in enumerate(rest):
+                _put(dense, sign + 4 + 3 * k, _GROUP, group)
+            _put(dense, sign + 19, _EXP, E[row] - _E_MIN)
+            if wide:
+                _put(dense, sign + 23, _EXP3, E[row] - _E_MIN)
+            if fallback[row]:
+                at = np.flatnonzero(~good[row])
+                texts = [_fmt(v).encode() for v in x[row, at].tolist()]
+                dense[at] = np.array(texts, "S25").view(np.uint8).reshape(-1, 25)
+            out.view(f"V{width}")[...] = dense.view(f"V{width}")
+        return width, write
+    return [slots(row) for row in range(len(x))]
+
+
+def _rows(levels, nodes, columns, end: bytes, canvas: bytearray):
     """The bytes of the rows of some levels: ``levels`` and ``nodes`` hold
     the ``m,t,`` and ``j,x,`` fields (see :func:`_fields`), ``columns``
-    the values, each of shape (levels, nodes), and ``end`` closes a row.
-    The rows are the fixed-width rows of one uint8 canvas, each value in
-    the slot its column takes in these levels (:func:`_format_e17`), and
-    the canvas's NUL padding is dropped at the end."""
+    the values, of shape (columns, levels, nodes), and ``end`` closes a
+    row.  The rows are the fixed-width rows of ``canvas``, resized to them
+    (so one buffer serves every block), each value in the slot its column
+    takes in these levels (:func:`_format_e17`), and the canvas's NUL
+    padding is dropped at the end."""
     (n_levels, w_level), (n_nodes, w_node) = levels.shape, nodes.shape
-    slots = [_format_e17(column.ravel()) for column in columns]
+    slots = _format_e17(columns.reshape(len(columns), -1))
     at = w_level + w_node
     width = at + sum(w + 1 for w, _ in slots) - 1 + len(end)
-    canvas = np.empty((n_levels * n_nodes, width), np.uint8)
-    grid = canvas.reshape(n_levels, n_nodes, width)
+    size = n_levels * n_nodes * width
+    canvas.extend(bytes(max(size - len(canvas), 0)))
+    del canvas[size:]
+    rows = np.frombuffer(canvas, np.uint8).reshape(-1, width)
+    grid = rows.reshape(n_levels, n_nodes, width)
     grid[:, :, :w_level] = levels[:, None]
     grid[:, :, w_level:at] = nodes
     for w, write in slots:
-        write(canvas[:, at:at + w])
-        canvas[:, at + w] = ord(",")
+        write(rows[:, at:at + w])
+        rows[:, at + w] = ord(",")
         at += w + 1
-    canvas[:, at - 1:] = np.frombuffer(end, np.uint8)
-    del slots, write  # their digits, before the two copies of the canvas
-    return canvas.tobytes().replace(b"\0", b"")
+    rows[:, at - 1:] = np.frombuffer(end, np.uint8)
+    return canvas.replace(b"\0", b"")
 
 
 def write_solution(handle, U, exact, mesh):
@@ -393,17 +417,19 @@ def write_solution(handle, U, exact, mesh):
     end = b"\r\n" if exact is not None else b",,\r\n"
     times = mesh.times()
     errors = None if exact is None else validation._LevelErrors(mesh)
+    canvas = bytearray()
     handle.flush()
     for a, b in validation._level_blocks(mesh.M + 1, 16 * (mesh.J + 1)):
         levels = _fields(f"{m},{_fmt(t)}," for m, t
                          in zip(range(a, b), times[a:b].tolist()))
-        columns = [U[a:b]]
+        columns = U[None, a:b]
         if exact is not None:
-            E = validation.eval_on_grid(exact, mesh.x, times[a:b])
-            error = U[a:b] - E
-            errors.add(a, error)
-            columns += [E, error]
-        handle.buffer.write(_rows(levels, nodes, columns, end))
+            columns = np.empty((3, b - a, mesh.J + 1))
+            columns[0] = U[a:b]
+            validation.eval_on_grid(exact, mesh.x, times[a:b], out=columns[1])
+            np.subtract(columns[0], columns[1], out=columns[2])
+            errors.add(a, columns[2])
+        handle.buffer.write(_rows(levels, nodes, columns, end, canvas))
     return None if errors is None else errors.report()
 
 

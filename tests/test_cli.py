@@ -542,6 +542,10 @@ SOLUTION_CASES = {
                            True, [b"\r\n100,1.00000000000000000e+00,10,"]),
     "widths-by-block": (CUSTOM_WIDTHS_BY_BLOCK, "J = 200\nM = 60\n", True,
                         [b",-", b"e-201,"]),
+    # four-digit j, and blocks of 4 levels: the third, levels 8-11, crosses
+    # m = 10 and widens the m field within the block
+    "four-digit-j": (None, "problem = example2\nJ = 1000\nM = 12\n", True,
+                     [b"\r\n9,", b"\r\n10,", b",1000,1.00000000000000000e+00,"]),
 }
 
 
@@ -578,26 +582,31 @@ def test_solution_csv_matches_row_by_row_writer(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["example2", "graded-signed",
-                                  "widths-by-block"])
+                                  "widths-by-block", "four-digit-j"])
 def test_every_canvas_byte_is_written(tmp_path, monkeypatch, case):
-    # the writer takes its canvas from np.empty and writes every byte of
-    # it, NUL padding included; here new uint8 arrays come filled with
-    # 0xFF, so a byte left unwritten shows in the output
-    empty = np.empty
+    # the writer reuses one bytearray canvas for its blocks, builds each
+    # column's slots in a uint8 array from np.empty, and writes every byte
+    # of both, NUL padding included; here each block's canvas is filled
+    # with 0xFF when numpy takes it, and so is every new uint8 array, so a
+    # byte left unwritten shows in the output instead of an earlier
+    # block's digits
     format_e17, widths = cli._format_e17, []
 
     def recorded(x):
         slots = format_e17(x)
-        widths.append(slots[0])
+        widths.extend(width for width, _ in slots)
         return slots
 
-    def filled(*args, **kwargs):
-        out = empty(*args, **kwargs)
-        if out.dtype == np.uint8:
-            out.fill(0xFF)
-        return out
+    def filled(make):
+        def made(*args, **kwargs):
+            out = make(*args, **kwargs)
+            if out.dtype == np.uint8 and out.flags.writeable:
+                out.fill(0xFF)
+            return out
+        return made
 
-    monkeypatch.setattr(np, "empty", filled)
+    for name in ("empty", "frombuffer"):
+        monkeypatch.setattr(np, name, filled(getattr(np, name)))
     monkeypatch.setattr(cli, "_format_e17", recorded)
     check_solution_case(tmp_path, case)
     if case == "widths-by-block":
@@ -755,19 +764,29 @@ def test_pow10_table_matches_the_fraction_construction():
     hi = np.array([float(p) for p in exact])
     lo = np.array([float(p - Fraction(h)) for p, h in zip(exact, hi.tolist())])
     table = cli._pow10_table()
-    assert table[0].tobytes() == hi.tobytes()
-    assert table[3].tobytes() == lo.tobytes()
-    assert all(np.array_equal(a, b) for a, b in zip(table[1:3], cli._split(hi)))
+    assert table.shape == (len(cli._POW10_K), 4)
+    assert table[:, 0].tobytes() == hi.tobytes()
+    assert table[:, 3].tobytes() == lo.tobytes()
+    assert all(np.array_equal(a, b)
+               for a, b in zip(table[:, 1:3].T, cli._split(hi)))
 
 
-def formatted(values) -> tuple[bytes, int]:
-    """``values`` through the writer's formatter, each followed by a comma,
-    and the slot width it chose for them."""
-    width, write = cli._format_e17(values)
-    canvas = np.zeros((values.size, width + 1), np.uint8)
+def written(slot, size) -> tuple[bytes, int]:
+    """The bytes that ``slot``, a (width, write) pair of the writer's
+    formatter, writes for its ``size`` values, each followed by a comma,
+    and its width."""
+    width, write = slot
+    canvas = np.zeros((size, width + 1), np.uint8)
     write(canvas[:, :width])
     canvas[:, width] = ord(",")
     return canvas[canvas != 0].tobytes(), width
+
+
+def formatted(values) -> tuple[bytes, int]:
+    """``values`` through the writer's formatter as a block's one column,
+    each followed by a comma, and the slot width it chose for them."""
+    [slot] = cli._format_e17(values[None])
+    return written(slot, values.size)
 
 
 def percent_formatted(values) -> bytes:
@@ -780,8 +799,11 @@ def test_formatter_matches_percent_format(monkeypatch):
     bits = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64,
                         endpoint=False)
     powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    # exact integers k 10^9 (k 5^9 < 2^53): d's lower nine digits are zero
+    billions = (rng.integers(1, 4 * 10**9, size=2000) * 10**9).astype(float)
     values = np.concatenate([
         bits.view(np.float64), [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
+        billions, -billions,
         powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
         [5e-324, np.finfo(float).max]])
     # every class of float64 with either sign bit, NaN included
@@ -816,6 +838,25 @@ def test_formatter_matches_percent_format(monkeypatch):
     fallbacks.clear()
     assert formatted(ties) == (percent_formatted(ties), 25)
     assert fallbacks == ties.tolist()
+
+
+def test_formatter_gives_each_row_of_a_block_its_own_slots():
+    # one call on a block of three columns that need three layouts: a sign
+    # byte only, a third exponent digit only, and 25 bytes for one value
+    # that takes the fallback; each column gets the bytes and the width it
+    # gets when formatted alone
+    rng = np.random.default_rng(20261020)
+    signed = rng.standard_normal(4020)
+    wide = 10.0 ** rng.uniform(-250.0, 10.0, 4020)
+    fallback = rng.uniform(0.5, 2.0, 4020)
+    fallback[1234] = 1000000000000000.125
+    block = np.stack([signed, wide, fallback])
+    alone = [formatted(column) for column in block]
+    assert [width for _, width in alone] == [24, 24, 25]
+    assert [written(slot, block.shape[1])
+            for slot in cli._format_e17(block)] == alone
+    assert [text for text, _ in alone] == [percent_formatted(column)
+                                           for column in block]
 
 
 def test_kernel_command_and_compare(tmp_path, capsys):
