@@ -253,30 +253,43 @@ class LaggedConvolution:
     square at the highest bit where their block indices differ.  The sum
     at level m is the accumulator plus a direct dot over the current
     partial block, at most ``BLOCK - 1`` terms; for M < ``BLOCK`` that dot
-    is all there is.  Total cost O(M log^2 M); the result equals the
-    direct sum up to FFT roundoff.
+    is all there is; it is one BLAS ``ddot`` on a reversed copy of R, so
+    no strided slice is copied per level.  Total cost O(M log^2 M); the
+    result equals the direct sum up to FFT roundoff.
 
-    Memory is O(M): the accumulator (8 (M+1) bytes) plus one kernel
-    spectrum per block size L = BLOCK, 2 BLOCK, ... <= M, cached on first
-    use (16 (L+1) bytes each, under 32 M bytes together), about 40 M bytes
-    in all (2 MB at M = 50 000), plus the transient arrays of one FFT pair.
+    Memory is O(M): the accumulator and the reversed kernel (8 (M+1) bytes
+    each) plus one kernel spectrum per block size L = BLOCK, 2 BLOCK, ...
+    <= M, cached on first use (16 (L+1) bytes each, under 32 M bytes
+    together), under 48 M bytes in all (1.85 MB at M = 50 000), plus the
+    transient arrays of one FFT pair.
     """
 
     def __init__(self, R):
         self._R = R = np.asarray(R, dtype=float)
+        self._Rrev = R[::-1].copy()
         self._acc = np.zeros(R.size)
         self._spectra: dict[int, np.ndarray] = {}
         self._next = 1
+        self._history = None
+        from scipy.linalg.blas import ddot  # deferred, as in TriFactor
+        self._ddot = ddot
 
     def lagged(self, history, m: int) -> float:
         """Return sum_{q=1..m} R[q] history[m-q]; call for m = 1, 2, ... in turn.
 
         ``history[0..m-1]`` must be final; entries from m on are not read.
+        It must be a contiguous float64 vector, which BLAS reads in place;
+        f2py would silently copy anything else at every level.
         """
         R, acc = self._R, self._acc
         if m != self._next or m >= R.size:
             raise ValueError(f"lagged sums are online up to the kernel length "
                              f"{R.size - 1}: expected level {self._next}, got {m}")
+        if history is not self._history:  # checked once per history array
+            if (getattr(history, "dtype", None) != np.float64
+                    or history.strides != (8,)):
+                raise TypeError("lagged sums need a contiguous float64 history")
+            self._history = history
         self._next = m + 1
         start = m - m % BLOCK
         if m == start:
@@ -291,7 +304,9 @@ class LaggedConvolution:
             far = np.fft.irfft(np.fft.rfft(history[m - L:m], 2 * L) * spec, 2 * L)
             end = min(m + L, acc.size)
             acc[m:end] += far[L:L + end - m]
-        return float(acc[m] + np.dot(R[m - start:0:-1], history[start:m]))
+        k = m - start  # ddot's arguments are positional: keywords cost more
+        return acc.item(m) + self._ddot(self._Rrev, history, k, R.size - 1 - k,
+                                        1, start, 1)
 
 
 def convolve_all(kernel: Kernel, history) -> np.ndarray:

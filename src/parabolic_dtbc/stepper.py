@@ -63,30 +63,32 @@ class TriFactor:
     """LU factors of a tridiagonal matrix, reusable across right-hand sides.
 
     Elimination is pivot-free (the schemes of interest are strictly
-    dominant); a pivot collapsing below roundoff of the matrix scale
-    raises :class:`SolverError`.  The factors are kept in the layout of
-    LAPACK ``gttrf`` with no row interchanges: ``dl`` the multipliers of
-    the unit lower factor, ``d`` the pivots, ``du`` the superdiagonal of
-    the upper factor.  :meth:`solve` hands them to LAPACK ``dgttrs``,
-    which needs n >= 3 (smaller sizes raise ValueError after the pivot
-    check).
+    dominant); a non-finite entry, or a pivot that is not finite or
+    collapses below roundoff of the matrix scale, raises
+    :class:`SolverError` naming its row.  The factors are kept in the
+    layout of LAPACK ``gttrf`` with no row interchanges: ``dl`` the
+    multipliers of the unit lower factor, ``d`` the pivots, ``du`` the
+    superdiagonal of the upper factor.  :meth:`solve` hands them to LAPACK
+    ``dgttrs``, which needs n >= 3 (smaller sizes raise ValueError after
+    the pivot check).
     """
 
     def __init__(self, sub, diag, sup):
+        sub, diag, sup = (np.asarray(a, dtype=float) for a in (sub, diag, sup))
+        finite = np.isfinite(sub) & np.isfinite(diag) & np.isfinite(sup)
+        if not finite.all():
+            raise SolverError(f"non-finite entry in row {np.argmin(finite)} of "
+                              "the tridiagonal matrix; invalid scheme parameters")
         n = diag.size
-        floor = 1e-14 * max(float(np.nanmax(np.abs(diag))), 1e-300)
+        floor = 1e-14 * max(float(np.max(np.abs(diag))), 1e-300)
         piv = [0.0] * n
-        sub = np.asarray(sub, dtype=float)
-        diag = np.asarray(diag, dtype=float)
-        sup = np.asarray(sup, dtype=float)
         p = diag[0]
-        if abs(p) <= floor:
-            raise SolverError("zero pivot in row 0 of the tridiagonal factorization")
-        piv[0] = p
-        for i in range(1, n):
-            p = diag[i] - sub[i] * (sup[i - 1] / p)
-            if abs(p) <= floor:
-                raise SolverError(f"zero pivot in row {i} of the tridiagonal "
+        for i in range(n):
+            if i:
+                p = diag[i] - sub[i] * (sup[i - 1] / p)
+            if not floor < abs(p) < math.inf:
+                kind = "zero" if abs(p) <= floor else "non-finite"
+                raise SolverError(f"{kind} pivot in row {i} of the tridiagonal "
                                   "factorization; invalid scheme parameters")
             piv[i] = p
         if n < 3:
@@ -109,8 +111,9 @@ class TriFactor:
         ``rhs`` must be a contiguous float64 vector (a row of a C-ordered
         array will do): LAPACK works on it in place, so no copy is made.
         """
+        # trans "N" and overwrite_b 1, positional: f2py parses keywords slower
         x, info = self._dgttrs(self.dl, self.d, self.du, self._du2, self._ipiv,
-                               rhs, overwrite_b=1)
+                               rhs, "N", 1)
         if info != 0:
             raise SolverError(f"LAPACK dgttrs failed with info={info}")
         if x is not rhs:
@@ -179,18 +182,21 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
 
     The matrix, the old-level operator and the boundary gain are built and
     factored once, after :func:`~parabolic_dtbc.problem.sample` has sampled
-    the data, ``g`` at every level included.  Each level is then assembled
-    and solved inside its own row of the preallocated trajectory: the
+    the data, ``g`` at every level included, and the Dirichlet column
+    ``U[1:, 0]`` is written from ``G``.  Each level is then assembled and
+    solved inside its own row of the preallocated trajectory: the
     old-level interior product is one multiplication of the stacked
     weights with a read-only three-row window over the previous level,
-    summed into the row; the row gets the forcing (when ``f`` is given),
-    the Dirichlet value, and the boundary row formed from Python floats
-    plus the lagged convolution over the stored boundary history (summed
-    online by :class:`LaggedConvolution`); and :meth:`TriFactor.solve`
-    overwrites it with the new level (LAPACK ``dgttrs`` on the pivot-free
-    factors).  Non-finite data raises ValueError from ``sample`` before any
-    level is marched; a trajectory that overflows to a non-finite value
-    raises :class:`SolverError` naming the first such level.
+    summed into the row; the row gets the forcing (when ``f`` is given)
+    and the boundary row formed from Python floats plus the lagged
+    convolution over the stored boundary history (summed online by
+    :class:`LaggedConvolution`); and :meth:`TriFactor.solve` overwrites
+    it with the new level (LAPACK ``dgttrs`` on the pivot-free factors;
+    row 0 of the matrix is the identity with a zero superdiagonal, so
+    the Dirichlet value stays).  Non-finite data raises ValueError from
+    ``sample`` before any level is marched; a trajectory that overflows
+    to a non-finite value raises :class:`SolverError` naming the first
+    such level.
     """
     coeffs = sample(problem, mesh)
     kernel = None
@@ -214,6 +220,7 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
 
     traj = np.empty((M + 1, J + 1))
     traj[0] = coeffs.U0
+    traj[1:, 0] = coeffs.G[1:]  # the Dirichlet column; the solves keep it
     hist = np.empty(M + 1)  # contiguous copy of U[:, J] for the convolution
     hist[0] = coeffs.U0[J]
     # old[m] is level m as the three rows U[0:J-1], U[1:J], U[2:J+1]; level
@@ -225,15 +232,14 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
     lo, mid, hi = prod
     # overflow shows as a non-finite trajectory, reported after the loop
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, (g_m, row, inner, window) in enumerate(
-                zip(coeffs.G[1:].tolist(), traj[1:], traj[1:, 1:J], old), 1):
+        for m, (row, inner, window) in enumerate(
+                zip(traj[1:], traj[1:, 1:J], old), 1):
             np.multiply(weights, window, out=prod)
             np.add(lo, mid, out=inner)
             np.add(inner, hi, out=inner)
             if F is not None:
                 np.multiply(hbar, F[m, 1:J], out=forcing)
                 np.add(inner, forcing, out=inner)
-            row[0] = g_m
             rhs_J = a_J * traj.item(m - 1, J - 1) + b_J * traj.item(m - 1, J)
             if kernel is not None:
                 rhs_J += gain * lagged(hist, m)

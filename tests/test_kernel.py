@@ -265,7 +265,10 @@ def test_lagged_convolution_matches_direct_sum(M):
     for m in range(1, M + 1):
         hist[m - 1] = phi[m - 1]
         dev = abs(conv.lagged(hist, m) - direct[m - 1])
-        assert dev <= 1e-12 * magnitude[m - 1], m
+        # below BLOCK the sum is one dot of at most BLOCK - 1 terms, with
+        # no FFT roundoff
+        rel = BLOCK * 2.0 ** -53 if m < BLOCK else 1e-12
+        assert dev <= rel * magnitude[m - 1], m
 
 
 def test_lagged_convolution_is_online():
@@ -278,6 +281,20 @@ def test_lagged_convolution_is_online():
         conv.lagged(hist, m)
     with pytest.raises(ValueError, match="kernel length 3"):
         conv.lagged(hist, 4)
+
+
+def test_lagged_convolution_needs_a_contiguous_float64_history():
+    # BLAS would read a copy of anything else, made anew at every level
+    R = kernel_by_recurrence(example2_params(), 8).R
+    for bad in (np.ones(18)[::2], np.ones(9, dtype=np.int64),
+                np.ones(9, dtype=np.float32), np.ones((1, 9)), [1.0] * 9):
+        with pytest.raises(TypeError, match="contiguous float64"):
+            LaggedConvolution(R).lagged(bad, 1)
+    # the check holds for every call, not only the first
+    conv = LaggedConvolution(R)
+    conv.lagged(np.ones(9), 1)
+    with pytest.raises(TypeError, match="contiguous float64"):
+        conv.lagged(np.ones(18)[::2], 2)
 
 
 def test_params_from_ratios_round_trip():

@@ -127,6 +127,26 @@ def test_tridiagonal_zero_pivot_detected():
                   np.array([1.0, 1.0, 0.0]))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_matrix_or_pivot_is_named_by_row():
+    # abs(nan) <= floor is false, so a NaN entry is checked on its own
+    with pytest.raises(SolverError, match="non-finite entry in row 1 "):
+        TriFactor(np.zeros(3), np.array([1.0, np.nan, 1.0]), np.zeros(3))
+    # finite entries whose elimination overflows: 1e300 / 1e-10 is inf,
+    # times a zero multiplier NaN, times a unit one inf
+    for mult in (0.0, 1.0):
+        with pytest.raises(SolverError, match="non-finite pivot in row 1 "):
+            TriFactor(np.array([0.0, mult, 0.0]), np.array([1e-10, 1.0, 1.0]),
+                      np.array([1e300, 0.0, 0.0]))
+    # tau = 1e-310 overflows h rho / tau: an infinite row 1, not a zero
+    # pivot in row 0 under a floor of inf
+    prob, _ = example2()
+    mesh = build_mesh(1.0, 10, tau=1e-310, M=5)
+    for mode in BOUNDARY_MODES:
+        with pytest.raises(SolverError, match="non-finite entry in row 1 "):
+            march(prob, mesh, SchemeConfig(0.5, 1.0 / 12.0, mode))
+
+
 @pytest.mark.parametrize("n", [3, 51, 2001])
 def test_tridiagonal_solve_matches_dense(n):
     rng = np.random.default_rng(n)
@@ -149,7 +169,7 @@ def test_tridiagonal_solve_needs_three_rows():
 def test_tridiagonal_solve_failure_is_a_solver_error(monkeypatch):
     import scipy.linalg.lapack
     monkeypatch.setattr(scipy.linalg.lapack, "dgttrs",
-                        lambda *args, **kwargs: (args[-1], -6))
+                        lambda *args, **kwargs: (args[5], -6))
     factor = TriFactor(np.zeros(3), np.ones(3), np.zeros(3))
     with pytest.raises(SolverError, match="info=-6"):
         factor.solve(np.ones(3))
@@ -164,6 +184,33 @@ def test_overflowing_trajectory_is_a_solver_failure():
     mesh = build_mesh(1.0, 50, tau=1e-3, M=5)
     with pytest.raises(SolverError, match="not finite from level 1 "):
         march(prob, mesh, SchemeConfig(0.5, 1.0 / 12.0, "dtbc"))
+
+
+@pytest.mark.parametrize("mode", BOUNDARY_MODES)
+def test_dirichlet_column_is_g_bit_for_bit(mode):
+    # the column is written from G before the loop and no solve moves it:
+    # -0.0 at level 3, a subnormal at 5, +-1e300 at 8 and 11.  The -0.0
+    # keeps its sign because U_1 and U_2 are positive at level 3: dgttrs
+    # subtracts 0 * U_1 from row 0, which turns -0.0 into +0.0 beside a
+    # negative U_1
+    tau = 0.01
+    special = {3: -0.0, 5: 5e-324, 8: 1e300, 11: -1e300}
+
+    def g(t):
+        t = np.asarray(t, dtype=float)
+        level = np.rint(t / tau)
+        out = 0.25 * t
+        for m, value in special.items():
+            out = np.where(level == m, value, out)
+        return out
+
+    prob, _ = example2()
+    mesh = build_mesh(1.0, 10, tau=tau, M=14)
+    res = march(replace(prob, g=g), mesh, SchemeConfig(0.5, 1.0 / 12.0, mode))
+    G = res.coeffs.G
+    assert [G[m] for m in special] == list(special.values())
+    assert np.signbit(G[3]) and np.all(res.U[3, 1:3] > 0.0)
+    assert res.U[1:, 0].tobytes() == G[1:].tobytes()
 
 
 def test_zero_data_gives_zero_trajectory():

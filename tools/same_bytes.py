@@ -27,6 +27,11 @@ before it):
   at sigma = 1/2, theta = 1/12, of a run with g = 0 and no forcing grid
   (the ``coefficients.variable`` problem) and of one with g = t^2 and a
   forcing grid (``forced.broadcasting``);
+* the lagged boundary sums of ``LaggedConvolution.lagged`` at every
+  level 1..5000 of a seeded random history, on the kernel of the
+  ``fine_mesh`` (example1) and of the ``long_horizon`` (example2) mesh
+  steps at sigma = 1/2, theta = 1/12: every near-field length 0..127
+  and the six FFT block sizes 128..4096;
 * the four ``certify_dissipativity`` fields (library call, kernel and
   probe horizon 200, no probes) on the eight (sigma, theta) pairs of
   acceptance criterion 3 and on the weight sets of the certificate tests,
@@ -155,6 +160,7 @@ CLI_OUTPUTS = ("solution.csv", "report.csv", "diagnostics.csv", "kernel.csv")
 REFERENCE_OUTPUTS = ("solution.csv", "report.csv", "diagnostics.csv",
                      "table.csv")
 DIAG_SEEDS = (0, 7)  # --seed has no effect; two seeds check that
+LAGGED_M = 5000  # levels of the lagged-sum items: block sizes up to 4096
 # (rho_inf, b_inf, c_inf, h, tau, sigma, theta) of the certificate items:
 # the pairs of acceptance criterion 3, then the sets of the certificate
 # tests (tests/test_validation.py)
@@ -288,6 +294,16 @@ def digests() -> dict:
         diag = pd.diagnose_energy(pd.march(problem, mesh, config))
         out.update((f"{key}.{f.name}", _digest(getattr(diag, f.name)))
                    for f in fields(diag))
+
+    for key, (problem, _), J, M in (("example1", pd.example1(), 2000, 2000),
+                                    ("example2", pd.example2(), 50, 50000)):
+        mesh = pd.build_mesh(problem.X, J, tau=1.0 / M, M=1)
+        params = pd.derive_params(*pd.sample(problem, mesh).tail, mesh.h_tail,
+                                  mesh.tau, 0.5, 1.0 / 12.0)
+        conv = pd.LaggedConvolution(pd.kernel_by_recurrence(params, LAGGED_M).R)
+        history = np.random.default_rng(J).uniform(-1.0, 1.0, LAGGED_M + 1)
+        sums = [conv.lagged(history, m) for m in range(1, LAGGED_M + 1)]
+        out[f"lagged.{key}"] = _digest(np.array(sums))
 
     for weights in CERTIFICATE_WEIGHTS:
         kernel = pd.kernel_by_recurrence(pd.derive_params(*weights), 200)
