@@ -60,7 +60,7 @@ print("\nThe equalities are algebraic identities of the scheme; residuals "
       "boundary row included, is exactly the one the identities describe.")
 
 params = derive_params(1.0, 1.0, 0.0, mesh.h_tail, mesh.tau, 0.5, 1.0 / 12.0)
-report = certify_dissipativity(kernel_by_recurrence(params, mesh.M), M=mesh.M)
+report = certify_dissipativity(kernel_by_recurrence(params, mesh.M))
 print(f"\nkernel dissipativity over every sequence of every length: "
       f"suprema of the normalized sums {report.worst_weighted:.3e} "
       f"(weighted) and {report.worst_increment:.3e} (increment); neither "

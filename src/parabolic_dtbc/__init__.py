@@ -16,7 +16,7 @@ from .dtbc_kernel import (Kernel, KernelParams, LaggedConvolution,
 from .problem import (Mesh, PRESETS, ProblemSpec, SampledCoefficients,
                       build_mesh, example1, example2, sample)
 from .stepper import (SchemeConfig, SolveResult, SolverError, march,
-                      march_reference)
+                      march_reference, march_sampled)
 from .validation import (DissipativityReport, EnergyDiagnostics, ErrorReport,
                          certify_dissipativity, diagnose_energy, error_report,
                          iterated_erfc, u1, u2)
@@ -29,7 +29,7 @@ __all__ = [
     "convolve_all", "derive_params", "diagnose_energy", "error_report",
     "example1", "example2", "iterated_erfc", "kernel_by_legendre",
     "kernel_by_recurrence", "kernel_gf_oracle", "march", "march_reference",
-    "sample", "u1", "u2",
+    "march_sampled", "sample", "u1", "u2",
 ]
 
 __version__ = "0.1.0"

@@ -33,7 +33,8 @@ from .dtbc_kernel import (OracleConvergenceError, derive_params,
                           kernel_by_legendre, kernel_by_recurrence,
                           kernel_gf_oracle)
 from .problem import PRESETS, ProblemSpec, build_mesh, sample
-from .stepper import SchemeConfig, SolverError, march, march_reference
+from .stepper import (SchemeConfig, SolverError, march, march_reference,
+                      march_sampled)
 from .validation import certify_dissipativity, diagnose_energy, error_report
 
 FLOAT_FMT = "%.17e"
@@ -464,7 +465,7 @@ def cmd_solve(cfg: RunConfig, out: Path, deterministic: bool) -> int:
         # a reference run's trajectory is a zero-flux run on a larger
         # interval, whose identities do not close on [0, X]
         if result.config != cfg.scheme():
-            result = march(problem, mesh, cfg.scheme())
+            result = march_sampled(result.coeffs, mesh, cfg.scheme())
         if not _run_diagnostics(result, out, deterministic):
             return 2
     return 0

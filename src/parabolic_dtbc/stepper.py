@@ -11,8 +11,8 @@ Each level advances by solving a three-point system whose rows are
 
 The time grid is uniform and the coefficients do not depend on time, so
 the matrix, the old-level operator and the boundary gain are the same at
-every level.  :func:`march` builds and factors them once; inside its loop
-only the right-hand side changes, through the Dirichlet value, the
+every level.  :func:`march_sampled` builds and factors them once; in its
+loop only the right-hand side changes, through the Dirichlet value, the
 forcing and the lagged boundary convolution over the boundary column.
 :func:`march_reference` checks the transparent closure: it solves the
 same interior scheme on an enlarged interval with the zero-flux form at
@@ -82,10 +82,11 @@ class TriFactor:
         n = diag.size
         floor = 1e-14 * max(float(np.max(np.abs(diag))), 1e-300)
         piv = [0.0] * n
-        p = diag[0]
+        lo, mid, hi = sub.tolist(), diag.tolist(), sup.tolist()  # never warn
+        p = mid[0]
         for i in range(n):
             if i:
-                p = diag[i] - sub[i] * (sup[i - 1] / p)
+                p = mid[i] - lo[i] * (hi[i - 1] / p)
             if not floor < abs(p) < math.inf:
                 kind = "zero" if abs(p) <= floor else "non-finite"
                 raise SolverError(f"{kind} pivot in row {i} of the tridiagonal "
@@ -178,38 +179,45 @@ def level_matrix(coeffs: SampledCoefficients, mesh: Mesh, config: SchemeConfig,
 
 
 def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult:
-    """March the scheme from the initial data to the final level.
+    """March ``problem``: :func:`~parabolic_dtbc.problem.sample` on ``mesh``
+    (its ValueError comes before any level), then :func:`march_sampled`."""
+    return march_sampled(sample(problem, mesh), mesh, config)
 
-    The matrix, the old-level operator and the boundary gain are built and
-    factored once, after :func:`~parabolic_dtbc.problem.sample` has sampled
-    the data, ``g`` at every level included, and the Dirichlet column
+
+def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
+                  config: SchemeConfig) -> SolveResult:
+    """March sampled data from level 0 to level M.
+
+    ``coeffs`` are taken as given (the invariants that ``sample`` enforces
+    are the caller's); arrays that do not fit the mesh raise ValueError
+    naming both shapes.  The matrix, the old-level operator and the
+    boundary gain are built and factored once, and the Dirichlet column
     ``U[1:, 0]`` is written from ``G``.  Each level is then assembled and
-    solved inside its own row of the preallocated trajectory: the
-    old-level interior product is one multiplication of the stacked
-    weights with a read-only three-row window over the previous level,
-    summed into the row; the row gets the forcing (when ``f`` is given)
-    and the boundary row formed from Python floats plus the lagged
-    convolution over the stored boundary history (summed online by
-    :class:`LaggedConvolution`); and :meth:`TriFactor.solve` overwrites
-    it with the new level (LAPACK ``dgttrs`` on the pivot-free factors;
-    row 0 of the matrix is the identity with a zero superdiagonal, so
-    the Dirichlet value stays).  Non-finite data raises ValueError from
-    ``sample`` before any level is marched; a trajectory that overflows
-    to a non-finite value raises :class:`SolverError` naming the first
-    such level.
+    solved in its own row of the preallocated trajectory: the old-level
+    interior product is one multiplication of the stacked weights with a
+    read-only three-row window over the previous level, summed into the
+    row; the row gets the forcing (when ``F`` is given) and the boundary
+    row formed from Python floats plus the lagged convolution over the
+    stored boundary history (summed online by :class:`LaggedConvolution`);
+    and :meth:`TriFactor.solve` overwrites it with the new level (LAPACK
+    ``dgttrs`` on the pivot-free factors; row 0 of the matrix is the
+    identity with a zero superdiagonal, so the Dirichlet value stays).  A
+    non-finite matrix entry, pivot or level raises :class:`SolverError`
+    naming the first such row or level.
     """
-    coeffs = sample(problem, mesh)
+    J, M = mesh.J, mesh.M
+    for name, shape in zip(("rho_h", "b_h", "c_h", "U0", "G", "F"),
+                           [(J + 1,)] * 4 + [(M + 1,), (M + 1, J + 1)]):
+        arr = getattr(coeffs, name)
+        if arr is not None and arr.shape != shape:
+            raise ValueError(f"sampled {name} has shape {arr.shape}; the mesh "
+                             f"(J={J}, M={M}) needs {shape}")
     kernel = None
     if config.boundary == "dtbc":
         params = derive_params(*coeffs.tail, mesh.h_tail, mesh.tau,
                                config.sigma, config.theta)
-        kernel = kernel_by_recurrence(params, mesh.M)
+        kernel = kernel_by_recurrence(params, M)
 
-    J, M = mesh.J, mesh.M
-    factor = TriFactor(*level_matrix(coeffs, mesh, config, kernel))
-    a_old, b_old = scheme_weights(coeffs, mesh, config.sigma - 1.0, config.theta)
-    weights = np.stack((a_old[1:J], b_old[1:J] + b_old[2:J + 1], a_old[2:J + 1]))
-    a_J, b_J = a_old[J].item(), b_old[J].item()
     F = coeffs.F
     if F is not None:
         hbar = mesh.hbar[1:J]
@@ -230,8 +238,12 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
                      strides=(row_step, node_step, node_step), writeable=False)
     prod = np.empty((3, J - 1))
     lo, mid, hi = prod
-    # overflow shows as a non-finite trajectory, reported after the loop
+    # overflow shows as a non-finite matrix row or level: a SolverError
     with np.errstate(over="ignore", invalid="ignore"):
+        factor = TriFactor(*level_matrix(coeffs, mesh, config, kernel))
+        a_old, b_old = scheme_weights(coeffs, mesh, config.sigma - 1.0, config.theta)
+        weights = np.stack((a_old[1:J], b_old[1:J] + b_old[2:J + 1], a_old[2:J + 1]))
+        a_J, b_J = a_old[J].item(), b_old[J].item()
         for m, (row, inner, window) in enumerate(
                 zip(traj[1:], traj[1:, 1:J], old), 1):
             np.multiply(weights, window, out=prod)
@@ -258,24 +270,14 @@ def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult
                        min_pivot=factor.min_pivot)
 
 
-def _march_enlarged(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig,
-                    factor: float) -> SolveResult:
-    """March ``config`` on [0, factor * x_J], keep the full result."""
-    h = mesh.h_tail
-    x_end = float(mesh.x[-1])
-    x_far = factor * x_end
-    n_extra = int(np.ceil((x_far - x_end) / h - 1e-9))
-    x_ext = np.concatenate((mesh.x, x_end + h * np.arange(1, n_extra + 1)))
-    return march(problem, Mesh(x=x_ext, tau=mesh.tau, M=mesh.M), config)
-
-
 def march_reference(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig,
                     extension_factor: float,
                     doubling_check: bool = True) -> SolveResult:
     """Brute-force reference trajectory restricted to the original nodes.
 
-    Marches the weights of ``config`` with the zero-flux closure, whatever
-    closure ``config`` names, on the enlarged interval
+    Samples ``problem`` on ``mesh`` first (the checks, and the result's
+    ``coeffs``), then marches the weights of ``config`` with the zero-flux
+    closure, whatever closure ``config`` names, on the enlarged interval
     [0, extension_factor * x_J]; the result carries that zero-flux config.
     The far boundary must not influence the restricted window within the
     time horizon; this is verified by re-running with twice the factor and
@@ -283,18 +285,20 @@ def march_reference(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig,
     """
     if extension_factor is None or not 2.0 <= extension_factor < math.inf:
         raise ValueError("reference closure needs 2 <= extension_factor < inf")
-    J = mesh.J
-    far_cfg = replace(config, boundary="neumann")
-    base = _march_enlarged(problem, mesh, far_cfg, extension_factor)
-    restricted = base.U[:, :J + 1].copy()
+    coeffs = sample(problem, mesh)
+    J, h, x_end = mesh.J, mesh.h_tail, float(mesh.x[-1])
+    far_cfg, runs = replace(config, boundary="neumann"), []
+    for factor in (extension_factor, 2.0 * extension_factor)[:1 + doubling_check]:
+        n_extra = int(np.ceil((factor * x_end - x_end) / h - 1e-9))
+        x_ext = np.concatenate((mesh.x, x_end + h * np.arange(1, n_extra + 1)))
+        runs.append(march(problem, Mesh(x_ext, mesh.tau, mesh.M), far_cfg))
+    restricted = runs[0].U[:, :J + 1].copy()
     if doubling_check:
-        double = _march_enlarged(problem, mesh, far_cfg, 2.0 * extension_factor)
-        dev = float(np.max(np.abs(restricted - double.U[:, :J + 1])))
+        dev = float(np.max(np.abs(restricted - runs[1].U[:, :J + 1])))
         if dev > DOUBLING_TOL:
             raise SolverError(
                 f"far boundary contaminates the window: doubling the extension "
                 f"factor moves the restricted trajectory by {dev:.3g} "
                 f"(tolerance {DOUBLING_TOL:g})")
-    return SolveResult(U=restricted, mesh=mesh, config=far_cfg,
-                       coeffs=sample(problem, mesh), kernel=None,
-                       min_pivot=base.min_pivot)
+    return SolveResult(U=restricted, mesh=mesh, config=far_cfg, coeffs=coeffs,
+                       kernel=None, min_pivot=runs[0].min_pivot)

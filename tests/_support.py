@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 
-from parabolic_dtbc import (EnergyDiagnostics, ProblemSpec, derive_params,
-                            iterated_erfc, kernel_by_recurrence, sample)
+from parabolic_dtbc import (EnergyDiagnostics, Mesh, ProblemSpec,
+                            SampledCoefficients, derive_params, iterated_erfc,
+                            kernel_by_recurrence, sample)
 from parabolic_dtbc.cli import _fmt
 from parabolic_dtbc.dtbc_kernel import LaggedConvolution
 from parabolic_dtbc.stepper import TriFactor, level_matrix, scheme_weights
@@ -174,6 +175,27 @@ def march_loop_reference(problem, mesh, config):
         traj[m] = U
         hist[m] = U[J]
     return traj, factor.min_pivot
+
+
+def extend_sampled(coeffs, mesh, n):
+    """Sampled data and mesh continued by ``n`` tail cells past x_J.
+
+    The mesh goes on with its tail step h_J; the new midpoints get the
+    tail constants, ``U0`` and every ``F`` row are zero on the new nodes,
+    and ``G`` stays.  Returns ``(coeffs, mesh)`` for ``march_sampled``:
+    under an exact transparent closure the march of the continued data
+    agrees with the march of ``coeffs`` at nodes 0..J, because both are
+    the untruncated scheme there.
+    """
+    x_end, h = mesh.x[-1], mesh.h_tail
+    x = np.concatenate((mesh.x, x_end + h * np.arange(1, n + 1)))
+    rho_h, b_h, c_h = (np.concatenate((arr, np.full(n, value))) for arr, value
+                       in zip((coeffs.rho_h, coeffs.b_h, coeffs.c_h),
+                              coeffs.tail))
+    F = None if coeffs.F is None else np.pad(coeffs.F, ((0, 0), (0, n)))
+    extended = SampledCoefficients(rho_h=rho_h, b_h=b_h, c_h=c_h, F=F,
+                                   G=coeffs.G, U0=np.pad(coeffs.U0, (0, n)))
+    return extended, Mesh(x=x, tau=mesh.tau, M=mesh.M)
 
 
 def reference_solution_csv(U, exact, mesh):

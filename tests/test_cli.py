@@ -14,7 +14,7 @@ import pytest
 
 from parabolic_dtbc import (SchemeConfig, build_mesh, certify_dissipativity,
                             cli, diagnose_energy, dtbc_kernel, example2, march,
-                            validation)
+                            sample, stepper, validation)
 from parabolic_dtbc.cli import (ConfigError, RunConfig, _load_problem,
                                 _make_mesh, main, read_config, write_solution)
 
@@ -1163,6 +1163,24 @@ def test_reference_mode_diagnoses_the_dtbc_march(tmp_path, monkeypatch):
     assert [res.config for res in checked] == [
         SchemeConfig(0.5, 1.0 / 12.0, "dtbc")] * 2
     np.testing.assert_array_equal(checked[0].U, checked[1].U)
+
+
+def test_reference_diagnostics_sample_each_mesh_once(tmp_path, monkeypatch):
+    # the run's own mesh first, which checks it before the enlarged marches;
+    # the diagnostics march reuses those samples
+    sampled = []
+
+    def counted(problem, mesh):
+        sampled.append(mesh.J)
+        return sample(problem, mesh)
+
+    for module in (stepper, cli):
+        monkeypatch.setattr(module, "sample", counted)
+    cfg = write(tmp_path / "run.cfg", RAMP_DIAGNOSTICS.replace("J = 50", "J = 10")
+                + "boundary = reference\nextension_factor = 3\n")
+    assert main(["solve", "--config", str(cfg), "--out",
+                 str(tmp_path / "out"), "--deterministic"]) == 0
+    assert sampled == [10, 30, 60]
 
 
 ENERGY_ROWS = ["first_energy_equality_rel", "second_energy_equality_rel",

@@ -1,17 +1,19 @@
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from parabolic_dtbc import (ProblemSpec, SchemeConfig, build_mesh,
+from parabolic_dtbc import (Kernel, ProblemSpec, SchemeConfig, build_mesh,
                             derive_params, error_report, example1, example2,
                             kernel_by_recurrence, march, march_reference,
-                            sample)
+                            march_sampled, sample)
 from parabolic_dtbc.dtbc_kernel import BLOCK
 from parabolic_dtbc.stepper import (BOUNDARY_MODES, SolverError, TriFactor,
                                     level_matrix, scheme_weights)
 
-from _support import (convolve_direct, march_loop_reference,
+from _support import (convolve_direct, extend_sampled, march_loop_reference,
                       random_h0_problem, thomas_solve, zero_forcing,
                       zero_problem)
 
@@ -127,7 +129,6 @@ def test_tridiagonal_zero_pivot_detected():
                   np.array([1.0, 1.0, 0.0]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_matrix_or_pivot_is_named_by_row():
     # abs(nan) <= floor is false, so a NaN entry is checked on its own
     with pytest.raises(SolverError, match="non-finite entry in row 1 "):
@@ -272,6 +273,73 @@ def test_reference_doubling_failure_is_a_solver_error():
     with pytest.raises(SolverError, match=r"contaminates the window: .* by "
                        r"2\.49e-05 \(tolerance 1e-09\)"):
         march_reference(prob, mesh, cfg, 2.0)
+
+
+def test_reference_checks_the_run_mesh_before_any_march(monkeypatch):
+    # the last step [0.75, 1] straddles X0 = 0.8; every enlarged mesh has
+    # a tail step clear of X0, so only the run's own mesh fails
+    marched = []
+    monkeypatch.setattr("parabolic_dtbc.stepper.march",
+                        lambda *args: marched.append(args))
+    mesh = build_mesh(1.0, 4, tau=0.01, M=5)
+    with pytest.raises(ValueError, match="tail step h_J=0.25 exceeds"):
+        march_reference(zero_problem(X0=0.8), mesh, SchemeConfig(0.5, 0.0), 3.0)
+    assert marched == []
+
+
+def extension_gap(problem, J, M, tau, boundary="dtbc"):
+    """Largest move at nodes 0..J, over every level and relative to max|U|,
+    when the sampled data are continued by ceil(J/2) tail cells."""
+    mesh = build_mesh(problem.X, J, tau=tau, M=M)
+    coeffs = sample(problem, mesh)
+    cfg = SchemeConfig(0.5, 1.0 / 12.0, boundary)
+    U = march_sampled(coeffs, mesh, cfg).U
+    V = march_sampled(*extend_sampled(coeffs, mesh, math.ceil(J / 2)), cfg).U
+    return float(np.max(np.abs(U - V[:, :J + 1])) / np.max(np.abs(U)))
+
+
+def test_transparent_closure_holds_over_the_whole_horizon():
+    # the paper's claim: the closed scheme is the untruncated one on 0..J,
+    # so moving the boundary out by J/2 cells moves nothing but roundoff
+    # (8.9e-15 here) over all 5000 levels
+    prob, _ = example2()
+    assert extension_gap(prob, 50, 5000, 2e-4) <= 1e-12
+
+
+@pytest.mark.parametrize("boundary, entries, factor", [
+    ("neumann", None, None), ("dtbc", slice(2, None), 1.05),
+    ("dtbc", 7, 1.0 + 1e-9)], ids=["zero-flux", "R[2:]*1.05", "R[7]*(1+1e-9)"])
+def test_whole_horizon_check_fails_on_a_wrong_closure(monkeypatch, boundary,
+                                                      entries, factor):
+    # read: zero-flux 0.16, the scaled kernel tail 0.14, and one kernel
+    # entry off by 1e-9 still 5.0e-11
+    def mutated(params, M):
+        R = kernel_by_recurrence(params, M).R.copy()
+        R[entries] *= factor
+        return Kernel(R=R, params=params)
+
+    if entries is not None:
+        monkeypatch.setattr("parabolic_dtbc.stepper.kernel_by_recurrence",
+                            mutated)
+    prob, _ = example2()
+    assert extension_gap(prob, 50, 5000, 2e-4, boundary) > 1e-12
+
+
+def test_march_sampled_rejects_samples_that_do_not_fit_the_mesh():
+    # unchecked, a wider F would be sliced to the mesh's nodes and a
+    # one-entry coefficient array broadcast, with no error
+    prob = replace(example2()[0], f=zero_forcing)
+    mesh = build_mesh(1.0, 10, tau=0.01, M=5)
+    coeffs = sample(prob, mesh)
+    cfg = SchemeConfig(0.5, 1.0 / 12.0)
+    for name, bad, needs in (("F", np.zeros((6, 12)), "(6, 11)"),
+                             ("U0", np.zeros(10), "(11,)"),
+                             ("G", coeffs.G[:-1], "(6,)"),
+                             ("rho_h", np.ones(1), "(11,)")):
+        message = (f"sampled {name} has shape {bad.shape}; the mesh "
+                   f"(J=10, M=5) needs {needs}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            march_sampled(replace(coeffs, **{name: bad}), mesh, cfg)
 
 
 @pytest.mark.parametrize("factor", [None, 1.5, float("nan"), float("inf")])
