@@ -9,10 +9,9 @@ energy-stability diagnostics used to validate the schemes, plus a small
 CSV-emitting command line front end.
 """
 
-from .dtbc_kernel import (Kernel, KernelParams, LaggedConvolution,
-                          OracleConvergenceError, convolve_all, derive_params,
-                          kernel_by_legendre, kernel_by_recurrence,
-                          kernel_gf_oracle)
+from .dtbc_kernel import (Kernel, KernelParams, OracleConvergenceError,
+                          convolve_all, derive_params, kernel_by_legendre,
+                          kernel_by_recurrence, kernel_gf_oracle, lagged_sums)
 from .problem import (Mesh, PRESETS, ProblemSpec, SampledCoefficients,
                       build_mesh, example1, example2, sample)
 from .stepper import (SchemeConfig, SolveResult, SolverError, march,
@@ -23,12 +22,12 @@ from .validation import (DissipativityReport, EnergyDiagnostics, ErrorReport,
 
 __all__ = [
     "DissipativityReport", "EnergyDiagnostics", "ErrorReport", "Kernel",
-    "KernelParams", "LaggedConvolution", "Mesh", "OracleConvergenceError",
-    "PRESETS", "ProblemSpec", "SampledCoefficients", "SchemeConfig",
-    "SolveResult", "SolverError", "build_mesh", "certify_dissipativity",
-    "convolve_all", "derive_params", "diagnose_energy", "error_report",
-    "example1", "example2", "iterated_erfc", "kernel_by_legendre",
-    "kernel_by_recurrence", "kernel_gf_oracle", "march", "march_reference",
+    "KernelParams", "Mesh", "OracleConvergenceError", "PRESETS",
+    "ProblemSpec", "SampledCoefficients", "SchemeConfig", "SolveResult",
+    "SolverError", "build_mesh", "certify_dissipativity", "convolve_all",
+    "derive_params", "diagnose_energy", "error_report", "example1",
+    "example2", "iterated_erfc", "kernel_by_legendre", "kernel_by_recurrence",
+    "kernel_gf_oracle", "lagged_sums", "march", "march_reference",
     "march_sampled", "sample", "u1", "u2",
 ]
 

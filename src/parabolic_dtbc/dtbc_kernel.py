@@ -12,8 +12,8 @@ time step and the two scheme weights.  Three constructions are provided:
   kernel's generating function, by one FFT on a circle (testing).
 
 All three agree; the recurrence is what the stepper consumes.  The
-stepper sums the boundary convolution level by level with
-:class:`LaggedConvolution` (block FFTs, O(M log^2 M)); :func:`convolve_all`
+stepper draws the boundary convolution level by level from the generator
+:func:`lagged_sums` (block FFTs, O(M log^2 M)); :func:`convolve_all`
 evaluates it at every level of a finished history with one FFT, for the
 diagnostics.
 """
@@ -29,7 +29,7 @@ import numpy as np
 # Largest contour FFT the oracle tries before giving up.
 ORACLE_MAX_POINTS = 8192
 
-# Levels per near-field block of :class:`LaggedConvolution`.
+# Levels per near-field block of :func:`lagged_sums`.
 BLOCK = 128
 
 
@@ -236,77 +236,62 @@ def kernel_gf_oracle(params: KernelParams, m_max: int) -> np.ndarray:
         f"{ORACLE_MAX_POINTS} points")
 
 
-class LaggedConvolution:
-    """Online lagged boundary convolution sum_{q=1..m} R[q] Phi[m-q].
+def lagged_sums(R, history):
+    """Yield sum_{q=1..m} R[q] history[m-q] for m = 1, 2, ..., len(R) - 1.
 
-    The march needs this sum at levels m = 1, 2, ..., M in turn, each
-    time with ``Phi[0..m-1]`` already known.  Summed directly it costs
-    O(M^2) in total, and the kernel decays only like q^(-3/2), so it
-    cannot be truncated.  This is the online block-FFT convolution of
-    Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985):
-    the levels are cut into blocks of ``BLOCK`` levels; at the start
-    m = n*BLOCK of block n, the history ``Phi[m-L:m]`` with
-    L = BLOCK * (n & -n) is convolved with ``R[1:2L]`` by one FFT pair of
-    size 2L and added to a far-field accumulator at levels ``m..m+L-1``.
-    Every pair (level m, history i < m) is counted exactly once: in the
-    near field when i and m share a block, otherwise in the one dyadic
-    square at the highest bit where their block indices differ.  The sum
-    at level m is the accumulator plus a direct dot over the current
-    partial block, at most ``BLOCK - 1`` terms; for M < ``BLOCK`` that dot
-    is all there is; it is one BLAS ``ddot`` on a reversed copy of R, so
-    no strided slice is copied per level.  Total cost O(M log^2 M); the
-    result equals the direct sum up to FFT roundoff.
+    The lagged boundary sums, one per level, each computed only when it is
+    asked for, so ``history[0..m-1]`` must be final by then; entries from
+    m on are not read.  ``history`` must be a contiguous float64 vector,
+    which BLAS reads in place (f2py would silently copy anything else at
+    every level): anything else raises TypeError before the first value.
+
+    Summed directly the sums cost O(M^2) in total, and the kernel decays
+    only like q^(-3/2), so it cannot be truncated.  This is the online
+    block-FFT convolution of Hairer, Lubich and Schlichte (SIAM J. Sci.
+    Stat. Comput. 6, 1985): the levels are cut into blocks of ``BLOCK``
+    levels; at the start m = n*BLOCK of block n, the history
+    ``history[m-L:m]`` with L = BLOCK * (n & -n) is convolved with
+    ``R[1:2L]`` by one FFT pair of size 2L and added to a far-field
+    accumulator at levels ``m..m+L-1``.  Every pair (level m, history
+    i < m) is counted exactly once: in the near field when i and m share a
+    block, otherwise in the one dyadic square at the highest bit where
+    their block indices differ.  The sum at level m is the accumulator plus
+    the near field over the current partial block, at most ``BLOCK - 1``
+    terms (all there is for M < ``BLOCK``): one BLAS ``ddot`` on a reversed
+    copy of R, so no strided slice is copied per level.  Total cost
+    O(M log^2 M); the result equals the direct sum up to FFT roundoff.
 
     Memory is O(M): the accumulator and the reversed kernel (8 (M+1) bytes
     each) plus one kernel spectrum per block size L = BLOCK, 2 BLOCK, ...
-    <= M, cached on first use (16 (L+1) bytes each, under 32 M bytes
+    <= M, made on first use (16 (L+1) bytes each, under 32 M bytes
     together), under 48 M bytes in all (1.85 MB at M = 50 000), plus the
     transient arrays of one FFT pair.
     """
-
-    def __init__(self, R):
-        self._R = R = np.asarray(R, dtype=float)
-        self._Rrev = R[::-1].copy()
-        self._acc = np.zeros(R.size)
-        self._spectra: dict[int, np.ndarray] = {}
-        self._next = 1
-        self._history = None
-        from scipy.linalg.blas import ddot  # deferred, as in TriFactor
-        self._ddot = ddot
-
-    def lagged(self, history, m: int) -> float:
-        """Return sum_{q=1..m} R[q] history[m-q]; call for m = 1, 2, ... in turn.
-
-        ``history[0..m-1]`` must be final; entries from m on are not read.
-        It must be a contiguous float64 vector, which BLAS reads in place;
-        f2py would silently copy anything else at every level.
-        """
-        R, acc = self._R, self._acc
-        if m != self._next or m >= R.size:
-            raise ValueError(f"lagged sums are online up to the kernel length "
-                             f"{R.size - 1}: expected level {self._next}, got {m}")
-        if history is not self._history:  # checked once per history array
-            if (getattr(history, "dtype", None) != np.float64
-                    or history.strides != (8,)):
-                raise TypeError("lagged sums need a contiguous float64 history")
-            self._history = history
-        self._next = m + 1
-        start = m - m % BLOCK
-        if m == start:
-            n = m // BLOCK
+    if getattr(history, "dtype", None) != np.float64 or history.strides != (8,):
+        raise TypeError("lagged sums need a contiguous float64 history")
+    from scipy.linalg.blas import ddot  # deferred, as in TriFactor
+    R = np.asarray(R, dtype=float)
+    Rrev = R[::-1].copy()
+    acc = np.zeros(R.size)
+    spectra: dict[int, np.ndarray] = {}
+    top = R.size - 1
+    for start in range(0, R.size, BLOCK):
+        if start:
+            n = start // BLOCK
             L = BLOCK * (n & -n)
-            spec = self._spectra.get(L)
+            spec = spectra.get(L)
             if spec is None:
                 seg = np.zeros(2 * L)
-                top = min(2 * L, R.size)
-                seg[1:top] = R[1:top]
-                spec = self._spectra[L] = np.fft.rfft(seg)
-            far = np.fft.irfft(np.fft.rfft(history[m - L:m], 2 * L) * spec, 2 * L)
-            end = min(m + L, acc.size)
-            acc[m:end] += far[L:L + end - m]
-        k = m - start  # ddot's arguments are positional: keywords cost more
-        return acc.item(m) + self._ddot(self._Rrev, history, k, R.size - 1 - k,
-                                        1, start, 1)
+                seg[1:min(2 * L, R.size)] = R[1:2 * L]
+                spec = spectra[L] = np.fft.rfft(seg)
+            conv = np.fft.irfft(np.fft.rfft(history[start - L:start], 2 * L) * spec,
+                                2 * L)
+            end = min(start + L, R.size)
+            acc[start:end] += conv[L:L + end - start]
+        far = acc[start:start + BLOCK].tolist()  # final for this block
+        # ddot's arguments are positional: keywords cost more
+        for k in range(start == 0, len(far)):
+            yield far[k] + ddot(Rrev, history, k, top - k, 1, start, 1)
 
 
 def convolve_all(kernel: Kernel, history) -> np.ndarray:

@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .dtbc_kernel import (Kernel, LaggedConvolution, check_weights,
-                          derive_params, kernel_by_recurrence)
+from .dtbc_kernel import (Kernel, check_weights, derive_params,
+                          kernel_by_recurrence, lagged_sums)
 from .problem import Mesh, ProblemSpec, SampledCoefficients, sample
 
 BOUNDARY_MODES = ("dtbc", "neumann")
@@ -197,11 +197,14 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
     interior product is one multiplication of the stacked weights with a
     read-only three-row window over the previous level, summed into the
     row; the row gets the forcing (when ``F`` is given) and the boundary
-    row formed from Python floats plus the lagged convolution over the
-    stored boundary history (summed online by :class:`LaggedConvolution`);
-    and :meth:`TriFactor.solve` overwrites it with the new level (LAPACK
-    ``dgttrs`` on the pivot-free factors; row 0 of the matrix is the
-    identity with a zero superdiagonal, so the Dirichlet value stays).  A
+    row, formed from the previous level's last two values as Python floats
+    plus the next lagged convolution sum over the stored boundary history
+    (drawn from one :func:`~parabolic_dtbc.dtbc_kernel.lagged_sums`
+    generator); and :meth:`TriFactor.solve`, bound once per march,
+    overwrites it with the new level (LAPACK ``dgttrs`` on the pivot-free
+    factors; row 0 of the matrix is the identity with a zero
+    superdiagonal, so the Dirichlet value stays up to the sign of a zero,
+    and the column is written from ``G`` again after the loop).  A
     non-finite matrix entry, pivot or level raises :class:`SolverError`
     naming the first such row or level.
     """
@@ -222,15 +225,14 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
     if F is not None:
         hbar = mesh.hbar[1:J]
         forcing = np.empty(J - 1)
-    if kernel is not None:
-        gain = kernel.params.b_inf / (2.0 * mesh.h_tail)
-        lagged = LaggedConvolution(kernel.R).lagged
-
     traj = np.empty((M + 1, J + 1))
     traj[0] = coeffs.U0
-    traj[1:, 0] = coeffs.G[1:]  # the Dirichlet column; the solves keep it
+    traj[1:, 0] = coeffs.G[1:]  # the Dirichlet column, which the solves read
     hist = np.empty(M + 1)  # contiguous copy of U[:, J] for the convolution
     hist[0] = coeffs.U0[J]
+    if kernel is not None:
+        gain = kernel.params.b_inf / (2.0 * mesh.h_tail)
+        sums = lagged_sums(kernel.R, hist)
     # old[m] is level m as the three rows U[0:J-1], U[1:J], U[2:J+1]; level
     # m is assembled in its row of traj from old[m-1], then solved in place
     row_step, node_step = traj.strides
@@ -238,26 +240,33 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
                      strides=(row_step, node_step, node_step), writeable=False)
     prod = np.empty((3, J - 1))
     lo, mid, hi = prod
+    mul, add = np.multiply, np.add  # outs positional: the keyword costs more
     # overflow shows as a non-finite matrix row or level: a SolverError
     with np.errstate(over="ignore", invalid="ignore"):
         factor = TriFactor(*level_matrix(coeffs, mesh, config, kernel))
+        solve = factor.solve
         a_old, b_old = scheme_weights(coeffs, mesh, config.sigma - 1.0, config.theta)
         weights = np.stack((a_old[1:J], b_old[1:J] + b_old[2:J + 1], a_old[2:J + 1]))
         a_J, b_J = a_old[J].item(), b_old[J].item()
+        u_in, u_J = traj.item(0, J - 1), traj.item(0, J)
         for m, (row, inner, window) in enumerate(
                 zip(traj[1:], traj[1:, 1:J], old), 1):
-            np.multiply(weights, window, out=prod)
-            np.add(lo, mid, out=inner)
-            np.add(inner, hi, out=inner)
+            mul(weights, window, prod)
+            add(lo, mid, inner)
+            add(inner, hi, inner)
             if F is not None:
-                np.multiply(hbar, F[m, 1:J], out=forcing)
-                np.add(inner, forcing, out=inner)
-            rhs_J = a_J * traj.item(m - 1, J - 1) + b_J * traj.item(m - 1, J)
+                mul(hbar, F[m, 1:J], forcing)
+                add(inner, forcing, inner)
+            rhs_J = a_J * u_in + b_J * u_J
             if kernel is not None:
-                rhs_J += gain * lagged(hist, m)
+                rhs_J += gain * next(sums)
             row[J] = rhs_J
-            factor.solve(row)
-            hist[m] = row[J]
+            solve(row)
+            u_in, u_J = row.item(J - 1), row.item(J)
+            hist[m] = u_J
+    # dgttrs returns g - 0 U_1 - 0 U_2 in row 0, +0.0 for a -0.0 beside a
+    # negative U_1; the column is written again, after the levels that read it
+    traj[1:, 0] = coeffs.G[1:]
 
     # min/max propagate NaN and meet any infinity without a boolean temporary
     if not (math.isfinite(traj.min()) and math.isfinite(traj.max())):

@@ -10,7 +10,6 @@ from parabolic_dtbc import (EnergyDiagnostics, Mesh, ProblemSpec,
                             SampledCoefficients, derive_params, iterated_erfc,
                             kernel_by_recurrence, sample)
 from parabolic_dtbc.cli import _fmt
-from parabolic_dtbc.dtbc_kernel import LaggedConvolution
 from parabolic_dtbc.stepper import TriFactor, level_matrix, scheme_weights
 from parabolic_dtbc.validation import EnergyForm, eval_on_grid
 
@@ -133,10 +132,11 @@ def march_loop_reference(problem, mesh, config):
     """``march`` as a per-level loop with a fresh right-hand side per level.
 
     Each level samples ``g``, forms the interior rows as one expression
-    with the forcing added, the boundary row as numpy scalars, solves into
-    a new vector and copies it into the trajectory; ``problem.f`` must be
-    given.  Returns ``(U, min_pivot)``: the direct reference for the
-    in-place level of ``march``.
+    with the forcing added, the boundary row as numpy scalars with the
+    boundary convolution summed directly (no code shared with the fast
+    convolution), solves into a new vector and copies it into the
+    trajectory; ``problem.f`` must be given.  Returns ``(U, min_pivot)``:
+    the direct reference for the in-place level of ``march``.
     """
     coeffs = sample(problem, mesh)
     kernel = None
@@ -155,7 +155,6 @@ def march_loop_reference(problem, mesh, config):
     hbar = mesh.hbar[1:J]
     if kernel is not None:
         gain = kernel.params.b_inf / (2.0 * mesh.h_tail)
-        conv = LaggedConvolution(kernel.R)
 
     traj = np.empty((M + 1, J + 1))
     traj[0] = coeffs.U0
@@ -169,7 +168,7 @@ def march_loop_reference(problem, mesh, config):
                     + hbar * F[m, 1:J])
         rhs_J = a_J * U[J - 1] + b_J * U[J]
         if kernel is not None:
-            rhs_J += gain * conv.lagged(hist, m)
+            rhs_J += gain * np.dot(kernel.R[1:m + 1], hist[m - 1::-1])
         rhs[J] = rhs_J
         U = factor.solve(rhs)
         traj[m] = U

@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from parabolic_dtbc import (Kernel, LaggedConvolution, OracleConvergenceError,
-                            SchemeConfig, convolve_all, derive_params,
-                            kernel_by_legendre, kernel_by_recurrence,
-                            kernel_gf_oracle)
+from parabolic_dtbc import (Kernel, OracleConvergenceError, SchemeConfig,
+                            convolve_all, derive_params, kernel_by_legendre,
+                            kernel_by_recurrence, kernel_gf_oracle,
+                            lagged_sums)
 from parabolic_dtbc.dtbc_kernel import BLOCK
 
 from _support import convolve_direct, params_from_ratios
@@ -254,47 +254,40 @@ def test_fft_convolution_matches_direct_sum(n):
 
 @pytest.mark.parametrize("M", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1,
                                4096, 5000])
-def test_lagged_convolution_matches_direct_sum(M):
+def test_lagged_sums_match_direct_sum(M):
     R = kernel_by_recurrence(example1_params(), M).R
     phi = np.random.default_rng(M).uniform(-1.0, 1.0, size=M + 1)
     # direct lagged sums sum_{q=1..m} R[q] phi[m-q] and their magnitudes
     direct = np.convolve(R[1:], phi[:M])
     magnitude = np.convolve(np.abs(R[1:]), np.abs(phi[:M]))
-    conv = LaggedConvolution(R)
     hist = np.full(M + 1, np.nan)  # entries from level m on are never read
+    sums = lagged_sums(R, hist)
     for m in range(1, M + 1):
         hist[m - 1] = phi[m - 1]
-        dev = abs(conv.lagged(hist, m) - direct[m - 1])
+        dev = abs(next(sums) - direct[m - 1])
         # below BLOCK the sum is one dot of at most BLOCK - 1 terms, with
         # no FFT roundoff
         rel = BLOCK * 2.0 ** -53 if m < BLOCK else 1e-12
         assert dev <= rel * magnitude[m - 1], m
 
 
-def test_lagged_convolution_is_online():
-    R = kernel_by_recurrence(example2_params(), 3).R
-    hist = np.ones(4)
-    with pytest.raises(ValueError, match="expected level 1"):
-        LaggedConvolution(R).lagged(hist, 2)
-    conv = LaggedConvolution(R)
-    for m in (1, 2, 3):
-        conv.lagged(hist, m)
-    with pytest.raises(ValueError, match="kernel length 3"):
-        conv.lagged(hist, 4)
+@pytest.mark.parametrize("M", [1, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])
+def test_lagged_sums_stop_at_the_kernel_length(M):
+    R = kernel_by_recurrence(example2_params(), M).R
+    sums = lagged_sums(R, np.ones(M + 1))
+    assert len(list(sums)) == M
+    with pytest.raises(StopIteration):
+        next(sums)
 
 
-def test_lagged_convolution_needs_a_contiguous_float64_history():
+def test_lagged_sums_need_a_contiguous_float64_history():
     # BLAS would read a copy of anything else, made anew at every level
     R = kernel_by_recurrence(example2_params(), 8).R
     for bad in (np.ones(18)[::2], np.ones(9, dtype=np.int64),
                 np.ones(9, dtype=np.float32), np.ones((1, 9)), [1.0] * 9):
+        sums = lagged_sums(R, bad)
         with pytest.raises(TypeError, match="contiguous float64"):
-            LaggedConvolution(R).lagged(bad, 1)
-    # the check holds for every call, not only the first
-    conv = LaggedConvolution(R)
-    conv.lagged(np.ones(9), 1)
-    with pytest.raises(TypeError, match="contiguous float64"):
-        conv.lagged(np.ones(18)[::2], 2)
+            next(sums)
 
 
 def test_params_from_ratios_round_trip():

@@ -189,13 +189,12 @@ def test_overflowing_trajectory_is_a_solver_failure():
 
 @pytest.mark.parametrize("mode", BOUNDARY_MODES)
 def test_dirichlet_column_is_g_bit_for_bit(mode):
-    # the column is written from G before the loop and no solve moves it:
-    # -0.0 at level 3, a subnormal at 5, +-1e300 at 8 and 11.  The -0.0
-    # keeps its sign because U_1 and U_2 are positive at level 3: dgttrs
-    # subtracts 0 * U_1 from row 0, which turns -0.0 into +0.0 beside a
-    # negative U_1
+    # the column is G: -0.0 at levels 3 and 13, a subnormal at 5, +-1e300
+    # at 8 and 11.  dgttrs subtracts 0 * U_1 from row 0, which turns -0.0
+    # into +0.0 beside a negative U_1, as at level 13 after the -1e300, so
+    # the column is written again after the loop
     tau = 0.01
-    special = {3: -0.0, 5: 5e-324, 8: 1e300, 11: -1e300}
+    special = {3: -0.0, 5: 5e-324, 8: 1e300, 11: -1e300, 13: -0.0}
 
     def g(t):
         t = np.asarray(t, dtype=float)
@@ -210,7 +209,8 @@ def test_dirichlet_column_is_g_bit_for_bit(mode):
     res = march(replace(prob, g=g), mesh, SchemeConfig(0.5, 1.0 / 12.0, mode))
     G = res.coeffs.G
     assert [G[m] for m in special] == list(special.values())
-    assert np.signbit(G[3]) and np.all(res.U[3, 1:3] > 0.0)
+    assert np.all(np.signbit(G[[3, 13]]))
+    assert np.all(res.U[3, 1:3] > 0.0) and res.U[13, 1] < 0.0
     assert res.U[1:, 0].tobytes() == G[1:].tobytes()
 
 
@@ -501,8 +501,11 @@ LEVEL_LOOP_CASES = {
 @pytest.mark.parametrize("theta", [0.0, 1.0 / 12.0, 0.25])
 @pytest.mark.parametrize("sigma", [0.5, 1.0])
 def test_march_matches_the_level_loop_reference(sigma, theta, case, mode):
-    # the in-place level is bit for bit the per-level loop; an unforced
-    # problem (f is None) marches as the loop does with a zero forcing
+    # the in-place level is the per-level loop: bit for bit under the
+    # zero-flux closure; under the transparent one the loop sums the
+    # convolution directly, so the two paths share no convolution code and
+    # agree to roundoff (2e-15 of max|U| measured).  An unforced problem
+    # (f is None) marches as the loop does with a zero forcing
     prob, mesh = LEVEL_LOOP_CASES[case]()
     cfg = SchemeConfig(sigma, theta, mode)
     res = march(prob, mesh, cfg)
@@ -510,7 +513,10 @@ def test_march_matches_the_level_loop_reference(sigma, theta, case, mode):
     if prob.f is None:
         prob = replace(prob, f=zero_forcing)
     U, min_pivot = march_loop_reference(prob, mesh, cfg)
-    assert res.U.tobytes() == U.tobytes()
+    if mode == "neumann":
+        assert res.U.tobytes() == U.tobytes()
+    else:
+        assert np.max(np.abs(res.U - U)) <= 1e-13 * np.max(np.abs(U))
     assert res.min_pivot == min_pivot
 
 

@@ -27,11 +27,11 @@ before it):
   at sigma = 1/2, theta = 1/12, of a run with g = 0 and no forcing grid
   (the ``coefficients.variable`` problem) and of one with g = t^2 and a
   forcing grid (``forced.broadcasting``);
-* the lagged boundary sums of ``LaggedConvolution.lagged`` at every
-  level 1..5000 of a seeded random history, on the kernel of the
-  ``fine_mesh`` (example1) and of the ``long_horizon`` (example2) mesh
-  steps at sigma = 1/2, theta = 1/12: every near-field length 0..127
-  and the six FFT block sizes 128..4096;
+* the lagged boundary sums of ``lagged_sums`` (``LaggedConvolution.lagged``
+  on a tree without it) at every level 1..5000 of a seeded random
+  history, on the kernel of the ``fine_mesh`` (example1) and of the
+  ``long_horizon`` (example2) mesh steps at sigma = 1/2, theta = 1/12:
+  every near-field length 0..127 and the six FFT block sizes 128..4096;
 * the four ``certify_dissipativity`` fields (library call, kernel and
   probe horizon 200, no probes) on the eight (sigma, theta) pairs of
   acceptance criterion 3 and on the weight sets of the certificate tests,
@@ -300,9 +300,13 @@ def digests() -> dict:
         mesh = pd.build_mesh(problem.X, J, tau=1.0 / M, M=1)
         params = pd.derive_params(*pd.sample(problem, mesh).tail, mesh.h_tail,
                                   mesh.tau, 0.5, 1.0 / 12.0)
-        conv = pd.LaggedConvolution(pd.kernel_by_recurrence(params, LAGGED_M).R)
+        R = pd.kernel_by_recurrence(params, LAGGED_M).R
         history = np.random.default_rng(J).uniform(-1.0, 1.0, LAGGED_M + 1)
-        sums = [conv.lagged(history, m) for m in range(1, LAGGED_M + 1)]
+        if hasattr(pd, "lagged_sums"):
+            sums = list(pd.lagged_sums(R, history))
+        else:  # a tree from before the generator
+            conv = pd.LaggedConvolution(R)
+            sums = [conv.lagged(history, m) for m in range(1, LAGGED_M + 1)]
         out[f"lagged.{key}"] = _digest(np.array(sums))
 
     for weights in CERTIFICATE_WEIGHTS:
