@@ -36,43 +36,65 @@ def u1(x, t, x_star: float = 1.25, t0: float = 0.03125):
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     spread = 4.0 * (t + t0)
-    out = np.sqrt(t0 / (t + t0)) * np.exp(-((x - x_star) ** 2) / spread)
-    return out if out.ndim else float(out)
+    out = np.atleast_1d(-((x - x_star) ** 2) / spread)
+    np.exp(out, out=out)
+    out *= np.sqrt(t0 / (t + t0))
+    return out if x.ndim or t.ndim else float(out[0])
 
 
 def iterated_erfc(n: int, xi):
     """Repeated integrals I_0..I_4 of the complementary error function.
 
     I_0 = erfc, I_1 = exp(-xi^2)/sqrt(pi) - xi erfc(xi), and
-    I_n = I_{n-2}/(2n) - xi I_{n-1}/n for n = 2, 3, 4.
+    I_n = I_{n-2}/(2n) - xi I_{n-1}/n for n = 2, 3, 4, run in place on
+    three arrays of xi's shape (I_{n-2}, I_{n-1} and xi I_{n-1}) with the
+    operations of that formula in its order, so its bits (a division by
+    2, 4 or 8 is the product with its exact reciprocal, which rounds the
+    same quotient).  A 0-d xi gives a float.
     """
     if n not in (0, 1, 2, 3, 4):
         raise ValueError(f"iterated erfc implemented for 0 <= n <= 4, got n={n}")
     xi = np.asarray(xi, dtype=float)
-    prev = erfc(xi)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    curr = np.exp(-xi * xi) / SQRT_PI - xi * prev
+    scalar, xi = xi.ndim == 0, np.atleast_1d(xi)  # a numpy scalar takes no out
+    prev = curr = erfc(xi)
+    if n:
+        curr = np.negative(xi)
+        curr *= xi
+        np.exp(curr, out=curr)
+        curr /= SQRT_PI
+        tmp = xi * prev
+        curr -= tmp
     for k in range(2, n + 1):
-        prev, curr = curr, prev / (2.0 * k) - xi * curr / k
-    return curr if curr.ndim else float(curr)
+        np.multiply(xi, curr, out=tmp)
+        if k == 3:
+            tmp /= k
+            prev /= 2.0 * k
+        else:  # k = 2, 4: 1/k and 1/(2k) are exact
+            tmp *= 1.0 / k
+            prev *= 0.5 / k
+        prev -= tmp
+        prev, curr = curr, prev
+    return float(curr[0]) if scalar else curr
 
 
 def u2(x, t):
     """Heat-equation response to the boundary ramp t^2 with zero initial data.
 
     Equals 32 t^2 I_4(x / (2 sqrt(t))) for t > 0 and 0 at t = 0 (the
-    pointwise limit for x > 0).  Satisfies u2(0, t) = t^2 exactly.
+    pointwise limit for x > 0).  Satisfies u2(0, t) = t^2 exactly.  The
+    factor 32 t^2 is formed on t's own shape and multiplied into I_4's
+    array, whose entries where t > 0 fails are then set to 0; a 0-d x and
+    t give a float.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    # t <= 0 divides by zero or takes the root of a negative; np.where
-    # discards those values
+    # t <= 0 divides by zero or takes the root of a negative; the zeros
+    # overwrite those values
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(t > 0.0,
-                       32.0 * t ** 2 * iterated_erfc(4, x / (2.0 * np.sqrt(t))),
-                       0.0)
-    return out if out.ndim else float(out)
+        out = iterated_erfc(4, np.atleast_1d(x / (2.0 * np.sqrt(t))))
+        out *= 32.0 * t ** 2
+    np.copyto(out, 0.0, where=~(t > 0.0))
+    return out if x.ndim or t.ndim else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +136,27 @@ def _call(fn, x, t, shapes):
         return None
 
 
+def _grid_blocks(fn, x, t, out=None):
+    """Blocks ``(lo, values)`` of ``fn`` on the grid ``t`` x ``x``, as
+    :func:`eval_on_grid` evaluates them: the array ``fn`` returned when the
+    block call succeeds (read it, never write it: it may be cached,
+    read-only or a broadcast view), else the values of the fallback tiers,
+    filled into ``out[lo:hi]`` (into a new block when ``out`` is None)."""
+    for lo, hi in _level_blocks(t.size, x.size):
+        got = _call(fn, x[None, :], t[lo:hi, None], ((hi - lo, x.size),))
+        if got is None:
+            got = np.empty((hi - lo, x.size)) if out is None else out[lo:hi]
+            for row, t_m in zip(got, t[lo:hi].tolist()):
+                level = _call(fn, x, t_m, (x.shape, ()))
+                if level is not None:
+                    row[...] = level
+                    continue
+                for j, xj in enumerate(x.tolist()):
+                    point = _call(fn, xj, t_m, ((),))
+                    row[j] = math.nan if point is None else point
+        yield lo, got
+
+
 def eval_on_grid(fn, x, t, out=None):
     """Values of ``fn`` on the grid ``t`` x ``x``, shape (t.size, x.size).
 
@@ -129,20 +172,8 @@ def eval_on_grid(fn, x, t, out=None):
     check to name.
     """
     vals = np.empty((t.size, x.size)) if out is None else out
-    for lo, hi in _level_blocks(t.size, x.size):
-        block = vals[lo:hi]
-        got = _call(fn, x[None, :], t[lo:hi, None], (block.shape,))
-        if got is not None:
-            block[...] = got
-            continue
-        for row, t_m in zip(block, t[lo:hi].tolist()):
-            got = _call(fn, x, t_m, (x.shape, ()))
-            if got is not None:
-                row[...] = got
-                continue
-            for j, xj in enumerate(x.tolist()):
-                got = _call(fn, xj, t_m, ((),))
-                row[j] = math.nan if got is None else got
+    for lo, got in _grid_blocks(fn, x, t, vals):
+        vals[lo:lo + len(got)] = got  # no copy when filled in place
     return vals
 
 
@@ -182,8 +213,10 @@ def error_report(trajectory, exact, mesh) -> ErrorReport:
     The metric is the max absolute nodal error over all nodes and all
     levels m >= 1 (level 0 is data); the reported location is the first
     one in row-major order that attains it.  The error is reduced block by
-    block (see :func:`eval_on_grid`), so beyond the trajectory itself the
-    extra memory is O(M) plus one block of 2^16 cells, never the whole
+    block (see :func:`eval_on_grid`): U - E of each block of the exact
+    solution, the callable's own array when its block call succeeds, is
+    subtracted into one reused buffer, so beyond the trajectory itself the
+    extra memory is O(M) plus a few blocks of 2^16 cells, never the whole
     exact grid.  A non-finite error (a NaN or infinite exact value or
     trajectory entry) raises ValueError naming the first such level.
     :func:`~.cli.write_solution` feeds the same reduction its own blocks.
@@ -191,11 +224,11 @@ def error_report(trajectory, exact, mesh) -> ErrorReport:
     traj = np.asarray(trajectory, dtype=float)
     if traj.shape != (mesh.M + 1, mesh.J + 1):
         raise ValueError("trajectory shape does not match the mesh")
-    t = mesh.times()
-    errors = _LevelErrors(mesh)
-    for lo, hi in _level_blocks(mesh.M, mesh.J + 1):
-        errors.add(1 + lo, traj[1 + lo:1 + hi]
-                   - eval_on_grid(exact, mesh.x, t[1 + lo:1 + hi]))
+    errors, diff = _LevelErrors(mesh), None
+    for lo, vals in _grid_blocks(exact, mesh.x, mesh.times()[1:]):
+        diff = np.empty(vals.shape) if diff is None else diff[:len(vals)]
+        np.subtract(traj[1 + lo:1 + lo + len(vals)], vals, out=diff)
+        errors.add(1 + lo, diff)
     return errors.report()
 
 

@@ -14,8 +14,8 @@ from parabolic_dtbc import validation
 from parabolic_dtbc.validation import EVAL_BLOCK_CELLS, eval_on_grid
 
 from _support import (convolve_direct, diagnose_energy_reference,
-                      dissipativity_sums_reference, random_h0_problem,
-                      u2_reference, zero_problem)
+                      dissipativity_sums_reference, iterated_erfc_reference,
+                      random_h0_problem, u2_reference, zero_problem)
 
 # 30-digit reference values for the complementary error function,
 # computed with arbitrary-precision arithmetic while writing this test
@@ -86,6 +86,32 @@ def test_iterated_erfc_rejects_out_of_range_order():
         iterated_erfc(5, 0.0)
     with pytest.raises(ValueError):
         iterated_erfc(-1, 0.0)
+
+
+# erfc underflows near 27 and I_1's xi * erfc(xi) overflows at 1e308
+ERFC_EDGES = [0.0, -0.0, -1.0, -30.0, 1e-300, -1e-300, 26.5, 30.0, 1e308,
+              -1e308, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_iterated_erfc_matches_out_of_place_reference_bitwise(n):
+    # the in-place recurrence against the formula with a new array per
+    # operation, which shares no buffer handling with it
+    xi = np.concatenate((np.random.default_rng(n).normal(0.0, 4.0, 2000),
+                         ERFC_EDGES))
+    grid = xi[:1995].reshape(57, 35)
+    with np.errstate(all="ignore"):
+        for arg in (xi, grid, grid[::2, 1::3], grid.T, xi[::-7],
+                    np.arange(-40, 41), np.arange(-40, 41)[:, None] > 0):
+            kept = arg.copy()
+            got, ref = iterated_erfc(n, arg), iterated_erfc_reference(n, arg)
+            assert got.shape == ref.shape == np.shape(arg)
+            assert got.tobytes() == ref.tobytes()
+            assert arg.tobytes() == kept.tobytes()  # the input is not a buffer
+        for arg in (*ERFC_EDGES, 3, np.float64(0.7), np.array(-2.5)):
+            got, ref = iterated_erfc(n, arg), iterated_erfc_reference(n, arg)
+            assert type(got) is type(ref) is float
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
 
 
 def test_ramp_solution_boundary_and_initial_values():
@@ -187,6 +213,69 @@ def test_blocked_error_report_matches_full_grid():
     assert rep.max_abs_error == E[i, j] == E[second[0] - 1, second[1]]
     assert np.array_equal(rep.per_level[1:], E.max(axis=1))
     assert np.isnan(rep.per_level[0])
+
+
+def test_error_report_leaves_the_callables_arrays_alone():
+    # the reduction reads the array of each block call and never writes
+    # it: a cached array keeps its values, and a read-only broadcast view
+    # raises nothing; two blocks at J = 200
+    J = 200
+    M = EVAL_BLOCK_CELLS // (J + 1) + 4
+    mesh = build_mesh(1.0, J, tau=1.0 / M, M=M)
+    traj = np.random.default_rng(3).uniform(-1.0, 1.0, (M + 1, J + 1))
+    cache = {}
+
+    def cached(x, t):
+        key = np.asarray(t).tobytes()
+        if key not in cache:
+            cache[key] = u2(x, t)
+        return cache[key]
+
+    def read_only(x, t):
+        return np.broadcast_to(np.cos(3.0 * x), np.broadcast(x, t).shape)
+
+    first = error_report(traj, cached, mesh)
+    kept = {key: vals.copy() for key, vals in cache.items()}
+    assert len(kept) == 2
+    again = error_report(traj, cached, mesh)
+    assert all(cache[key].tobytes() == vals.tobytes()
+               for key, vals in kept.items())
+    assert again.per_level.tobytes() == first.per_level.tobytes()
+    rep = error_report(traj, read_only, mesh)
+    E = np.abs(traj[1:] - np.cos(3.0 * mesh.x))
+    assert rep.per_level[1:].tobytes() == E.max(axis=1).tobytes()
+
+
+def test_error_report_is_the_same_on_every_evaluation_tier():
+    # the vectorised block call, the level tier (scalar t only) and the
+    # point tier (scalars only) give the same report, byte for byte,
+    # across the block edge at J = 200
+    J = 200
+    M = EVAL_BLOCK_CELLS // (J + 1) + 4
+    mesh = build_mesh(1.0, J, tau=1.0 / M, M=M)
+    t = mesh.times()
+    traj = u2(mesh.x[None, :], t[:, None])
+    traj += np.random.default_rng(11).uniform(-1e-6, 1e-6, traj.shape)
+
+    def per_level(x, t):
+        if np.ndim(t):
+            raise TypeError("scalar t only")
+        return u2(x, t)
+
+    def per_point(x, t):
+        if np.ndim(x) or np.ndim(t):
+            raise TypeError("scalars only")
+        return u2(x, t)
+
+    reports = [error_report(traj, exact, mesh)
+               for exact in (u2, per_level, per_point)]
+    for rep in reports:
+        assert rep.per_level.tobytes() == reports[0].per_level.tobytes()
+        assert ((rep.max_abs_error, rep.argmax_level, rep.argmax_node)
+                == (reports[0].max_abs_error, reports[0].argmax_level,
+                    reports[0].argmax_node))
+    E = np.abs(traj[1:] - u2(mesh.x[None, :], t[1:, None]))
+    assert reports[0].per_level[1:].tobytes() == E.max(axis=1).tobytes()
 
 
 def _scalar_below_half(xs, ts):

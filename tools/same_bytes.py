@@ -32,6 +32,12 @@ before it):
   history, on the kernel of the ``fine_mesh`` (example1) and of the
   ``long_horizon`` (example2) mesh steps at sigma = 1/2, theta = 1/12:
   every near-field length 0..127 and the six FFT block sizes 128..4096;
+* the exact solutions on the benchmark meshes, each one call on the whole
+  grid: ``u1`` on the ``fine_mesh`` mesh and ``u2`` on the
+  ``long_horizon`` and ``cli_session`` meshes; and ``iterated_erfc(n, xi)``
+  for n = 0..4 on 6001 points of [-30, 30] and the edge values 0, -0.0,
+  +-1e-300, 26.5 and 30 (where erfc underflows), +-1e308 (where
+  xi erfc(xi) overflows), +-inf and NaN;
 * the four ``certify_dissipativity`` fields (library call, kernel and
   probe horizon 200, no probes) on the eight (sigma, theta) pairs of
   acceptance criterion 3 and on the weight sets of the certificate tests,
@@ -161,6 +167,9 @@ REFERENCE_OUTPUTS = ("solution.csv", "report.csv", "diagnostics.csv",
                      "table.csv")
 DIAG_SEEDS = (0, 7)  # --seed has no effect; two seeds check that
 LAGGED_M = 5000  # levels of the lagged-sum items: block sizes up to 4096
+ERFC_XI = np.concatenate((np.linspace(-30.0, 30.0, 6001),
+                          [0.0, -0.0, 1e-300, -1e-300, 26.5, 30.0, 1e308,
+                           -1e308, math.inf, -math.inf, math.nan]))
 # (rho_inf, b_inf, c_inf, h, tau, sigma, theta) of the certificate items:
 # the pairs of acceptance criterion 3, then the sets of the certificate
 # tests (tests/test_validation.py)
@@ -308,6 +317,17 @@ def digests() -> dict:
             conv = pd.LaggedConvolution(R)
             sums = [conv.lagged(history, m) for m in range(1, LAGGED_M + 1)]
         out[f"lagged.{key}"] = _digest(np.array(sums))
+
+    for key, (problem, exact), J, M in (
+            ("fine_mesh", pd.example1(), 2000, 2000),
+            ("long_horizon", pd.example2(), 50, 50000),
+            ("cli_session", pd.example2(), 200, 1000)):
+        mesh = pd.build_mesh(problem.X, J, tau=1.0 / M, M=M)
+        out[f"exact.{key}"] = _digest(exact(mesh.x[None, :],
+                                            mesh.times()[:, None]))
+    with np.errstate(all="ignore"):
+        for n in range(5):
+            out[f"iterated_erfc.{n}"] = _digest(pd.iterated_erfc(n, ERFC_XI))
 
     for weights in CERTIFICATE_WEIGHTS:
         kernel = pd.kernel_by_recurrence(pd.derive_params(*weights), 200)
