@@ -12,7 +12,8 @@ Each level advances by solving a three-point system whose rows are
 The time grid is uniform and the coefficients do not depend on time, so
 the matrix, the old-level operator and the boundary gain are the same at
 every level.  :func:`march_sampled` builds and factors them once; in its
-loop only the right-hand side changes, through the Dirichlet value, the
+loop one compiled CSR mat-vec applies the old-level operator, and the
+rest of the right-hand side changes through the Dirichlet value, the
 forcing and the lagged boundary convolution over the boundary column.
 :func:`march_reference` checks the transparent closure: it solves the
 same interior scheme on an enlarged interval with the zero-flux form at
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .dtbc_kernel import (Kernel, check_weights, derive_params,
                           kernel_by_recurrence, lagged_sums)
@@ -190,23 +190,28 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
 
     ``coeffs`` are taken as given (the invariants that ``sample`` enforces
     are the caller's); arrays that do not fit the mesh raise ValueError
-    naming both shapes.  The matrix, the old-level operator and the
-    boundary gain are built and factored once, and the Dirichlet column
-    ``U[1:, 0]`` is written from ``G``.  Each level is then assembled and
-    solved in its own row of the preallocated trajectory: the old-level
-    interior product is one multiplication of the stacked weights with a
-    read-only three-row window over the previous level, summed into the
-    row; the row gets the forcing (when ``F`` is given) and the boundary
-    row, formed from the previous level's last two values as Python floats
-    plus the next lagged convolution sum over the stored boundary history
-    (drawn from one :func:`~parabolic_dtbc.dtbc_kernel.lagged_sums`
-    generator); and :meth:`TriFactor.solve`, bound once per march,
-    overwrites it with the new level (LAPACK ``dgttrs`` on the pivot-free
-    factors; row 0 of the matrix is the identity with a zero
-    superdiagonal, so the Dirichlet value stays up to the sign of a zero,
-    and the column is written from ``G`` again after the loop).  A
-    non-finite matrix entry, pivot or level raises :class:`SolverError`
-    naming the first such row or level.
+    naming both shapes.  The matrix, the old-level operator (J + 1 CSR
+    rows: row 0 empty, then the interior stencil, then the closure's two
+    terms) and the boundary gain are built and factored once, and the
+    Dirichlet column ``U[1:, 0]`` is written from ``G``.  Each level is
+    then assembled and solved in its own row of the trajectory: one
+    ``csr_matvec`` call adds the old-level product of the previous level
+    to the row; the row gets the forcing (when ``F`` is given) and the
+    next lagged convolution sum over the stored boundary history (drawn
+    from one :func:`~parabolic_dtbc.dtbc_kernel.lagged_sums` generator);
+    and :meth:`TriFactor.solve`, bound once per march, overwrites it with
+    the new level (LAPACK ``dgttrs`` on the pivot-free factors; row 0 of
+    the matrix is the identity with a zero superdiagonal, so the Dirichlet
+    value stays up to the sign of a zero, and the column is written from
+    ``G`` again after the loop).  The mat-vec adds a row's products in
+    column order to the row's value, and the trajectory starts as -0.0,
+    which leaves each sum its bits, signed zeros included (+0.0 would
+    not), on a build that does not fuse multiply-adds (x86-64 builds do
+    not).  ``csr_matvec`` is private scipy API, but it is the kernel of
+    every ``csr_array @ vector`` and has kept its seven-argument signature
+    for many releases; it is imported on the first march, not with the
+    package.  A non-finite matrix entry, pivot or level raises
+    :class:`SolverError` naming the first such row or level.
     """
     J, M = mesh.J, mesh.M
     for name, shape in zip(("rho_h", "b_h", "c_h", "U0", "G", "F"),
@@ -225,7 +230,8 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
     if F is not None:
         hbar = mesh.hbar[1:J]
         forcing = np.empty(J - 1)
-    traj = np.empty((M + 1, J + 1))
+    # -0.0, where the sums of the interior rows and row J start
+    traj = np.full((M + 1, J + 1), -0.0)
     traj[0] = coeffs.U0
     traj[1:, 0] = coeffs.G[1:]  # the Dirichlet column, which the solves read
     hist = np.empty(M + 1)  # contiguous copy of U[:, J] for the convolution
@@ -233,37 +239,30 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
     if kernel is not None:
         gain = kernel.params.b_inf / (2.0 * mesh.h_tail)
         sums = lagged_sums(kernel.R, hist)
-    # old[m] is level m as the three rows U[0:J-1], U[1:J], U[2:J+1]; level
-    # m is assembled in its row of traj from old[m-1], then solved in place
-    row_step, node_step = traj.strides
-    old = as_strided(traj, shape=(M, 3, J - 1),
-                     strides=(row_step, node_step, node_step), writeable=False)
-    prod = np.empty((3, J - 1))
-    lo, mid, hi = prod
-    mul, add = np.multiply, np.add  # outs positional: the keyword costs more
+    from scipy.sparse._sparsetools import csr_matvec  # deferred, as dgttrs
+    n = J + 1
     # overflow shows as a non-finite matrix row or level: a SolverError
     with np.errstate(over="ignore", invalid="ignore"):
         factor = TriFactor(*level_matrix(coeffs, mesh, config, kernel))
         solve = factor.solve
         a_old, b_old = scheme_weights(coeffs, mesh, config.sigma - 1.0, config.theta)
-        weights = np.stack((a_old[1:J], b_old[1:J] + b_old[2:J + 1], a_old[2:J + 1]))
-        a_J, b_J = a_old[J].item(), b_old[J].item()
-        u_in, u_J = traj.item(0, J - 1), traj.item(0, J)
-        for m, (row, inner, window) in enumerate(
-                zip(traj[1:], traj[1:, 1:J], old), 1):
-            mul(weights, window, prod)
-            add(lo, mid, inner)
-            add(inner, hi, inner)
+        # row j < J on columns j-1, j, j+1; row J on columns J-1, J
+        starts = np.concatenate(([0], np.arange(0, 3 * J - 2, 3),
+                                 [3 * J - 1])).astype(np.intc)
+        cols = np.append(np.add.outer(np.arange(J - 1), np.arange(3)),
+                         (J - 1, J)).astype(np.intc)
+        vals = np.append(np.column_stack((a_old[1:J], b_old[1:J] + b_old[2:J + 1],
+                                          a_old[2:J + 1])), (a_old[J], b_old[J]))
+        for m, (old, row) in enumerate(zip(traj, traj[1:]), 1):
+            csr_matvec(n, n, starts, cols, vals, old, row)
             if F is not None:
-                mul(hbar, F[m, 1:J], forcing)
-                add(inner, forcing, inner)
-            rhs_J = a_J * u_in + b_J * u_J
+                inner = row[1:J]
+                np.multiply(hbar, F[m, 1:J], forcing)
+                np.add(inner, forcing, inner)
             if kernel is not None:
-                rhs_J += gain * next(sums)
-            row[J] = rhs_J
+                row[J] = row.item(J) + gain * next(sums)
             solve(row)
-            u_in, u_J = row.item(J - 1), row.item(J)
-            hist[m] = u_J
+            hist[m] = row.item(J)
     # dgttrs returns g - 0 U_1 - 0 U_2 in row 0, +0.0 for a -0.0 beside a
     # negative U_1; the column is written again, after the levels that read it
     traj[1:, 0] = coeffs.G[1:]

@@ -50,11 +50,12 @@ def iterated_erfc(n: int, xi):
     three arrays of xi's shape (I_{n-2}, I_{n-1} and xi I_{n-1}) with the
     operations of that formula in its order, so its bits (a division by
     2, 4 or 8 is the product with its exact reciprocal, which rounds the
-    same quotient).  A 0-d xi gives a float.
+    same quotient).  xi above 40 is taken as 40, where every I_n is +0.0
+    (as from xi = 27.3 on), so I_n(+inf) = 0.  A 0-d xi gives a float.
     """
     if n not in (0, 1, 2, 3, 4):
         raise ValueError(f"iterated erfc implemented for 0 <= n <= 4, got n={n}")
-    xi = np.asarray(xi, dtype=float)
+    xi = np.minimum(np.asarray(xi, dtype=float), 40.0)  # not inf * erfc(inf)
     scalar, xi = xi.ndim == 0, np.atleast_1d(xi)  # a numpy scalar takes no out
     prev = curr = erfc(xi)
     if n:

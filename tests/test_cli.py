@@ -961,25 +961,28 @@ def package_env(**extra):
 
 
 def test_import_and_kernel_leave_scipy_linalg_unloaded(tmp_path):
-    # the factorization imports scipy.linalg when first called, so
-    # importing the package, dumping a kernel (with the oracle) and
-    # certifying dissipativity (with probes) never load it
+    # the factorization imports scipy.linalg and the march scipy.sparse
+    # when first called, so importing the package, dumping a kernel (with
+    # the oracle) and certifying dissipativity (with probes) load neither
     cfg = write(tmp_path / "run.cfg", config_text(**BASE_KEYS, m_max="20"))
     code = (
         "import sys\n"
         "import parabolic_dtbc as pd\n"
         "from parabolic_dtbc import cli\n"
-        "loaded = 'scipy.linalg' in sys.modules\n"
+        "def loaded():\n"
+        "    return [m for m in ('scipy.linalg', 'scipy.sparse') "
+        "if m in sys.modules]\n"
+        "first = loaded()\n"
         f"rc = cli.main(['kernel', '--config', {str(cfg)!r}, '--out', "
         f"{str(tmp_path / 'out')!r}, '--deterministic', '--compare'])\n"
         "params = pd.derive_params(1.0, 1.0, 5.0, 0.1, 0.01, 1.0, 0.0)\n"
         "rep = pd.certify_dissipativity(pd.kernel_by_recurrence(params, 50), "
         "trials=5, M=50)\n"
-        "print(loaded, rc, rep.passed, 'scipy.linalg' in sys.modules, "
+        "print(first, rc, rep.passed, loaded(), "
         "'scipy.special' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], env=package_env(),
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "False 0 True False True"
+    assert proc.stdout.splitlines()[-1] == "[] 0 True [] True"
 
 
 def test_table_single_cell_matches_solve(tmp_path):

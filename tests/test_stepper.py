@@ -520,6 +520,56 @@ def test_march_matches_the_level_loop_reference(sigma, theta, case, mode):
     assert res.min_pivot == min_pivot
 
 
+RHS_CASES = {
+    # zero data from u0 = -0.0: every old-level product is -0.0
+    "signed-zero": lambda: (
+        replace(zero_problem(), f=None,
+                u0=lambda x: np.full(np.shape(x), -0.0)),
+        build_mesh(1.0, 10, tau=1e-3, M=3)),
+    "forced-graded": _forced_graded_problem,
+}
+
+
+@pytest.mark.parametrize("mode", BOUNDARY_MODES)
+@pytest.mark.parametrize("case", sorted(RHS_CASES))
+def test_level_right_hand_side_is_the_three_ufunc_product(case, mode,
+                                                          monkeypatch):
+    # each level's right-hand side, seen by the solve, is byte for byte the
+    # old-level product of the level the previous solve returned, formed as
+    # multiply + add + add (then the forcing), with the boundary row as
+    # a_J u_{J-1} + b_J u_J; signed zeros included, which a mat-vec summed
+    # from +0.0 gets wrong.  Row J under the transparent closure also holds
+    # the convolution, which the level-loop tests check
+    prob, mesh = RHS_CASES[case]()
+    cfg = SchemeConfig(0.5, 1.0 / 12.0, mode)
+    seen, solved = [], []
+    solve = TriFactor.solve
+
+    def recorded(factor, rhs):
+        seen.append(rhs.copy())
+        solved.append(solve(factor, rhs).copy())
+        return rhs
+
+    monkeypatch.setattr(TriFactor, "solve", recorded)
+    coeffs = march(prob, mesh, cfg).coeffs
+    assert len(seen) == mesh.M
+    J, F = mesh.J, coeffs.F
+    a_old, b_old = scheme_weights(coeffs, mesh, cfg.sigma - 1.0, cfg.theta)
+    weights = np.stack((a_old[1:J], b_old[1:J] + b_old[2:J + 1], a_old[2:J + 1]))
+    rows = J + 1 if mode == "neumann" else J
+    for m, (rhs, prev) in enumerate(zip(seen, [coeffs.U0] + solved), 1):
+        expect = np.empty(J + 1)
+        expect[0] = coeffs.G[m]
+        lo, mid, hi = weights * np.stack((prev[:J - 1], prev[1:J], prev[2:]))
+        expect[1:J] = np.add(np.add(lo, mid), hi)
+        if F is not None:
+            expect[1:J] += mesh.hbar[1:J] * F[m, 1:J]
+        expect[J] = a_old[J] * prev[J - 1] + b_old[J] * prev[J]
+        assert rhs[:rows].tobytes() == expect[:rows].tobytes(), m
+    if case == "signed-zero":
+        assert np.all(np.signbit(seen[0][1:rows]))
+
+
 def test_observed_order_on_constant_coefficients():
     # example2 with tau = h^2 to T = 1/4: at sigma = 1/2, theta = 1/12 is
     # fourth order in h on constant coefficients (4.00, 4.00 measured), the

@@ -88,9 +88,10 @@ def test_iterated_erfc_rejects_out_of_range_order():
         iterated_erfc(-1, 0.0)
 
 
-# erfc underflows near 27 and I_1's xi * erfc(xi) overflows at 1e308
+# erfc underflows near 27 and I_1's xi * erfc(xi) overflows at 1e308;
+# +inf, where the formula gives inf * 0, has a test of its own
 ERFC_EDGES = [0.0, -0.0, -1.0, -30.0, 1e-300, -1e-300, 26.5, 30.0, 1e308,
-              -1e308, math.inf, -math.inf, math.nan]
+              -1e308, -math.inf, math.nan]
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -112,6 +113,15 @@ def test_iterated_erfc_matches_out_of_place_reference_bitwise(n):
             got, ref = iterated_erfc(n, arg), iterated_erfc_reference(n, arg)
             assert type(got) is type(ref) is float
             assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_iterated_erfc_vanishes_at_plus_infinity(n):
+    # I_n(xi) -> 0 as xi -> +inf: +0.0, as from about xi = 27.3 on, where
+    # the formula takes xi * erfc(xi) = inf * 0 = NaN for n >= 1
+    assert iterated_erfc(n, math.inf) == 0.0
+    xi = np.array([27.3, 40.0, 1e308, math.inf])
+    assert iterated_erfc(n, xi).tobytes() == bytes(xi.nbytes)
 
 
 def test_ramp_solution_boundary_and_initial_values():

@@ -38,6 +38,9 @@ before it):
   for n = 0..4 on 6001 points of [-30, 30] and the edge values 0, -0.0,
   +-1e-300, 26.5 and 30 (where erfc underflows), +-1e308 (where
   xi erfc(xi) overflows), +-inf and NaN;
+* ``U`` of the zero problem with u0 = -0.0 and no forcing (J=10,
+  tau=1e-3, M=3, sigma = 1/2, theta = 1/12) under both closures, whose
+  old-level products are all -0.0;
 * the four ``certify_dissipativity`` fields (library call, kernel and
   probe horizon 200, no probes) on the eight (sigma, theta) pairs of
   acceptance criterion 3 and on the weight sets of the certificate tests,
@@ -325,6 +328,19 @@ def digests() -> dict:
         mesh = pd.build_mesh(problem.X, J, tau=1.0 / M, M=M)
         out[f"exact.{key}"] = _digest(exact(mesh.x[None, :],
                                             mesh.times()[:, None]))
+    # zero data from u0 = -0.0, f = None: the old-level products are -0.0,
+    # and each closure keeps three of them in U
+    signed_zero = pd.ProblemSpec(
+        rho=lambda x: np.ones(np.shape(x)), b=lambda x: np.ones(np.shape(x)),
+        c=lambda x: np.zeros(np.shape(x)), f=None, g=lambda t: 0.0,
+        u0=lambda x: np.full(np.shape(x), -0.0), X0=0.5, X=1.0,
+        label="signed-zero")
+    mesh = pd.build_mesh(1.0, 10, tau=1e-3, M=3)
+    for boundary in ("dtbc", "neumann"):
+        result = pd.march(signed_zero, mesh,
+                          pd.SchemeConfig(0.5, 1.0 / 12.0, boundary))
+        out[f"signed_zero.{boundary}.U"] = _digest(result.U)
+
     with np.errstate(all="ignore"):
         for n in range(5):
             out[f"iterated_erfc.{n}"] = _digest(pd.iterated_erfc(n, ERFC_XI))
