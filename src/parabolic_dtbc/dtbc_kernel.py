@@ -147,7 +147,13 @@ class Kernel:
 
 
 def kernel_by_recurrence(params: KernelParams, M: int) -> Kernel:
-    """Generate ``R[0..M]`` by the three-term kernel recurrence (production path)."""
+    """Generate ``R[0..M]`` by the three-term kernel recurrence (production path).
+
+    The coefficients 2m - 3, m - 3 and m are exact float counters (exact
+    for M far below 2^52), stored through a ``memoryview``: the same IEEE
+    operations as with int counters, which ``int * float`` and
+    ``float / int`` convert exactly first, so every entry keeps its bits.
+    """
     if M < 1:
         raise ValueError("need at least M = 1 kernel entries")
     alpha, beta = params.alpha, params.beta
@@ -155,10 +161,15 @@ def kernel_by_recurrence(params: KernelParams, M: int) -> Kernel:
     r2 = -params.scale
     r1 = params.scale * beta
     R[0], R[1] = r2, r1
-    for m in range(2, M + 1):
-        r = ((2 * m - 3) * beta * r1 - (m - 3) * alpha * r2) / m
-        R[m] = r
+    out = memoryview(R)
+    c1, c2, m = 1.0, -1.0, 2.0  # 2m - 3, m - 3 and m at m = 2
+    for i in range(2, M + 1):
+        r = (c1 * beta * r1 - c2 * alpha * r2) / m
+        out[i] = r
         r2, r1 = r1, r
+        c1 += 2.0
+        c2 += 1.0
+        m += 1.0
     return Kernel(R=R, params=params)
 
 

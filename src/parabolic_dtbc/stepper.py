@@ -12,9 +12,10 @@ Each level advances by solving a three-point system whose rows are
 The time grid is uniform and the coefficients do not depend on time, so
 the matrix, the old-level operator and the boundary gain are the same at
 every level.  :func:`march_sampled` builds and factors them once; in its
-loop one compiled CSR mat-vec applies the old-level operator, and the
-rest of the right-hand side changes through the Dirichlet value, the
-forcing and the lagged boundary convolution over the boundary column.
+loop one compiled CSR mat-vec applies the old-level operator, the rest
+of the right-hand side changes through the Dirichlet value, the forcing
+and the lagged boundary convolution over the boundary column, and one
+direct call of LAPACK ``dgttrs`` solves the level in place.
 :func:`march_reference` checks the transparent closure: it solves the
 same interior scheme on an enlarged interval with the zero-flux form at
 the far end and restricts back; with a sufficient enlargement it
@@ -68,9 +69,10 @@ class TriFactor:
     :class:`SolverError` naming its row.  The factors are kept in the
     layout of LAPACK ``gttrf`` with no row interchanges: ``dl`` the
     multipliers of the unit lower factor, ``d`` the pivots, ``du`` the
-    superdiagonal of the upper factor.  :meth:`solve` hands them to LAPACK
-    ``dgttrs``, which needs n >= 3 (smaller sizes raise ValueError after
-    the pivot check).
+    superdiagonal of the upper factor.  :meth:`solve`, the checked
+    single-vector solve, hands them to LAPACK ``dgttrs``, which needs
+    n >= 3 (smaller sizes raise ValueError after the pivot check); the
+    march calls that routine on them directly.
     """
 
     def __init__(self, sub, diag, sup):
@@ -115,12 +117,16 @@ class TriFactor:
         # trans "N" and overwrite_b 1, positional: f2py parses keywords slower
         x, info = self._dgttrs(self.dl, self.d, self.du, self._du2, self._ipiv,
                                rhs, "N", 1)
-        if info != 0:
-            raise SolverError(f"LAPACK dgttrs failed with info={info}")
-        if x is not rhs:
-            raise TypeError("the in-place solve needs a contiguous float64 "
-                            "vector")
+        if info != 0 or x is not rhs:
+            raise _solve_error(info)
         return rhs
+
+
+def _solve_error(info: int) -> Exception:
+    """The error of a ``dgttrs`` call that failed or did not solve in place."""
+    if info != 0:
+        return SolverError(f"LAPACK dgttrs failed with info={info}")
+    return TypeError("the in-place solve needs a contiguous float64 vector")
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,19 +205,21 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
     to the row; the row gets the forcing (when ``F`` is given) and the
     next lagged convolution sum over the stored boundary history (drawn
     from one :func:`~parabolic_dtbc.dtbc_kernel.lagged_sums` generator);
-    and :meth:`TriFactor.solve`, bound once per march, overwrites it with
-    the new level (LAPACK ``dgttrs`` on the pivot-free factors; row 0 of
-    the matrix is the identity with a zero superdiagonal, so the Dirichlet
-    value stays up to the sign of a zero, and the column is written from
-    ``G`` again after the loop).  The mat-vec adds a row's products in
-    column order to the row's value, and the trajectory starts as -0.0,
-    which leaves each sum its bits, signed zeros included (+0.0 would
-    not), on a build that does not fuse multiply-adds (x86-64 builds do
-    not).  ``csr_matvec`` is private scipy API, but it is the kernel of
-    every ``csr_array @ vector`` and has kept its seven-argument signature
-    for many releases; it is imported on the first march, not with the
-    package.  A non-finite matrix entry, pivot or level raises
-    :class:`SolverError` naming the first such row or level.
+    and the ``dgttrs`` of :class:`TriFactor`, bound once per march with its
+    arrays and checked at every level as :meth:`TriFactor.solve` checks,
+    overwrites it with the new level (row 0 of the matrix is the identity
+    with a zero superdiagonal, so the Dirichlet value stays up to the sign
+    of a zero, and the column is written from ``G`` again after the loop).
+    One row view per level: the last one is the next old level.  The
+    mat-vec adds a row's products in column order to the row's value, and
+    the trajectory starts as -0.0, which leaves each sum its bits, signed
+    zeros included (+0.0 would not), on a build that does not fuse
+    multiply-adds (x86-64 builds do not).  ``csr_matvec`` is private scipy
+    API, but it is the kernel of every ``csr_array @ vector`` and has kept
+    its seven-argument signature for many releases; it is imported on the
+    first march, not with the package.  A non-finite matrix entry, pivot
+    or level raises :class:`SolverError` naming the first such row or
+    level.
     """
     J, M = mesh.J, mesh.M
     for name, shape in zip(("rho_h", "b_h", "c_h", "U0", "G", "F"),
@@ -244,7 +252,8 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
     # overflow shows as a non-finite matrix row or level: a SolverError
     with np.errstate(over="ignore", invalid="ignore"):
         factor = TriFactor(*level_matrix(coeffs, mesh, config, kernel))
-        solve = factor.solve
+        dgttrs, dl, d, du, du2, ipiv = (factor._dgttrs, factor.dl, factor.d,
+                                        factor.du, factor._du2, factor._ipiv)
         a_old, b_old = scheme_weights(coeffs, mesh, config.sigma - 1.0, config.theta)
         # row j < J on columns j-1, j, j+1; row J on columns J-1, J
         starts = np.concatenate(([0], np.arange(0, 3 * J - 2, 3),
@@ -253,7 +262,8 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
                          (J - 1, J)).astype(np.intc)
         vals = np.append(np.column_stack((a_old[1:J], b_old[1:J] + b_old[2:J + 1],
                                           a_old[2:J + 1])), (a_old[J], b_old[J]))
-        for m, (old, row) in enumerate(zip(traj, traj[1:]), 1):
+        old = traj[0]
+        for m, row in enumerate(traj[1:], 1):
             csr_matvec(n, n, starts, cols, vals, old, row)
             if F is not None:
                 inner = row[1:J]
@@ -261,8 +271,11 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
                 np.add(inner, forcing, inner)
             if kernel is not None:
                 row[J] = row.item(J) + gain * next(sums)
-            solve(row)
+            x, info = dgttrs(dl, d, du, du2, ipiv, row, "N", 1)
+            if info != 0 or x is not row:
+                raise _solve_error(info)
             hist[m] = row.item(J)
+            old = row
     # dgttrs returns g - 0 U_1 - 0 U_2 in row 0, +0.0 for a -0.0 beside a
     # negative U_1; the column is written again, after the levels that read it
     traj[1:, 0] = coeffs.G[1:]

@@ -29,6 +29,24 @@ def params_from_ratios(d0, d1, sigma, theta, h=1.0, tau=1.0):
     return derive_params(rho_inf, 1.0, c_inf, h, tau, sigma, theta)
 
 
+def kernel_recurrence_reference(params, M: int) -> np.ndarray:
+    """``R[0..M]`` by the kernel recurrence with Python int counters.
+
+    The int-counter form of the loop of ``kernel_by_recurrence``: the
+    bitwise reference for its exact float counters.
+    """
+    alpha, beta = params.alpha, params.beta
+    R = np.empty(M + 1)
+    r2 = -params.scale
+    r1 = params.scale * beta
+    R[0], R[1] = r2, r1
+    for m in range(2, M + 1):
+        r = ((2 * m - 3) * beta * r1 - (m - 3) * alpha * r2) / m
+        R[m] = r
+        r2, r1 = r1, r
+    return R
+
+
 def iterated_erfc_reference(n: int, xi):
     """I_n of erfc by the out-of-place recurrence, a new array per operation.
 
@@ -126,26 +144,30 @@ def random_h0_problem(seed, knots, X0, X, variable=False):
                        X0=X0, X=X, label="random-h0")
 
 
-def thomas_solve(factor, rhs):
-    """Pure-Python Thomas sweep on the pivot-free factors of a TriFactor.
+def thomas_solve(dl, d, du, du2, ipiv, b, trans, overwrite_b):
+    """Pure-Python Thomas sweep with the positional signature of ``dgttrs``.
 
     Forward substitution with the unit lower factor (multipliers ``dl``),
     then back substitution with the pivots ``d`` and the superdiagonal
-    ``du``: the direct reference for the LAPACK solve of ``TriFactor``.
-    Has the signature and the in-place contract of ``TriFactor.solve``
-    (``rhs`` is overwritten with the solution and returned), so it can
-    stand in for it.
+    ``du``: the direct reference for the LAPACK solve on the pivot-free
+    factors of a TriFactor, which it asserts (no second superdiagonal, no
+    row interchange).  ``b`` is overwritten with the solution, and
+    ``(b, 0)`` is returned, as the in-place call of ``TriFactor`` and of
+    the march (``trans`` "N", ``overwrite_b`` 1) gets it, so the sweep can
+    stand in for ``scipy.linalg.lapack.dgttrs``.
     """
-    dl, d, du = factor.dl.tolist(), factor.d.tolist(), factor.du.tolist()
+    assert (trans, overwrite_b) == ("N", 1)
+    assert not du2.any() and np.array_equal(ipiv, np.arange(1, d.size + 1))
+    dl, d, du = dl.tolist(), d.tolist(), du.tolist()
     n = len(d)
-    x = rhs.tolist()
+    x = b.tolist()
     for i in range(1, n):
         x[i] -= dl[i - 1] * x[i - 1]
     x[n - 1] /= d[n - 1]
     for i in range(n - 2, -1, -1):
         x[i] = (x[i] - du[i] * x[i + 1]) / d[i]
-    rhs[:] = x
-    return rhs
+    b[:] = x
+    return b, 0
 
 
 def march_loop_reference(problem, mesh, config):

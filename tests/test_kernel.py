@@ -9,7 +9,8 @@ from parabolic_dtbc import (Kernel, OracleConvergenceError, SchemeConfig,
                             lagged_sums)
 from parabolic_dtbc.dtbc_kernel import BLOCK
 
-from _support import convolve_direct, params_from_ratios
+from _support import (convolve_direct, kernel_recurrence_reference,
+                      params_from_ratios)
 
 SQRT5 = np.sqrt(5.0)
 
@@ -86,6 +87,20 @@ def test_recurrence_head_values():
     assert k.R[1] == pytest.approx(0.6 * SQRT5, rel=1e-15)
     # unrolled by hand: R2 = 0.5*0.6*R1 + 0.5*0.2*R0 = 0.08*sqrt(5)
     assert k.R[2] == pytest.approx(0.17888543819998318, rel=1e-14)
+
+
+@pytest.mark.parametrize("c_inf", [0.0, 5.0])
+@pytest.mark.parametrize("theta", [0.0, 1.0 / 12.0, 0.25])
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+def test_recurrence_keeps_the_bits_of_int_counters(sigma, theta, c_inf):
+    # the float counters give every entry the bits of the int-counter loop,
+    # compared as bit patterns, so signed zeros count (beta = 0 at
+    # sigma = 1/2, theta = 1/4, c = 0); the long_horizon step ratios
+    params = derive_params(1.0, 1.0, c_inf, 0.02, 2e-5, sigma, theta)
+    for M in (1, 2, 3, 4097, 50000):
+        R = kernel_by_recurrence(params, M).R
+        ref = kernel_recurrence_reference(params, M)
+        assert np.array_equal(R.view(np.uint64), ref.view(np.uint64)), M
 
 
 def test_legendre_head_values():

@@ -8,7 +8,6 @@ import pytest
 from parabolic_dtbc import (Mesh, SchemeConfig, build_mesh, example1, example2,
                             march, sample, u2, validation)
 from parabolic_dtbc.problem import ProblemSpec
-from parabolic_dtbc.stepper import TriFactor
 from parabolic_dtbc.validation import _level_blocks
 
 from _support import zero_forcing, zero_problem
@@ -400,10 +399,19 @@ def test_non_finite_data_rejected_where_it_enters(field, monkeypatch):
     else:
         # g is sampled at every level before the first solve: a g that is
         # NaN only at the last level stops the march before it starts
+        # (the march calls the routine that TriFactor binds when built)
         solves = []
-        monkeypatch.setattr(TriFactor, "solve",
-                            lambda factor, rhs: solves.append(rhs))
+        from scipy.linalg.lapack import dgttrs
+
+        def recorded(*args):
+            solves.append(args[5].copy())
+            return dgttrs(*args)
+
+        monkeypatch.setattr("scipy.linalg.lapack.dgttrs", recorded)
         last = replace(prob, g=lambda t: np.nan if t > 0.045 else 0.0)
         with pytest.raises(ValueError, match=r"t_m=0\.05 \(level 5\)"):
             march(last, mesh, SchemeConfig(0.5, 0.0, "dtbc"))
         assert solves == []
+        # the seam sees every level of a run that marches
+        march(zero_problem(), mesh, SchemeConfig(0.5, 0.0, "dtbc"))
+        assert len(solves) == mesh.M

@@ -32,6 +32,11 @@ before it):
   history, on the kernel of the ``fine_mesh`` (example1) and of the
   ``long_horizon`` (example2) mesh steps at sigma = 1/2, theta = 1/12:
   every near-field length 0..127 and the six FFT block sizes 128..4096;
+* the kernel ``R`` of ``kernel_by_recurrence`` at M = 50000 for six
+  (sigma, theta, c_inf) sets on the step ratios of the ``long_horizon``
+  mesh (rho_inf = b_inf = 1, h = 0.02, tau = 2e-5), among them c_inf = 5,
+  sigma in {1, 3}, beta = 0 (sigma = 1/2, theta = 1/4, c_inf = 0) and
+  alpha = 0 (sigma = 1, theta = 1/4);
 * the exact solutions on the benchmark meshes, each one call on the whole
   grid: ``u1`` on the ``fine_mesh`` mesh and ``u2`` on the
   ``long_horizon`` and ``cli_session`` meshes; and ``iterated_erfc(n, xi)``
@@ -170,6 +175,10 @@ REFERENCE_OUTPUTS = ("solution.csv", "report.csv", "diagnostics.csv",
                      "table.csv")
 DIAG_SEEDS = (0, 7)  # --seed has no effect; two seeds check that
 LAGGED_M = 5000  # levels of the lagged-sum items: block sizes up to 4096
+KERNEL_M = 50000  # entries of the kernel items: the long_horizon M
+# (sigma, theta, c_inf) of the kernel items
+KERNEL_SETS = ((0.5, 1.0 / 12.0, 0.0), (0.5, 1.0 / 12.0, 5.0), (0.5, 0.25, 0.0),
+               (1.0, 0.0, 5.0), (1.0, 0.25, 0.0), (3.0, 1.0 / 12.0, 5.0))
 ERFC_XI = np.concatenate((np.linspace(-30.0, 30.0, 6001),
                           [0.0, -0.0, 1e-300, -1e-300, 26.5, 30.0, 1e308,
                            -1e308, math.inf, -math.inf, math.nan]))
@@ -320,6 +329,11 @@ def digests() -> dict:
             conv = pd.LaggedConvolution(R)
             sums = [conv.lagged(history, m) for m in range(1, LAGGED_M + 1)]
         out[f"lagged.{key}"] = _digest(np.array(sums))
+
+    for sigma, theta, c_inf in KERNEL_SETS:
+        params = pd.derive_params(1.0, 1.0, c_inf, 0.02, 2e-5, sigma, theta)
+        out[f"kernel.sigma={sigma!r}.theta={theta!r}.c_inf={c_inf!r}"] = \
+            _digest(pd.kernel_by_recurrence(params, KERNEL_M).R)
 
     for key, (problem, exact), J, M in (
             ("fine_mesh", pd.example1(), 2000, 2000),
