@@ -526,9 +526,10 @@ def _run_diagnostics(result, out: Path, deterministic: bool) -> bool:
     kernel, at_most = result.kernel, []
     if kernel is not None:
         dissip = certify_dissipativity(kernel)
-        bounds = validation._certificate_bounds(kernel.params, dissip.tol)
-        at_most = [("dissipativity_weighted", dissip.worst_weighted, bounds[0]),
-                   ("dissipativity_increment", dissip.worst_increment, bounds[1])]
+        at_most = [("dissipativity_weighted", dissip.worst_weighted,
+                    dissip.threshold_weighted),
+                   ("dissipativity_increment", dissip.worst_increment,
+                    dissip.threshold_increment)]
     energy = diagnose_energy(result)
     at_most += [
         ("first_energy_equality_rel", energy.first_equality_rel, 1e-10),

@@ -9,6 +9,9 @@ Each level advances by solving a three-point system whose rows are
   ones to the right-hand side) or the plain zero-flux form with the
   convolution dropped.
 
+The scheme is one three-point operator at two time weights, sigma on the
+new level and sigma - 1 on the old; :func:`scheme_weights` lays out its
+rows, which the matrix, the old-level operator and the energy lift read.
 The time grid is uniform and the coefficients do not depend on time, so
 the matrix, the old-level operator and the boundary gain are the same at
 every level.  :func:`march_sampled` builds and factors them once; in its
@@ -145,42 +148,40 @@ class SolveResult:
 # operators and marching
 # ---------------------------------------------------------------------------
 
-def scheme_weights(coeffs: SampledCoefficients, mesh: Mesh,
-                   weight: float, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Off-diagonal and diagonal row generators for one time weight.
+def scheme_weights(coeffs: SampledCoefficients, mesh: Mesh, weight: float,
+                   theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``(sub, diag, sup)`` of the three-point operator at one time weight.
 
-    Index j = 1..J; slot 0 is NaN.  The new level uses weight sigma, the
-    old level sigma - 1 (its rows land on the right-hand side).
+    Row j = 1..J-1 is (alpha_j, beta_j + beta_(j+1), alpha_(j+1)), row J
+    (alpha_J, beta_J, 0) and row 0 zero, with alpha_j = theta base_j
+    - w b_j / h_j, beta_j = (1/2 - theta) base_j + w b_j / h_j and
+    base_j = h_j rho_j / tau + w h_j c_j.  The new level uses weight
+    sigma, the old level sigma - 1 (its rows land on the right-hand side).
     """
-    h, tau = mesh.h, mesh.tau
+    J, h, tau = mesh.J, mesh.h, mesh.tau
     base = h * coeffs.rho_h / tau + weight * h * coeffs.c_h
     alpha = theta * base - weight * coeffs.b_h / h
     beta = (0.5 - theta) * base + weight * coeffs.b_h / h
-    return alpha, beta
+    sub, diag, sup = np.zeros((3, J + 1))
+    sub[1:] = alpha[1:]
+    diag[1:] = beta[1:]
+    diag[1:J] += beta[2:]
+    sup[1:J] = alpha[2:]
+    return sub, diag, sup
 
 
 def level_matrix(coeffs: SampledCoefficients, mesh: Mesh, config: SchemeConfig,
                  kernel: Kernel | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows ``(sub, diag, sup)`` of the matrix shared by every level.
 
-    Row 0 is the Dirichlet identity, rows 1..J-1 the new-level interior
-    scheme, row J the boundary closure; under the transparent mode the
-    current kernel entry ``R[0]`` joins its diagonal.  ``sub[0]`` and
-    ``sup[J]`` are zero.
+    The rows of :func:`scheme_weights` at sigma, with the Dirichlet
+    identity in row 0; under the transparent mode the current kernel
+    entry ``R[0]`` joins the diagonal of the closure row J.
     """
-    J = mesh.J
-    a_new, b_new = scheme_weights(coeffs, mesh, config.sigma, config.theta)
-    sub = np.zeros(J + 1)
-    diag = np.zeros(J + 1)
-    sup = np.zeros(J + 1)
+    sub, diag, sup = scheme_weights(coeffs, mesh, config.sigma, config.theta)
     diag[0] = 1.0
-    sub[1:J] = a_new[1:J]
-    diag[1:J] = b_new[1:J] + b_new[2:J + 1]
-    sup[1:J] = a_new[2:J + 1]
-    sub[J] = a_new[J]
-    diag[J] = b_new[J]
     if kernel is not None:
-        diag[J] -= kernel.params.b_inf / (2.0 * mesh.h_tail) * kernel.R[0]
+        diag[-1] -= kernel.params.b_inf / (2.0 * mesh.h_tail) * kernel.R[0]
     return sub, diag, sup
 
 
@@ -197,9 +198,10 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
     ``coeffs`` are taken as given (the invariants that ``sample`` enforces
     are the caller's); arrays that do not fit the mesh raise ValueError
     naming both shapes.  The matrix, the old-level operator (J + 1 CSR
-    rows: row 0 empty, then the interior stencil, then the closure's two
-    terms) and the boundary gain are built and factored once, and the
-    Dirichlet column ``U[1:, 0]`` is written from ``G``.  Each level is
+    rows: row 0 empty, then rows 1..J of :func:`scheme_weights` at
+    sigma - 1, less row J's zero ``sup``) and the boundary gain are built
+    and factored once, and the Dirichlet column ``U[1:, 0]`` is written
+    from ``G``.  Each level is
     then assembled and solved in its own row of the trajectory: one
     ``csr_matvec`` call adds the old-level product of the previous level
     to the row; the row gets the forcing (when ``F`` is given) and the
@@ -254,14 +256,12 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
         factor = TriFactor(*level_matrix(coeffs, mesh, config, kernel))
         dgttrs, dl, d, du, du2, ipiv = (factor._dgttrs, factor.dl, factor.d,
                                         factor.du, factor._du2, factor._ipiv)
-        a_old, b_old = scheme_weights(coeffs, mesh, config.sigma - 1.0, config.theta)
-        # row j < J on columns j-1, j, j+1; row J on columns J-1, J
-        starts = np.concatenate(([0], np.arange(0, 3 * J - 2, 3),
-                                 [3 * J - 1])).astype(np.intc)
-        cols = np.append(np.add.outer(np.arange(J - 1), np.arange(3)),
-                         (J - 1, J)).astype(np.intc)
-        vals = np.append(np.column_stack((a_old[1:J], b_old[1:J] + b_old[2:J + 1],
-                                          a_old[2:J + 1])), (a_old[J], b_old[J]))
+        # the old-level operator: rows 1..J at sigma - 1, each (sub, diag,
+        # sup) on columns j-1, j, j+1, less row J's zero sup; row 0 is empty
+        vals = np.column_stack(scheme_weights(coeffs, mesh, config.sigma - 1.0,
+                                              config.theta))[1:].ravel()[:-1]
+        cols = (np.arange(J)[:, None] + np.arange(3)).ravel()[:-1].astype(np.intc)
+        starts = np.r_[0, np.arange(0, 3 * J, 3), 3 * J - 1].astype(np.intc)
         old = traj[0]
         for m, row in enumerate(traj[1:], 1):
             csr_matvec(n, n, starts, cols, vals, old, row)

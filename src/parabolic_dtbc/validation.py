@@ -320,7 +320,7 @@ def diagnose_energy(result) -> EnergyDiagnostics:
 
         F~_1^m = -(a_sigma[1] U[m, 0] - a_(sigma-1)[1] U[m-1, 0]) / hbar_1,
 
-    a_w the off-diagonal weight of ``stepper.scheme_weights``.  Equality
+    a_w[1] the ``sub[1]`` of ``stepper.scheme_weights`` at weight w.  Equality
     residuals are normalized by the largest participating term and are
     tracked over every truncation level M' <= M; the reported value is the
     worst one.  The elliptic energy is the reaction form plus the flux sum;
@@ -475,19 +475,16 @@ class DissipativityReport:
 
     ``worst_weighted`` pairs the convolution with the sigma-average of the
     sequence, ``worst_increment`` with its backward time difference, over
-    every sequence of every horizon.  Dissipativity makes both at most 0.
+    every sequence of every horizon.  Dissipativity makes both at most 0;
+    ``passed`` compares each with its threshold, ``threshold_weighted``
+    and ``threshold_increment``.
     """
 
     passed: bool
     worst_weighted: float
     worst_increment: float
-    tol: float
-
-
-def _certificate_bounds(params, tol: float) -> tuple[float, float]:
-    """Thresholds of the weighted and increment rows of the certificate."""
-    unit = tol * params.scale / (2.0 * params.h)
-    return unit, 2.0 * unit / params.tau
+    threshold_weighted: float
+    threshold_increment: float
 
 
 def certify_dissipativity(kernel: Kernel, trials: int = 0, M: int = 200,
@@ -517,7 +514,7 @@ def certify_dissipativity(kernel: Kernel, trials: int = 0, M: int = 200,
     maximum sits there is checked by a test, not proven.  Each product is
     clamped at 0 against the roundoff ``check_weights`` admits, and a zero
     is +0.0.  ``passed`` compares the rows with ``tol`` times their scales,
-    scale / 2h and 2 scale / (2h tau).
+    scale / 2h and 2 scale / (2h tau), the report's two thresholds.
 
     ``trials > 0`` adds that many probes of M >= 1 levels (ValueError
     otherwise), uniform on [-1, 1] from ``seed``, through
@@ -531,7 +528,9 @@ def certify_dissipativity(kernel: Kernel, trials: int = 0, M: int = 200,
         (1.0 - z * p.alpha0) * (1.0 - z * p.alpha1), 0.0))
         for z in (1.0, -1.0))
     worst = [max(K_one, (2.0 * sigma - 1.0) * K_minus_one) + 0.0, 0.0]
-    passed = all(w <= b for w, b in zip(worst, _certificate_bounds(p, tol)))
+    limit = tol * p.scale / (2.0 * p.h)
+    thresholds = (limit, 2.0 * limit / tau)
+    passed = all(w <= b for w, b in zip(worst, thresholds))
     if trials > 0:
         if not M >= 1:
             raise ValueError(f"probe horizon M must be at least 1, got M={M}")
@@ -545,5 +544,4 @@ def certify_dissipativity(kernel: Kernel, trials: int = 0, M: int = 200,
                 worst, ((sigma + abs(1.0 - sigma)) * s, 2.0 * s / tau)):
             ratio = np.einsum("ij,ij->i", S, pair) / np.sum(phi * phi, axis=1)
             passed = passed and bool(np.all(ratio <= sup + 1e-12 * bound))
-    return DissipativityReport(passed=passed, worst_weighted=worst[0],
-                               worst_increment=worst[1], tol=tol)
+    return DissipativityReport(passed, *worst, *thresholds)

@@ -11,7 +11,7 @@ from parabolic_dtbc import (EnergyDiagnostics, Mesh, ProblemSpec,
                             SampledCoefficients, derive_params,
                             kernel_by_recurrence, sample)
 from parabolic_dtbc.cli import _fmt
-from parabolic_dtbc.stepper import TriFactor, level_matrix, scheme_weights
+from parabolic_dtbc.stepper import TriFactor
 from parabolic_dtbc.validation import SQRT_PI, EnergyForm, eval_on_grid
 
 
@@ -170,15 +170,41 @@ def thomas_solve(dl, d, du, du2, ipiv, b, trans, overwrite_b):
     return b, 0
 
 
+def scheme_rows(coeffs, mesh, weight, theta):
+    """Rows ``(sub, diag, sup)`` of the scheme at one time weight, by node.
+
+    Each point weight is a Python float from its formula, alpha_j =
+    theta base_j - w b_j / h_j and beta_j = (1/2 - theta) base_j
+    + w b_j / h_j with base_j = h_j rho_j / tau + w h_j c_j; row j = 1..J-1
+    is (alpha_j, beta_j + beta_(j+1), alpha_(j+1)), row J (alpha_J, beta_J,
+    0) and row 0 zero.  The same float operations as
+    ``stepper.scheme_weights`` in the same order, with no code shared.
+    """
+    J, tau = mesh.J, mesh.tau
+    alpha, beta = [0.0] * (J + 2), [0.0] * (J + 1)
+    for j in range(1, J + 1):
+        h, rho, b, c = (float(arr[j]) for arr in
+                        (mesh.h, coeffs.rho_h, coeffs.b_h, coeffs.c_h))
+        base = h * rho / tau + weight * h * c
+        alpha[j] = theta * base - weight * b / h
+        beta[j] = (0.5 - theta) * base + weight * b / h
+    diag = [0.0] + [beta[j] + beta[j + 1] for j in range(1, J)] + [beta[J]]
+    return np.array([0.0] + alpha[1:J + 1]), np.array(diag), np.array(
+        [0.0] + alpha[2:])
+
+
 def march_loop_reference(problem, mesh, config):
     """``march`` as a per-level loop with a fresh right-hand side per level.
 
-    Each level samples ``g``, forms the interior rows as one expression
-    with the forcing added, the boundary row as numpy scalars with the
-    boundary convolution summed directly (no code shared with the fast
-    convolution), solves into a new vector and copies it into the
-    trajectory; ``problem.f`` must be given.  Returns ``(U, min_pivot)``:
-    the direct reference for the in-place level of ``march``.
+    The matrix and the old-level weights are ``scheme_rows`` at sigma and
+    sigma - 1, with the Dirichlet identity in row 0 and the kernel head on
+    the diagonal of row J.  Each level samples ``g``, forms the interior
+    rows as one expression with the forcing added, the boundary row as
+    numpy scalars with the boundary convolution summed directly (no code
+    shared with the fast convolution), solves into a new vector and copies
+    it into the trajectory; ``problem.f`` must be given.  Returns
+    ``(U, min_pivot)``: the direct reference for the in-place level of
+    ``march``.
     """
     coeffs = sample(problem, mesh)
     kernel = None
@@ -189,14 +215,16 @@ def march_loop_reference(problem, mesh, config):
 
     J, M = mesh.J, mesh.M
     F = coeffs.F
-    factor = TriFactor(*level_matrix(coeffs, mesh, config, kernel))
-    a_old, b_old = scheme_weights(coeffs, mesh, config.sigma - 1.0, config.theta)
-    a_lo, a_hi = a_old[1:J], a_old[2:J + 1]
-    b_mid = b_old[1:J] + b_old[2:J + 1]
-    a_J, b_J = a_old[J], b_old[J]
-    hbar = mesh.hbar[1:J]
+    sub, diag, sup = scheme_rows(coeffs, mesh, config.sigma, config.theta)
+    diag[0] = 1.0
     if kernel is not None:
         gain = kernel.params.b_inf / (2.0 * mesh.h_tail)
+        diag[J] -= gain * kernel.R[0]
+    factor = TriFactor(sub, diag, sup)
+    sub, diag, sup = scheme_rows(coeffs, mesh, config.sigma - 1.0, config.theta)
+    a_lo, b_mid, a_hi = sub[1:J], diag[1:J], sup[1:J]
+    a_J, b_J = sub[J], diag[J]
+    hbar = mesh.hbar[1:J]
 
     traj = np.empty((M + 1, J + 1))
     traj[0] = coeffs.U0
@@ -324,9 +352,10 @@ def diagnose_energy_reference(result):
 
     The lift is built densely: a copy of the trajectory with its column 0
     zeroed and a full forcing grid F + F~, F~ the lift's forcing at node 1
-    from the stepper's off-diagonal weights.  Then five form evaluations on
-    grid vectors per level and the direct convolution: the reference for
-    the block evaluation of ``diagnose_energy``, with the same fields.
+    from ``sub[1]`` of ``scheme_rows`` at sigma and sigma - 1.  Then five
+    form evaluations on grid vectors per level and the direct convolution:
+    the reference for the block evaluation of ``diagnose_energy``, with the
+    same fields.
     """
     mesh = result.mesh
     coeffs = result.coeffs
@@ -342,8 +371,8 @@ def diagnose_energy_reference(result):
     U[:, 0] = 0.0
     F = np.zeros((M + 1, J + 1)) if coeffs.F is None else coeffs.F.copy()
     if np.any(g != 0.0):
-        a_new = scheme_weights(coeffs, mesh, sigma, theta)[0][1]
-        a_old = scheme_weights(coeffs, mesh, sigma - 1.0, theta)[0][1]
+        a_new = scheme_rows(coeffs, mesh, sigma, theta)[0][1]
+        a_old = scheme_rows(coeffs, mesh, sigma - 1.0, theta)[0][1]
         for m in range(1, M + 1):
             F[m, 1] += -(a_new * g[m] - a_old * g[m - 1]) / mesh.hbar[1]
     mass = EnergyForm(mesh, theta, rho_h)

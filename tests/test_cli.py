@@ -1221,13 +1221,17 @@ def test_diagnose_certifies_the_kernel_of_the_march(tmp_path, monkeypatch,
         return
     assert len(certified) == 1 and certified[0] is result.kernel
     report = certify_dissipativity(result.kernel)
-    bounds = validation._certificate_bounds(result.kernel.params, report.tol)
+    params = result.kernel.params
+    unit = 1e-10 * params.scale / (2.0 * params.h)  # the default tol
+    assert (report.threshold_weighted, report.threshold_increment) == (
+        unit, 2.0 * unit / params.tau)
     assert list(rows) == ["check", "dissipativity_weighted",
                           "dissipativity_increment"] + ENERGY_ROWS
     assert rows["dissipativity_weighted"] == [
-        cli._fmt(report.worst_weighted), cli._fmt(bounds[0]), "true"]
+        cli._fmt(report.worst_weighted), cli._fmt(unit), "true"]
     assert rows["dissipativity_increment"] == [
-        cli._fmt(report.worst_increment), cli._fmt(bounds[1]), "true"]
+        cli._fmt(report.worst_increment), cli._fmt(2.0 * unit / params.tau),
+        "true"]
 
 
 def test_solve_exits_two_on_a_perturbed_trajectory(tmp_path, monkeypatch):

@@ -14,8 +14,8 @@ from parabolic_dtbc.stepper import (BOUNDARY_MODES, SolverError, TriFactor,
                                     level_matrix, scheme_weights)
 
 from _support import (convolve_direct, extend_sampled, march_loop_reference,
-                      random_h0_problem, thomas_solve, zero_forcing,
-                      zero_problem)
+                      random_h0_problem, scheme_rows, thomas_solve,
+                      zero_forcing, zero_problem)
 
 
 def test_config_validation():
@@ -41,17 +41,19 @@ def test_interior_row_hand_case():
     mesh = build_mesh(4.0, 4, tau=1.0, M=2)
     coeffs = sample(prob, mesh)
     cfg = SchemeConfig(sigma=1.0, theta=0.0, boundary="neumann")
-    a_new, b_new = scheme_weights(coeffs, mesh, 1.0, 0.0)
-    assert a_new[1:] == pytest.approx(np.full(4, -1.0))
-    assert b_new[1:] == pytest.approx(np.full(4, 1.5))
-    a_old, b_old = scheme_weights(coeffs, mesh, 0.0, 0.0)
-    assert a_old[1:] == pytest.approx(np.zeros(4))
-    assert b_old[1:] == pytest.approx(np.full(4, 0.5))
-
-    sub, diag, sup = level_matrix(coeffs, mesh, cfg, None)
-    assert sub[1:4] == pytest.approx(np.full(3, -1.0))
-    assert diag[1:4] == pytest.approx(np.full(3, 3.0))
-    assert sup[1:4] == pytest.approx(np.full(3, -1.0))
+    # alpha_j = -1, beta_j = 3/2 at weight 1; alpha_j = 0, beta_j = 1/2 at 0
+    rows = np.array(scheme_weights(coeffs, mesh, 1.0, 0.0))
+    assert np.array_equal(rows, [[0.0, -1.0, -1.0, -1.0, -1.0],
+                                 [0.0, 3.0, 3.0, 3.0, 1.5],
+                                 [0.0, -1.0, -1.0, -1.0, 0.0]])
+    rows = np.array(scheme_weights(coeffs, mesh, 0.0, 0.0))
+    assert np.array_equal(rows, [[0.0] * 5, [0.0, 1.0, 1.0, 1.0, 0.5],
+                                 [0.0] * 5])
+    # the matrix adds the Dirichlet identity in row 0
+    assert np.array_equal(level_matrix(coeffs, mesh, cfg, None),
+                          [[0.0, -1.0, -1.0, -1.0, -1.0],
+                           [1.0, 3.0, 3.0, 3.0, 1.5],
+                           [0.0, -1.0, -1.0, -1.0, 0.0]])
     # the level-1 right-hand side couples only the same node of level 0
     U_prev = coeffs.U0
     assert np.any(U_prev[1:4] != 0.0)
@@ -413,7 +415,7 @@ def _forced_graded_problem():
 @pytest.mark.parametrize("mode", ["dtbc", "neumann"])
 @pytest.mark.parametrize("case", ["uniform", "graded", "long"])
 def test_every_level_satisfies_its_dense_system(case, mode):
-    # assemble each level densely from the scheme weights and the kernel,
+    # assemble each level densely from the point weights and the kernel,
     # with the boundary convolution summed in full, and check the level;
     # "long" spans six dyadic block sizes of the online convolution
     if case == "uniform":
@@ -429,18 +431,10 @@ def test_every_level_satisfies_its_dense_system(case, mode):
     res = march(prob, mesh, SchemeConfig(sigma, theta, mode))
     coeffs, J = res.coeffs, mesh.J
     assert (coeffs.F is not None) == (case == "graded")
-    a_new, b_new = scheme_weights(coeffs, mesh, sigma, theta)
-    a_old, b_old = scheme_weights(coeffs, mesh, sigma - 1.0, theta)
-    A = np.zeros((J + 1, J + 1))
-    B = np.zeros((J + 1, J + 1))
+    A, B = (np.diag(sub[1:], -1) + np.diag(diag) + np.diag(sup[:-1], 1)
+            for sub, diag, sup in (scheme_rows(coeffs, mesh, w, theta)
+                                   for w in (sigma, sigma - 1.0)))
     A[0, 0] = 1.0
-    for j in range(1, J + 1):
-        A[j, j - 1], B[j, j - 1] = a_new[j], a_old[j]
-        A[j, j], B[j, j] = b_new[j], b_old[j]
-        if j < J:
-            A[j, j] += b_new[j + 1]
-            B[j, j] += b_old[j + 1]
-            A[j, j + 1], B[j, j + 1] = a_new[j + 1], a_old[j + 1]
     flux = np.zeros(mesh.M + 1)
     if mode == "dtbc":
         # b_inf / (2 h) * sum_{q=0..m} R_q Phi_{m-q}, the closure's flux term
@@ -556,8 +550,8 @@ def test_level_right_hand_side_is_the_three_ufunc_product(case, mode,
     coeffs = march(prob, mesh, cfg).coeffs
     assert len(seen) == mesh.M
     J, F = mesh.J, coeffs.F
-    a_old, b_old = scheme_weights(coeffs, mesh, cfg.sigma - 1.0, cfg.theta)
-    weights = np.stack((a_old[1:J], b_old[1:J] + b_old[2:J + 1], a_old[2:J + 1]))
+    sub, diag, sup = scheme_rows(coeffs, mesh, cfg.sigma - 1.0, cfg.theta)
+    weights = np.stack((sub[1:J], diag[1:J], sup[1:J]))
     rows = J + 1 if mode == "neumann" else J
     for m, (rhs, prev) in enumerate(zip(seen, [coeffs.U0] + solved), 1):
         expect = np.empty(J + 1)
@@ -566,7 +560,7 @@ def test_level_right_hand_side_is_the_three_ufunc_product(case, mode,
         expect[1:J] = np.add(np.add(lo, mid), hi)
         if F is not None:
             expect[1:J] += mesh.hbar[1:J] * F[m, 1:J]
-        expect[J] = a_old[J] * prev[J - 1] + b_old[J] * prev[J]
+        expect[J] = sub[J] * prev[J - 1] + diag[J] * prev[J]
         assert rhs[:rows].tobytes() == expect[:rows].tobytes(), m
     if case == "signed-zero":
         assert np.all(np.signbit(seen[0][1:rows]))

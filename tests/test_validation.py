@@ -608,8 +608,9 @@ def test_dissipativity_smoke():
     assert rep.passed
     assert rep.worst_weighted == 0.0
     assert rep.worst_increment == 0.0
-    assert [f.name for f in fields(rep)] == ["passed", "worst_weighted",
-                                              "worst_increment", "tol"]
+    assert [f.name for f in fields(rep)] == [
+        "passed", "worst_weighted", "worst_increment", "threshold_weighted",
+        "threshold_increment"]
     # the probes only cross-check the suprema, which they never move
     assert rep == certify_dissipativity(kernel, M=200)
 

@@ -46,10 +46,18 @@ before it):
 * ``U`` of the zero problem with u0 = -0.0 and no forcing (J=10,
   tau=1e-3, M=3, sigma = 1/2, theta = 1/12) under both closures, whose
   old-level products are all -0.0;
-* the four ``certify_dissipativity`` fields (library call, kernel and
-  probe horizon 200, no probes) on the eight (sigma, theta) pairs of
-  acceptance criterion 3 and on the weight sets of the certificate tests,
-  keyed by ``(rho_inf, b_inf, c_inf, h, tau, sigma, theta)``;
+* ``U``, ``min_pivot`` and the four ``diagnose_energy`` fields of a
+  problem with variable rho, b and c (c = 2 on the tail), a forcing grid
+  and g = sin 5t on a graded node list (J=19, M=400), for sigma in
+  {1/2, 1, 3}, theta in {0, 1/12, 1/4} and both closures; and ``U`` and
+  ``min_pivot`` of the same problem on uniform meshes of J = 2, 3 and 7
+  cells (M=50, sigma = 1/2, theta = 1/12) under both closures;
+* the ``certify_dissipativity`` fields and thresholds (library call,
+  kernel and probe horizon 200, no probes) on the eight (sigma, theta)
+  pairs of acceptance criterion 3 and on the weight sets of the
+  certificate tests, keyed by ``(rho_inf, b_inf, c_inf, h, tau, sigma,
+  theta)``; on a tree whose report carries ``tol`` instead of its two
+  thresholds, the thresholds come from ``tol`` by their formula;
 * the ``cli_session`` configuration through ``cli.main`` under
   ``--deterministic``: ``solve`` with diagnostics at ``--seed`` 0 and 7, each
   followed by ``kernel --compare``, giving ``solution.csv``,
@@ -182,6 +190,9 @@ KERNEL_SETS = ((0.5, 1.0 / 12.0, 0.0), (0.5, 1.0 / 12.0, 5.0), (0.5, 0.25, 0.0),
 ERFC_XI = np.concatenate((np.linspace(-30.0, 30.0, 6001),
                           [0.0, -0.0, 1e-300, -1e-300, 26.5, 30.0, 1e308,
                            -1e308, math.inf, -math.inf, math.nan]))
+VARIABLE_M = 400  # levels of the variable-coefficient items
+VARIABLE_NODES = np.concatenate(([0.0, 0.01, 0.03, 0.07, 0.15, 0.3],
+                                 np.linspace(0.35, 1.0, 14)))
 # (rho_inf, b_inf, c_inf, h, tau, sigma, theta) of the certificate items:
 # the pairs of acceptance criterion 3, then the sets of the certificate
 # tests (tests/test_validation.py)
@@ -253,6 +264,29 @@ def _forced_problems(pd):
     }
 
 
+def _variable_problem(pd):
+    """Variable rho, b and c (c = 2 on the tail), forced, g = sin 5t."""
+    X0 = 0.5
+
+    def rho(x):
+        return np.where(x < X0, 1.0 + 0.5 * np.sin(np.pi * x / X0) ** 2, 1.3)
+
+    def b(x):
+        return np.where(x < X0, 2.0 - x / X0, 0.7)
+
+    def c(x):
+        return np.where(x < X0, 0.3 * (1.0 - x / X0) + 2.0, 2.0)
+
+    def f(x, t):
+        return np.where(x < 0.4, np.sin(7.0 * x) * np.cos(3.0 * t), 0.0)
+
+    def u0(x):
+        return np.where(x < 0.4, np.sin(np.pi * x / 0.4) ** 2, 0.0)
+
+    return pd.ProblemSpec(rho=rho, b=b, c=c, f=f, g=lambda t: np.sin(5.0 * t),
+                          u0=u0, X0=X0, X=1.0, label="variable")
+
+
 def _library_cases(pd):
     """(key, problem, exact, J, M, march) of every library run."""
     def closure(boundary):
@@ -316,6 +350,30 @@ def digests() -> dict:
         out.update((f"{key}.{f.name}", _digest(getattr(diag, f.name)))
                    for f in fields(diag))
 
+    variable = _variable_problem(pd)
+    graded = pd.build_mesh(1.0, tau=1.0 / VARIABLE_M, M=VARIABLE_M,
+                           nodes=VARIABLE_NODES)
+    for sigma in (0.5, 1.0, 3.0):
+        for theta in (0.0, 1.0 / 12.0, 0.25):
+            for boundary in ("dtbc", "neumann"):
+                result = pd.march(variable, graded,
+                                  pd.SchemeConfig(sigma, theta, boundary))
+                diag = pd.diagnose_energy(result)
+                items = {"U": result.U, "min_pivot": result.min_pivot}
+                items.update((f.name, getattr(diag, f.name))
+                             for f in fields(diag))
+                key = f"variable.{boundary}.sigma={sigma!r}.theta={theta!r}"
+                out.update((f"{key}.{item}", _digest(value))
+                           for item, value in items.items())
+    for J in (2, 3, 7):
+        mesh = pd.build_mesh(1.0, J, tau=1.0 / 50, M=50)
+        for boundary in ("dtbc", "neumann"):
+            result = pd.march(variable, mesh,
+                              pd.SchemeConfig(0.5, 1.0 / 12.0, boundary))
+            out[f"variable.J={J}.{boundary}.U"] = _digest(result.U)
+            out[f"variable.J={J}.{boundary}.min_pivot"] = \
+                _digest(result.min_pivot)
+
     for key, (problem, _), J, M in (("example1", pd.example1(), 2000, 2000),
                                     ("example2", pd.example2(), 50, 50000)):
         mesh = pd.build_mesh(problem.X, J, tau=1.0 / M, M=1)
@@ -362,8 +420,14 @@ def digests() -> dict:
     for weights in CERTIFICATE_WEIGHTS:
         kernel = pd.kernel_by_recurrence(pd.derive_params(*weights), 200)
         report = pd.certify_dissipativity(kernel, M=200)
-        out.update((f"certificate.{weights!r}.{f.name}",
-                    _digest(getattr(report, f.name))) for f in fields(report))
+        items = {f.name: getattr(report, f.name) for f in fields(report)}
+        if "tol" in items:  # a tree whose report carries tol, not thresholds
+            params = kernel.params
+            limit = items.pop("tol") * params.scale / (2.0 * params.h)
+            items.update(threshold_weighted=limit,
+                         threshold_increment=2.0 * limit / params.tau)
+        out.update((f"certificate.{weights!r}.{name}", _digest(value))
+                   for name, value in items.items())
 
     with tempfile.TemporaryDirectory() as tmp:
         runs = [(f"cli_session.seed{seed}", CLI_CONFIG, CLI_OUTPUTS,
