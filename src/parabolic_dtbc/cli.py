@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import importlib.util
+import runpy
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -169,18 +169,15 @@ def _load_problem(cfg: RunConfig):
     spec_path = Path(cfg.custom_path)
     if not spec_path.exists():
         raise ConfigError(f"custom problem file not found: {spec_path}")
-    module_spec = importlib.util.spec_from_file_location("_custom_problem",
-                                                         spec_path)
-    module = importlib.util.module_from_spec(module_spec)
     try:
-        module_spec.loader.exec_module(module)
+        namespace = runpy.run_path(str(spec_path))
     except Exception as exc:
         raise ConfigError(f"custom problem file {spec_path} failed to load: "
                           f"{type(exc).__name__}: {exc}") from exc
-    problem = getattr(module, "PROBLEM", None)
+    problem = namespace.get("PROBLEM")
     if not isinstance(problem, ProblemSpec):
         raise ConfigError(f"{spec_path} must define PROBLEM as a ProblemSpec")
-    return problem, getattr(module, "EXACT", None)
+    return problem, namespace.get("EXACT")
 
 
 def _make_mesh(cfg: RunConfig, problem: ProblemSpec):

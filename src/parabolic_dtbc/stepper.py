@@ -100,8 +100,8 @@ class TriFactor:
         if n < 3:
             raise ValueError(f"the tridiagonal solve needs n >= 3, got n={n}")
         # deferred, for code paths that never march: after scipy.special,
-        # which validation imports, this costs about 0.06 s and 6 MiB of
-        # RSS; the first scipy import of a process costs about 0.27 s
+        # which validation imports, this costs a fraction of the first
+        # scipy import of a process (CHANGES.md records both)
         from scipy.linalg.lapack import dgttrs
         self._dgttrs = dgttrs
         self.d = np.array(piv)
@@ -170,21 +170,6 @@ def scheme_weights(coeffs: SampledCoefficients, mesh: Mesh, weight: float,
     return sub, diag, sup
 
 
-def level_matrix(coeffs: SampledCoefficients, mesh: Mesh, config: SchemeConfig,
-                 kernel: Kernel | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows ``(sub, diag, sup)`` of the matrix shared by every level.
-
-    The rows of :func:`scheme_weights` at sigma, with the Dirichlet
-    identity in row 0; under the transparent mode the current kernel
-    entry ``R[0]`` joins the diagonal of the closure row J.
-    """
-    sub, diag, sup = scheme_weights(coeffs, mesh, config.sigma, config.theta)
-    diag[0] = 1.0
-    if kernel is not None:
-        diag[-1] -= kernel.params.b_inf / (2.0 * mesh.h_tail) * kernel.R[0]
-    return sub, diag, sup
-
-
 def march(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig) -> SolveResult:
     """March ``problem``: :func:`~parabolic_dtbc.problem.sample` on ``mesh``
     (its ValueError comes before any level), then :func:`march_sampled`."""
@@ -197,12 +182,16 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
 
     ``coeffs`` are taken as given (the invariants that ``sample`` enforces
     are the caller's); arrays that do not fit the mesh raise ValueError
-    naming both shapes.  The matrix, the old-level operator (J + 1 CSR
-    rows: row 0 empty, then rows 1..J of :func:`scheme_weights` at
-    sigma - 1, less row J's zero ``sup``) and the boundary gain are built
-    and factored once, and the Dirichlet column ``U[1:, 0]`` is written
-    from ``G``.  Each level is
-    then assembled and solved in its own row of the trajectory: one
+    naming both shapes.  One set-up block builds the level system once:
+    the matrix (the rows of :func:`scheme_weights` at sigma with the
+    Dirichlet identity in row 0 and, under the transparent closure, the
+    current kernel entry ``gain * R[0]`` subtracted from the diagonal of
+    row J, with ``gain = b_inf / (2 h_J)``) and its factors, the boundary
+    gain and the lagged sums of the older entries, and the old-level
+    operator (J + 1 CSR rows: row 0 empty, then rows 1..J of
+    :func:`scheme_weights` at sigma - 1, less row J's zero ``sup``); the
+    Dirichlet column ``U[1:, 0]`` is written from ``G`` before it.  Each
+    level is then assembled and solved in its own row of the trajectory: one
     ``csr_matvec`` call adds the old-level product of the previous level
     to the row; the row gets the forcing (when ``F`` is given) and the
     next lagged convolution sum over the stored boundary history (drawn
@@ -230,12 +219,6 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
         if arr is not None and arr.shape != shape:
             raise ValueError(f"sampled {name} has shape {arr.shape}; the mesh "
                              f"(J={J}, M={M}) needs {shape}")
-    kernel = None
-    if config.boundary == "dtbc":
-        params = derive_params(*coeffs.tail, mesh.h_tail, mesh.tau,
-                               config.sigma, config.theta)
-        kernel = kernel_by_recurrence(params, M)
-
     F = coeffs.F
     if F is not None:
         hbar = mesh.hbar[1:J]
@@ -246,14 +229,22 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
     traj[1:, 0] = coeffs.G[1:]  # the Dirichlet column, which the solves read
     hist = np.empty(M + 1)  # contiguous copy of U[:, J] for the convolution
     hist[0] = coeffs.U0[J]
-    if kernel is not None:
-        gain = kernel.params.b_inf / (2.0 * mesh.h_tail)
-        sums = lagged_sums(kernel.R, hist)
     from scipy.sparse._sparsetools import csr_matvec  # deferred, as dgttrs
     n = J + 1
     # overflow shows as a non-finite matrix row or level: a SolverError
     with np.errstate(over="ignore", invalid="ignore"):
-        factor = TriFactor(*level_matrix(coeffs, mesh, config, kernel))
+        sub, diag, sup = scheme_weights(coeffs, mesh, config.sigma,
+                                        config.theta)
+        diag[0] = 1.0
+        kernel = None
+        if config.boundary == "dtbc":
+            params = derive_params(*coeffs.tail, mesh.h_tail, mesh.tau,
+                                   config.sigma, config.theta)
+            kernel = kernel_by_recurrence(params, M)
+            gain = params.b_inf / (2.0 * mesh.h_tail)
+            sums = lagged_sums(kernel.R, hist)
+            diag[J] -= gain * kernel.R[0]
+        factor = TriFactor(sub, diag, sup)
         dgttrs, dl, d, du, du2, ipiv = (factor._dgttrs, factor.dl, factor.d,
                                         factor.du, factor._du2, factor._ipiv)
         # the old-level operator: rows 1..J at sigma - 1, each (sub, diag,

@@ -280,6 +280,34 @@ boundary = neumann
     assert any(line.startswith("10,") for line in rows)
 
 
+# a dataclass under postponed annotations looks its module up in
+# sys.modules; a file without the .py suffix has no import loader
+@pytest.mark.parametrize("name, source", [
+    ("prob.py", "from __future__ import annotations\n"
+     "from dataclasses import dataclass\n\n\n@dataclass\nclass Tag:\n"
+     "    name: str\n\n\n"
+     + CUSTOM_ZERO.replace('"zero-custom"', 'Tag("zero-custom").name')),
+    ("prob.problem", CUSTOM_ZERO),
+], ids=["dataclass", "no-py-suffix"])
+def test_custom_problem_file_runs_as_a_script(tmp_path, name, source):
+    prob = write(tmp_path / name, source)
+    cfg = write(tmp_path / "run.cfg", f"""\
+problem = custom
+custom_path = {prob}
+sigma = 1/2
+theta = 0
+tau = 0.05
+M = 10
+J = 8
+X = 1
+""")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    report = read_report(out / "report.csv")
+    assert report["problem"] == "zero-custom"
+    assert float(report["max_abs_error"]) == 0.0
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning", "error::RuntimeWarning")
 def test_solve_overflowing_trajectory_exits_two(tmp_path, capsys):
     # finite but huge boundary data overflow at the first level
@@ -914,12 +942,15 @@ def test_kernel_compare_runs_without_mpmath(tmp_path, monkeypatch):
     assert max(abs(float(row["delta_oracle"])) for row in rows) <= 1e-12
 
 
-@pytest.mark.parametrize("source, error", [
-    ("import no_such_module_for_this_test\n", "ModuleNotFoundError"),
-    ("PROBLEM = (\n", "SyntaxError"),
-], ids=["import", "syntax"])
-def test_broken_custom_problem_exits_one(tmp_path, capsys, source, error):
-    prob = write(tmp_path / "prob.py", source)
+@pytest.mark.parametrize("name, source, error", [
+    ("prob.py", "import no_such_module_for_this_test\n",
+     "ModuleNotFoundError"),
+    ("prob.py", "PROBLEM = (\n", "SyntaxError"),
+    ("prob", "PROBLEM = (\n", "SyntaxError"),
+], ids=["import", "syntax", "syntax-no-py-suffix"])
+def test_broken_custom_problem_exits_one(tmp_path, capsys, name, source,
+                                         error):
+    prob = write(tmp_path / name, source)
     cfg = write(tmp_path / "run.cfg", f"""\
 problem = custom
 custom_path = {prob}

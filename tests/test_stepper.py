@@ -11,7 +11,7 @@ from parabolic_dtbc import (Kernel, ProblemSpec, SchemeConfig, build_mesh,
                             march_sampled, sample)
 from parabolic_dtbc.dtbc_kernel import BLOCK
 from parabolic_dtbc.stepper import (BOUNDARY_MODES, SolverError, TriFactor,
-                                    level_matrix, scheme_weights)
+                                    scheme_weights)
 
 from _support import (convolve_direct, extend_sampled, march_loop_reference,
                       random_h0_problem, scheme_rows, thomas_solve,
@@ -33,7 +33,23 @@ def test_config_validation():
     assert BOUNDARY_MODES == ("dtbc", "neumann")
 
 
-def test_interior_row_hand_case():
+def _factored_rows(monkeypatch, coeffs, mesh, cfg):
+    """March ``coeffs`` and return the rows ``(sub, diag, sup)`` that
+    ``march_sampled`` hands to :class:`TriFactor`, with the run."""
+    seen = []
+
+    class Recording(TriFactor):
+        def __init__(self, sub, diag, sup):
+            seen.append(np.array([sub, diag, sup]))
+            super().__init__(sub, diag, sup)
+
+    monkeypatch.setattr("parabolic_dtbc.stepper.TriFactor", Recording)
+    result = march_sampled(coeffs, mesh, cfg)
+    (rows,) = seen
+    return rows, result
+
+
+def test_interior_row_hand_case(monkeypatch):
     # rho = b = 1, c = 0, h = tau = 1, sigma = 1, theta = 0:
     # upper-level row is (-1, 3, -1); old-level weights reduce to the
     # identity acting on the previous solution
@@ -50,10 +66,10 @@ def test_interior_row_hand_case():
     assert np.array_equal(rows, [[0.0] * 5, [0.0, 1.0, 1.0, 1.0, 0.5],
                                  [0.0] * 5])
     # the matrix adds the Dirichlet identity in row 0
-    assert np.array_equal(level_matrix(coeffs, mesh, cfg, None),
-                          [[0.0, -1.0, -1.0, -1.0, -1.0],
-                           [1.0, 3.0, 3.0, 3.0, 1.5],
-                           [0.0, -1.0, -1.0, -1.0, 0.0]])
+    rows, _ = _factored_rows(monkeypatch, coeffs, mesh, cfg)
+    assert np.array_equal(rows, [[0.0, -1.0, -1.0, -1.0, -1.0],
+                                 [1.0, 3.0, 3.0, 3.0, 1.5],
+                                 [0.0, -1.0, -1.0, -1.0, 0.0]])
     # the level-1 right-hand side couples only the same node of level 0
     U_prev = coeffs.U0
     assert np.any(U_prev[1:4] != 0.0)
@@ -62,21 +78,27 @@ def test_interior_row_hand_case():
     assert lhs == pytest.approx(U_prev[1:4], abs=1e-14)
 
 
-def test_boundary_row_differs_from_neumann_exactly_by_kernel_head():
+def test_boundary_row_differs_from_neumann_exactly_by_kernel_head(monkeypatch):
+    # on the graded mesh the gain's tail step h_J is ten times h_1
     prob, _ = example2()
-    mesh = build_mesh(1.0, 10, tau=0.01, M=5)
-    coeffs = sample(prob, mesh)
     cfg_d = SchemeConfig(sigma=0.5, theta=1.0 / 12.0, boundary="dtbc")
     cfg_n = SchemeConfig(sigma=0.5, theta=1.0 / 12.0, boundary="neumann")
-    params = derive_params(1.0, 1.0, 0.0, mesh.h_tail, mesh.tau, 0.5, 1.0 / 12.0)
-    kernel = kernel_by_recurrence(params, 5)
-    sub_d, diag_d, sup_d = level_matrix(coeffs, mesh, cfg_d, kernel)
-    sub_n, diag_n, sup_n = level_matrix(coeffs, mesh, cfg_n, None)
-    J = mesh.J
-    assert np.array_equal(sub_d, sub_n) and np.array_equal(sup_d, sup_n)
-    assert np.array_equal(diag_d[:J], diag_n[:J])
-    gain = 1.0 / (2.0 * mesh.h_tail)
-    assert diag_d[J] == diag_n[J] - gain * kernel.R[0]
+    graded = [0.0, 0.02, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0]
+    for mesh in (build_mesh(1.0, 10, tau=0.01, M=5),
+                 build_mesh(1.0, tau=0.01, M=5, nodes=graded)):
+        coeffs = sample(prob, mesh)
+        params = derive_params(1.0, 1.0, 0.0, mesh.h_tail, mesh.tau, 0.5,
+                               1.0 / 12.0)
+        kernel = kernel_by_recurrence(params, 5)
+        sub_d, diag_d, sup_d = _factored_rows(monkeypatch, coeffs, mesh,
+                                              cfg_d)[0]
+        sub_n, diag_n, sup_n = _factored_rows(monkeypatch, coeffs, mesh,
+                                              cfg_n)[0]
+        J = mesh.J
+        assert np.array_equal(sub_d, sub_n) and np.array_equal(sup_d, sup_n)
+        assert np.array_equal(diag_d[:J], diag_n[:J])
+        gain = 1.0 / (2.0 * mesh.h_tail)
+        assert diag_d[J] == diag_n[J] - gain * kernel.R[0]
 
 
 def test_tridiagonal_identity_system():
@@ -384,15 +406,15 @@ def test_pivots_bounded_away_from_zero_across_weights():
                 assert res.min_pivot > 0.0
 
 
-def test_full_system_assembly_places_dirichlet_row():
+def test_full_system_assembly_places_dirichlet_row(monkeypatch):
     prob, _ = example2()
     mesh = build_mesh(1.0, 10, tau=0.01, M=30)
     coeffs = sample(prob, mesh)
     for mode in ("dtbc", "neumann"):
         cfg = SchemeConfig(0.5, 1.0 / 12.0, mode)
-        sub, diag, sup = level_matrix(coeffs, mesh, cfg, None)
+        (_, diag, sup), result = _factored_rows(monkeypatch, coeffs, mesh, cfg)
         assert diag[0] == 1.0 and sup[0] == 0.0
-        U = march(prob, mesh, cfg).U
+        U = result.U
         # enforced exactly by the identity row at every level
         for m in range(1, mesh.M + 1):
             assert U[m, 0] == float(prob.g(m * mesh.tau))

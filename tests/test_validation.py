@@ -11,6 +11,8 @@ from parabolic_dtbc import (Kernel, SchemeConfig, build_mesh,
                             diagnose_energy, error_report, iterated_erfc,
                             example2, kernel_by_recurrence, march, u1, u2)
 from parabolic_dtbc import validation
+from parabolic_dtbc.cli import main
+from parabolic_dtbc.dtbc_kernel import lagged_sums
 from parabolic_dtbc.validation import EVAL_BLOCK_CELLS, eval_on_grid
 
 from _support import (convolve_direct, diagnose_energy_reference,
@@ -408,6 +410,38 @@ def test_lifted_diagnostics_close_on_the_ramp(mode, monkeypatch):
     for field in fields(diag):
         got, want = getattr(diag, field.name), getattr(ref, field.name)
         assert abs(got - want) <= 1e-13, field.name
+
+
+def test_energy_identities_catch_a_misapplied_kernel(tmp_path, monkeypatch):
+    # the march applies the older kernel entries through lagged_sums, and
+    # diagnose_energy convolves the boundary column itself (convolve_all):
+    # sums 5% off break both identities by far more than the CLI's 1e-10
+    # threshold, while the kernel itself still passes its certificate
+    prob, _ = example2()
+    mesh = build_mesh(1.0, 20, tau=0.01, M=100)
+    cfg = SchemeConfig(0.5, 1.0 / 12.0, "dtbc")
+    right = diagnose_energy(march(prob, mesh, cfg))
+    monkeypatch.setattr("parabolic_dtbc.stepper.lagged_sums",
+                        lambda R, history: (1.05 * value for value
+                                            in lagged_sums(R, history)))
+    wrong = diagnose_energy(march(prob, mesh, cfg))
+    assert max(right.first_equality_rel, right.second_equality_rel) <= 1e-14
+    assert min(wrong.first_equality_rel, wrong.second_equality_rel) >= 1e-4
+
+    config = tmp_path / "run.cfg"
+    config.write_text("problem = example2\nsigma = 1/2\ntheta = 1/12\n"
+                      "tau = 0.01\nM = 100\nJ = 20\nemit_snapshots = false\n"
+                      "run_diagnostics = true\n")
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path),
+                 "--deterministic"]) == 2
+    lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    verdicts = dict(line.split(",")[::3] for line in lines[1:])  # check: pass
+    assert verdicts == {"dissipativity_weighted": "true",
+                        "dissipativity_increment": "true",
+                        "first_energy_equality_rel": "false",
+                        "second_energy_equality_rel": "false",
+                        "first_energy_bound_slack": "true",
+                        "second_energy_bound_slack": "true"}
 
 
 def _diagnostic_run(case, sigma, theta, mode):

@@ -27,10 +27,10 @@ before it):
   at sigma = 1/2, theta = 1/12, of a run with g = 0 and no forcing grid
   (the ``coefficients.variable`` problem) and of one with g = t^2 and a
   forcing grid (``forced.broadcasting``);
-* the lagged boundary sums of ``lagged_sums`` (``LaggedConvolution.lagged``
-  on a tree without it) at every level 1..5000 of a seeded random
-  history, on the kernel of the ``fine_mesh`` (example1) and of the
-  ``long_horizon`` (example2) mesh steps at sigma = 1/2, theta = 1/12:
+* the lagged boundary sums of ``lagged_sums`` at every level 1..5000 of
+  a seeded random history, on the kernel of the ``fine_mesh`` (example1)
+  and of the ``long_horizon`` (example2) mesh steps at sigma = 1/2,
+  theta = 1/12:
   every near-field length 0..127 and the six FFT block sizes 128..4096;
 * the kernel ``R`` of ``kernel_by_recurrence`` at M = 50000 for six
   (sigma, theta, c_inf) sets on the step ratios of the ``long_horizon``
@@ -56,8 +56,7 @@ before it):
   kernel and probe horizon 200, no probes) on the eight (sigma, theta)
   pairs of acceptance criterion 3 and on the weight sets of the
   certificate tests, keyed by ``(rho_inf, b_inf, c_inf, h, tau, sigma,
-  theta)``; on a tree whose report carries ``tol`` instead of its two
-  thresholds, the thresholds come from ``tol`` by their formula;
+  theta)``;
 * the ``cli_session`` configuration through ``cli.main`` under
   ``--deterministic``: ``solve`` with diagnostics at ``--seed`` 0 and 7, each
   followed by ``kernel --compare``, giving ``solution.csv``,
@@ -80,6 +79,12 @@ before it):
   column, rows ending ``,,``) at J=1000, M=30, eight blocks of four levels
   (four-digit j, a block that crosses m = 10), through ``solve``: its
   ``solution.csv``, ``report.csv`` and exit code.
+
+The oldest tree it compares is the first whose ``DissipativityReport``
+carries its two thresholds (``threshold_weighted`` and
+``threshold_increment``) in place of ``tol``, which also has the
+``lagged_sums`` generator; on an older tree the certificate items exist
+in one tree only.
 
 Needs only the standard library and numpy (plus what the package itself
 imports).  Exits 0 when every digest matches, 1 naming the keys that
@@ -381,11 +386,7 @@ def digests() -> dict:
                                   mesh.tau, 0.5, 1.0 / 12.0)
         R = pd.kernel_by_recurrence(params, LAGGED_M).R
         history = np.random.default_rng(J).uniform(-1.0, 1.0, LAGGED_M + 1)
-        if hasattr(pd, "lagged_sums"):
-            sums = list(pd.lagged_sums(R, history))
-        else:  # a tree from before the generator
-            conv = pd.LaggedConvolution(R)
-            sums = [conv.lagged(history, m) for m in range(1, LAGGED_M + 1)]
+        sums = list(pd.lagged_sums(R, history))
         out[f"lagged.{key}"] = _digest(np.array(sums))
 
     for sigma, theta, c_inf in KERNEL_SETS:
@@ -420,14 +421,8 @@ def digests() -> dict:
     for weights in CERTIFICATE_WEIGHTS:
         kernel = pd.kernel_by_recurrence(pd.derive_params(*weights), 200)
         report = pd.certify_dissipativity(kernel, M=200)
-        items = {f.name: getattr(report, f.name) for f in fields(report)}
-        if "tol" in items:  # a tree whose report carries tol, not thresholds
-            params = kernel.params
-            limit = items.pop("tol") * params.scale / (2.0 * params.h)
-            items.update(threshold_weighted=limit,
-                         threshold_increment=2.0 * limit / params.tau)
-        out.update((f"certificate.{weights!r}.{name}", _digest(value))
-                   for name, value in items.items())
+        out.update((f"certificate.{weights!r}.{f.name}",
+                    _digest(getattr(report, f.name))) for f in fields(report))
 
     with tempfile.TemporaryDirectory() as tmp:
         runs = [(f"cli_session.seed{seed}", CLI_CONFIG, CLI_OUTPUTS,
