@@ -573,7 +573,8 @@ def main(argv=None) -> int:
         command = {"solve": cmd_solve, "table": cmd_table,
                    "diagnose": cmd_diagnose}[args.command]
         return command(cfg, out, args.deterministic)
-    except (ConfigError, ValueError, OSError) as exc:
+    # a MemoryError is a run too large for the machine; numpy names the bytes
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, OracleConvergenceError) as exc:

@@ -280,7 +280,7 @@ def lagged_sums(R, history):
     """
     if getattr(history, "dtype", None) != np.float64 or history.strides != (8,):
         raise TypeError("lagged sums need a contiguous float64 history")
-    from scipy.linalg.blas import ddot  # deferred, as in TriFactor
+    from scipy.linalg.blas import ddot  # deferred, as in the march
     R = np.asarray(R, dtype=float)
     Rrev = R[::-1].copy()
     acc = np.zeros(R.size)

@@ -69,13 +69,14 @@ class TriFactor:
     Elimination is pivot-free (the schemes of interest are strictly
     dominant); a non-finite entry, or a pivot that is not finite or
     collapses below roundoff of the matrix scale, raises
-    :class:`SolverError` naming its row.  The factors are kept in the
-    layout of LAPACK ``gttrf`` with no row interchanges: ``dl`` the
+    :class:`SolverError` naming its row.  The factors are public fields in
+    the layout of LAPACK ``gttrf`` with no row interchanges: ``dl`` the
     multipliers of the unit lower factor, ``d`` the pivots, ``du`` the
-    superdiagonal of the upper factor.  :meth:`solve`, the checked
-    single-vector solve, hands them to LAPACK ``dgttrs``, which needs
-    n >= 3 (smaller sizes raise ValueError after the pivot check); the
-    march calls that routine on them directly.
+    superdiagonal of the upper factor, ``du2`` the zero second
+    superdiagonal and ``ipiv`` the identity permutation (1-based).
+    :meth:`solve`, the checked single-vector solve, hands them to LAPACK
+    ``dgttrs``, which needs n >= 3 (smaller sizes raise ValueError after
+    the pivot check); the march hands them to ``dgttrs`` itself.
     """
 
     def __init__(self, sub, diag, sup):
@@ -99,17 +100,11 @@ class TriFactor:
             piv[i] = p
         if n < 3:
             raise ValueError(f"the tridiagonal solve needs n >= 3, got n={n}")
-        # deferred, for code paths that never march: after scipy.special,
-        # which validation imports, this costs a fraction of the first
-        # scipy import of a process (CHANGES.md records both)
-        from scipy.linalg.lapack import dgttrs
-        self._dgttrs = dgttrs
         self.d = np.array(piv)
         self.dl = sub[1:] / self.d[:-1]
         self.du = sup[:-1].copy()
-        self._du2 = np.zeros(n - 2)
-        self._ipiv = np.arange(1, n + 1, dtype=np.intc)
-        self.min_pivot = float(np.min(np.abs(self.d)))
+        self.du2 = np.zeros(n - 2)
+        self.ipiv = np.arange(1, n + 1, dtype=np.intc)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Overwrite ``rhs`` with the solution and return it.
@@ -117,9 +112,10 @@ class TriFactor:
         ``rhs`` must be a contiguous float64 vector (a row of a C-ordered
         array will do): LAPACK works on it in place, so no copy is made.
         """
+        from scipy.linalg.lapack import dgttrs  # deferred, as in the march
         # trans "N" and overwrite_b 1, positional: f2py parses keywords slower
-        x, info = self._dgttrs(self.dl, self.d, self.du, self._du2, self._ipiv,
-                               rhs, "N", 1)
+        x, info = dgttrs(self.dl, self.d, self.du, self.du2, self.ipiv, rhs,
+                         "N", 1)
         if info != 0 or x is not rhs:
             raise _solve_error(info)
         return rhs
@@ -141,7 +137,7 @@ class SolveResult:
     config: SchemeConfig
     coeffs: SampledCoefficients
     kernel: Kernel | None
-    min_pivot: float
+    min_pivot: float              # smallest |pivot| of the scheme's rows 1..J
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +192,23 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
     to the row; the row gets the forcing (when ``F`` is given) and the
     next lagged convolution sum over the stored boundary history (drawn
     from one :func:`~parabolic_dtbc.dtbc_kernel.lagged_sums` generator);
-    and the ``dgttrs`` of :class:`TriFactor`, bound once per march with its
-    arrays and checked at every level as :meth:`TriFactor.solve` checks,
-    overwrites it with the new level (row 0 of the matrix is the identity
-    with a zero superdiagonal, so the Dirichlet value stays up to the sign
-    of a zero, and the column is written from ``G`` again after the loop).
-    One row view per level: the last one is the next old level.  The
-    mat-vec adds a row's products in column order to the row's value, and
-    the trajectory starts as -0.0, which leaves each sum its bits, signed
-    zeros included (+0.0 would not), on a build that does not fuse
-    multiply-adds (x86-64 builds do not).  ``csr_matvec`` is private scipy
-    API, but it is the kernel of every ``csr_array @ vector`` and has kept
-    its seven-argument signature for many releases; it is imported on the
-    first march, not with the package.  A non-finite matrix entry, pivot
-    or level raises :class:`SolverError` naming the first such row or
-    level.
+    and LAPACK ``dgttrs``, called on the public factors of
+    :class:`TriFactor` and checked at every level as :meth:`TriFactor.solve`
+    checks, overwrites it with the new level (row 0 of the matrix is the
+    identity with a zero superdiagonal, so the Dirichlet value stays up to
+    the sign of a zero, and the column is written from ``G`` again after
+    the loop).  One row view per level: the last one is the next old
+    level.  The mat-vec adds a row's products in column order to the row's
+    value, and the trajectory starts as -0.0, which leaves each sum its
+    bits, signed zeros included (+0.0 would not), on a build that does not
+    fuse multiply-adds (x86-64 builds do not).  ``csr_matvec`` is private
+    scipy API, but it is the kernel of every ``csr_array @ vector`` and has
+    kept its seven-argument signature for many releases; it and ``dgttrs``
+    are imported on the first march, not with the package.  The result's
+    ``min_pivot`` is the smallest pivot magnitude of rows 1..J, the
+    scheme's own rows: the pivot 1 of the identity row 0 says nothing of
+    them.  A non-finite matrix entry, pivot or level raises
+    :class:`SolverError` naming the first such row or level.
     """
     J, M = mesh.J, mesh.M
     for name, shape in zip(("rho_h", "b_h", "c_h", "U0", "G", "F"),
@@ -229,7 +227,12 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
     traj[1:, 0] = coeffs.G[1:]  # the Dirichlet column, which the solves read
     hist = np.empty(M + 1)  # contiguous copy of U[:, J] for the convolution
     hist[0] = coeffs.U0[J]
-    from scipy.sparse._sparsetools import csr_matvec  # deferred, as dgttrs
+    # the loop's compiled routines, deferred for code paths that never
+    # march: after scipy.special, which validation imports, they cost a
+    # fraction of the first scipy import of a process (CHANGES.md records
+    # both)
+    from scipy.linalg.lapack import dgttrs
+    from scipy.sparse._sparsetools import csr_matvec
     n = J + 1
     # overflow shows as a non-finite matrix row or level: a SolverError
     with np.errstate(over="ignore", invalid="ignore"):
@@ -245,8 +248,8 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
             sums = lagged_sums(kernel.R, hist)
             diag[J] -= gain * kernel.R[0]
         factor = TriFactor(sub, diag, sup)
-        dgttrs, dl, d, du, du2, ipiv = (factor._dgttrs, factor.dl, factor.d,
-                                        factor.du, factor._du2, factor._ipiv)
+        dl, d, du, du2, ipiv = (factor.dl, factor.d, factor.du, factor.du2,
+                                factor.ipiv)
         # the old-level operator: rows 1..J at sigma - 1, each (sub, diag,
         # sup) on columns j-1, j, j+1, less row J's zero sup; row 0 is empty
         vals = np.column_stack(scheme_weights(coeffs, mesh, config.sigma - 1.0,
@@ -277,9 +280,8 @@ def march_sampled(coeffs: SampledCoefficients, mesh: Mesh,
         raise SolverError(f"the trajectory is not finite from level {m} "
                           f"(t_m={m * mesh.tau!r}); the data overflow the scheme")
 
-    return SolveResult(U=traj, mesh=mesh, config=config,
-                       coeffs=coeffs, kernel=kernel,
-                       min_pivot=factor.min_pivot)
+    return SolveResult(U=traj, mesh=mesh, config=config, coeffs=coeffs,
+                       kernel=kernel, min_pivot=float(np.min(np.abs(d[1:]))))
 
 
 def march_reference(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig,
@@ -290,7 +292,8 @@ def march_reference(problem: ProblemSpec, mesh: Mesh, config: SchemeConfig,
     Samples ``problem`` on ``mesh`` first (the checks, and the result's
     ``coeffs``), then marches the weights of ``config`` with the zero-flux
     closure, whatever closure ``config`` names, on the enlarged interval
-    [0, extension_factor * x_J]; the result carries that zero-flux config.
+    [0, extension_factor * x_J]; the result carries that zero-flux config
+    and the ``min_pivot`` of the enlarged run.
     The far boundary must not influence the restricted window within the
     time horizon; this is verified by re-running with twice the factor and
     comparing against ``DOUBLING_TOL``, unless ``doubling_check`` is off.

@@ -516,6 +516,11 @@ def certify_dissipativity(kernel: Kernel, trials: int = 0, M: int = 200,
     is +0.0.  ``passed`` compares the rows with ``tol`` times their scales,
     scale / 2h and 2 scale / (2h tau), the report's two thresholds.
 
+    Without probes the certificate reads only ``kernel.params``, never
+    ``kernel.R``: it covers the kernel those parameters define, and a
+    kernel whose entries are wrong passes it (ROADMAP item 2 would check
+    R against its parameters).
+
     ``trials > 0`` adds that many probes of M >= 1 levels (ValueError
     otherwise), uniform on [-1, 1] from ``seed``, through
     :func:`convolve_all`; ``passed`` then also needs each probe ratio below

@@ -203,8 +203,8 @@ def march_loop_reference(problem, mesh, config):
     numpy scalars with the boundary convolution summed directly (no code
     shared with the fast convolution), solves into a new vector and copies
     it into the trajectory; ``problem.f`` must be given.  Returns
-    ``(U, min_pivot)``: the direct reference for the in-place level of
-    ``march``.
+    ``(U, min_pivot)``, the pivot taken over the scheme's rows 1..J: the
+    direct reference for the in-place level of ``march``.
     """
     coeffs = sample(problem, mesh)
     kernel = None
@@ -243,7 +243,7 @@ def march_loop_reference(problem, mesh, config):
         U = factor.solve(rhs)
         traj[m] = U
         hist[m] = U[J]
-    return traj, factor.min_pivot
+    return traj, float(np.min(np.abs(factor.d[1:])))
 
 
 def extend_sampled(coeffs, mesh, n):

@@ -458,6 +458,20 @@ J = 8
     assert not out.exists()
 
 
+def test_solve_past_the_address_space_exits_one(tmp_path, capsys):
+    # 8 (M + 1) bytes of level times are far past the address space, so
+    # the allocation is refused at once: one error line, no traceback
+    keys = {**BASE_KEYS, "tau": "1e-15", "M": "1000000000000000", "J": "2",
+            "emit_snapshots": "false"}
+    cfg = write(tmp_path / "run.cfg", config_text(**keys))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and "PiB" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_solve_reference_mode(tmp_path):
     write(tmp_path / "prob.py", CUSTOM_ZERO)
     cfg = write(tmp_path / "run.cfg", f"""\
@@ -992,9 +1006,9 @@ def package_env(**extra):
 
 
 def test_import_and_kernel_leave_scipy_linalg_unloaded(tmp_path):
-    # the factorization imports scipy.linalg and the march scipy.sparse
-    # when first called, so importing the package, dumping a kernel (with
-    # the oracle) and certifying dissipativity (with probes) load neither
+    # the march imports scipy.linalg and scipy.sparse when first called,
+    # so importing the package, dumping a kernel (with the oracle) and
+    # certifying dissipativity (with probes) load neither
     cfg = write(tmp_path / "run.cfg", config_text(**BASE_KEYS, m_max="20"))
     code = (
         "import sys\n"

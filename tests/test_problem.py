@@ -399,7 +399,7 @@ def test_non_finite_data_rejected_where_it_enters(field, monkeypatch):
     else:
         # g is sampled at every level before the first solve: a g that is
         # NaN only at the last level stops the march before it starts
-        # (the march calls the routine that TriFactor binds when built)
+        # (the march imports the routine when it starts)
         solves = []
         from scipy.linalg.lapack import dgttrs
 
