@@ -294,19 +294,19 @@ class EnergyDiagnostics:
     sbA_slack: float
 
 
-def _worst_residual(lhs, rhs) -> float:
-    """Largest |sum(lhs) - sum(rhs)| / max |term| over a block of levels.
+def _residual(lhs, rhs):
+    """|sum(lhs) - sum(rhs)| / max |term| at each level of a block.
 
-    Terms are per-level arrays or scalars; levels at which every term
-    vanishes count as 0.
+    Terms are per-level arrays or scalars.  Only a level at which every
+    term vanishes counts as 0 (the mask is scale != 0, which a NaN scale
+    passes); one with a NaN or an infinite term is NaN (inf / inf).
     """
     res = sum(lhs)
     for term in rhs:
         res = res - term
     res = np.abs(res)
     scale = functools.reduce(np.maximum, [np.abs(t) for t in (*lhs, *rhs)])
-    return float(np.divide(res, scale, out=np.zeros(res.shape),
-                           where=scale > 0.0).max())
+    return np.divide(res, scale, out=np.zeros(res.shape), where=scale != 0.0)
 
 
 def diagnose_energy(result) -> EnergyDiagnostics:
@@ -322,7 +322,7 @@ def diagnose_energy(result) -> EnergyDiagnostics:
 
     a_w[1] the ``sub[1]`` of ``stepper.scheme_weights`` at weight w.  Equality
     residuals are normalized by the largest participating term and are
-    tracked over every truncation level M' <= M; the reported value is the
+    evaluated at every truncation level M' <= M; the reported value is the
     worst one.  The elliptic energy is the reaction form plus the flux sum;
     b_inf is ``result.coeffs.tail``'s, the density bound of the a-priori
     bounds the smallest density sample.
@@ -330,11 +330,19 @@ def diagnose_energy(result) -> EnergyDiagnostics:
     Every per-level term is a 2-D array expression over one lifted block of
     whole levels of at most EVAL_BLOCK_CELLS (2^16) cells, with the stencil
     weights of the forms computed once per call; the running sums are
-    cumulative sums carried from block to block.  The forcing of a block is
-    F + F~, or F~ alone at node 1 for a run with no ``F`` grid; with g = 0,
-    F~ is a signed zero, which changes no bit of the sums.  Beyond the
-    trajectory, the memory is O(M) (S, F~ and the transients of the FFT of
-    S, some 100 (M+1) bytes) plus a few block-sized temporaries.
+    cumulative sums carried from block to block.  Each level's two
+    residuals (see :func:`_residual`) and its mass and elliptic energies
+    go into one (4, M+1) array, level 0 included, whose row maxima, taken
+    once after the walk, are the worst residuals and the largest energies.
+    That maximum propagates NaN: a level whose residual or energy is NaN
+    (a NaN in the trajectory, or terms that overflow to inf, which raises
+    no warning) makes that field NaN, and an infinite energy makes its
+    slack -inf or NaN, so the row fails.  The forcing of a block is
+    F + F~, or F~ alone at node 1 for a run with no ``F`` grid; with
+    g = 0, F~ is a signed zero, which changes no bit of the sums.  Beyond
+    the trajectory, the memory is O(M) (S, F~ and the transients of the
+    FFT of S, some 100 (M+1) bytes, and the per-level array, 32 (M+1)
+    bytes) plus a few block-sized temporaries.
     """
     U = result.U
     mesh = result.mesh
@@ -358,79 +366,83 @@ def diagnose_energy(result) -> EnergyDiagnostics:
         dV = np.diff(V, axis=-1)
         return (dV * dV) @ b_per_h
 
-    if kernel is not None:
-        S = convolve_all(kernel, U[:, J])
-    else:
-        S = np.zeros(M + 1)
-
-    g = U[:, 0]
-    a_new, a_old = (scheme_weights(coeffs, mesh, w, theta)[0][1]
-                    for w in (sigma, sigma - 1.0))
-    lift = -(a_new * g[1:] - a_old * g[:-1]) / h_in[0]  # F~_1, m = 1..M
-
-    V0 = np.r_[0.0, U[0, 1:]]
-    mass2_0 = mass.evaluate(V0, V0)
-    ell2_0 = react.evaluate(V0, V0) + flux(V0)
-
-    # running sums of the identity terms of the lift (U read as V, F as
-    # F + F~), carried from block to block:
-    #  0 sum tau^2 ||d_t U||_mass^2      6 sum tau^2 ||d_t U||_ell^2
-    #  1 sum tau ||sqrt(b) dx U^(s)||^2  7 sum tau S^m d_t U_J^m
-    #  2 sum tau ||U^(s)||_c^2           8 sum tau (F^m, d_t U^m)
-    #  3 sum tau S^m U_J^(s)m            9 sum tau ||F^m||
-    #  4 sum tau (F^m, U^(s)m)          10 sum tau ||F^m||^2
-    #  5 sum tau ||d_t U||_mass^2
-    totals = np.zeros(11)
-    worst_first = 0.0
-    worst_second = 0.0
-    max_mass = math.sqrt(max(mass2_0, 0.0))
-    max_ell = math.sqrt(max(ell2_0, 0.0))
-
-    for lo, hi in _level_blocks(M, J + 1):
-        V = U[lo:hi + 1].copy()   # the lift of levels lo..hi
-        V[:, 0] = 0.0
-        Um, Up = V[1:], V[:-1]    # levels m = lo+1..hi
-        S_m = S[lo + 1:hi + 1]
-        if F is None:
-            f = lift[lo:hi, None]  # F~ alone lives at node 1
+    # an overflowing energy or residual is inf or NaN, and fails its row
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kernel is not None:
+            S = convolve_all(kernel, U[:, J])
         else:
-            f = F[lo + 1:hi + 1, 1:J].copy()
-            f[:, 0] += lift[lo:hi]
-        k = f.shape[1]  # the forcing's nodes are 1..k
-        acc = np.empty((11, hi - lo))
-        dU = (Um - Up) / tau
-        n_dU_mass = mass.evaluate(dU, dU)
-        acc[0] = n_dU_mass * tau * tau
-        acc[5] = n_dU_mass * tau
-        acc[6] = (react.evaluate(dU, dU) + flux(dU)) * tau * tau
-        acc[7] = S_m * dU[:, J] * tau
-        acc[8] = (f * dU[:, 1:k + 1]) @ h_in[:k] * tau
-        del dU
-        Us = sigma * Um + (1.0 - sigma) * Up
-        acc[1] = flux(Us) * tau
-        acc[2] = react.evaluate(Us, Us) * tau
-        acc[3] = S_m * Us[:, J] * tau
-        acc[4] = (f * Us[:, 1:k + 1]) @ h_in[:k] * tau
-        fnorm2 = (f * f) @ h_in[:k]
-        acc[9] = np.sqrt(fnorm2) * tau
-        acc[10] = fnorm2 * tau
-        del Us
-        acc[:, 0] += totals
-        np.cumsum(acc, axis=1, out=acc)
-        totals = acc[:, -1].copy()
+            S = np.zeros(M + 1)
 
-        mass2_m = mass.evaluate(Um, Um)
-        ell2_m = react.evaluate(Um, Um) + flux(Um)
-        max_mass = max(max_mass, float(np.sqrt(np.maximum(mass2_m, 0.0)).max()))
-        max_ell = max(max_ell, float(np.sqrt(np.maximum(ell2_m, 0.0)).max()))
+        g = U[:, 0]
+        a_new, a_old = (scheme_weights(coeffs, mesh, w, theta)[0][1]
+                        for w in (sigma, sigma - 1.0))
+        lift = -(a_new * g[1:] - a_old * g[:-1]) / h_in[0]  # F~_1, m = 1..M
 
-        worst_first = max(worst_first, _worst_residual(
-            (0.5 * mass2_m, (sigma - 0.5) * acc[0], acc[1], acc[2],
-             -b_inf * acc[3]),
-            (0.5 * mass2_0, acc[4])))
-        worst_second = max(worst_second, _worst_residual(
-            (acc[5], 0.5 * ell2_m, (sigma - 0.5) * acc[6], -b_inf * acc[7]),
-            (0.5 * ell2_0, acc[8])))
+        V0 = np.r_[0.0, U[0, 1:]]
+        mass2_0 = mass.evaluate(V0, V0)
+        ell2_0 = react.evaluate(V0, V0) + flux(V0)
+
+        # running sums of the identity terms of the lift (U read as V, F as
+        # F + F~), carried from block to block:
+        #  0 sum tau^2 ||d_t U||_mass^2      6 sum tau^2 ||d_t U||_ell^2
+        #  1 sum tau ||sqrt(b) dx U^(s)||^2  7 sum tau S^m d_t U_J^m
+        #  2 sum tau ||U^(s)||_c^2           8 sum tau (F^m, d_t U^m)
+        #  3 sum tau S^m U_J^(s)m            9 sum tau ||F^m||
+        #  4 sum tau (F^m, U^(s)m)          10 sum tau ||F^m||^2
+        #  5 sum tau ||d_t U||_mass^2
+        totals = np.zeros(11)
+        # per level m = 0..M: the residuals of the two identities (0 at
+        # m = 0) and the mass and elliptic energies, reduced after the walk
+        levels = np.empty((4, M + 1))
+        levels[:, 0] = 0.0, 0.0, mass2_0, ell2_0
+
+        for lo, hi in _level_blocks(M, J + 1):
+            V = U[lo:hi + 1].copy()   # the lift of levels lo..hi
+            V[:, 0] = 0.0
+            Um, Up = V[1:], V[:-1]    # levels m = lo+1..hi
+            S_m = S[lo + 1:hi + 1]
+            if F is None:
+                f = lift[lo:hi, None]  # F~ alone lives at node 1
+            else:
+                f = F[lo + 1:hi + 1, 1:J].copy()
+                f[:, 0] += lift[lo:hi]
+            k = f.shape[1]  # the forcing's nodes are 1..k
+            acc = np.empty((11, hi - lo))
+            dU = (Um - Up) / tau
+            n_dU_mass = mass.evaluate(dU, dU)
+            acc[0] = n_dU_mass * tau * tau
+            acc[5] = n_dU_mass * tau
+            acc[6] = (react.evaluate(dU, dU) + flux(dU)) * tau * tau
+            acc[7] = S_m * dU[:, J] * tau
+            acc[8] = (f * dU[:, 1:k + 1]) @ h_in[:k] * tau
+            del dU
+            Us = sigma * Um + (1.0 - sigma) * Up
+            acc[1] = flux(Us) * tau
+            acc[2] = react.evaluate(Us, Us) * tau
+            acc[3] = S_m * Us[:, J] * tau
+            acc[4] = (f * Us[:, 1:k + 1]) @ h_in[:k] * tau
+            fnorm2 = (f * f) @ h_in[:k]
+            acc[9] = np.sqrt(fnorm2) * tau
+            acc[10] = fnorm2 * tau
+            del Us
+            acc[:, 0] += totals
+            np.cumsum(acc, axis=1, out=acc)
+            totals = acc[:, -1].copy()
+
+            block = levels[:, lo + 1:hi + 1]
+            block[2] = mass2_m = mass.evaluate(Um, Um)
+            block[3] = ell2_m = react.evaluate(Um, Um) + flux(Um)
+            block[0] = _residual(
+                (0.5 * mass2_m, (sigma - 0.5) * acc[0], acc[1], acc[2],
+                 -b_inf * acc[3]),
+                (0.5 * mass2_0, acc[4]))
+            block[1] = _residual(
+                (acc[5], 0.5 * ell2_m, (sigma - 0.5) * acc[6],
+                 -b_inf * acc[7]),
+                (0.5 * ell2_0, acc[8]))
+
+        # numpy's maximum, unlike Python's max, propagates a NaN
+        first, second, mass2_max, ell2_max = levels.max(axis=1).tolist()
 
     (acc_dmass, acc_flux, acc_react, _, _, acc_dmass_t, acc_dell, _, _,
      acc_Fnorm, acc_Fnorm2) = totals.tolist()
@@ -438,11 +450,11 @@ def diagnose_energy(result) -> EnergyDiagnostics:
     # both sides take the same level-0 term, so with zero forcing a run whose
     # energy never exceeds its initial value has slack exactly 0
     rho_low = float(np.min(rho_h[1:]))
-    lhs_sb = max(max_mass,
+    lhs_sb = max(math.sqrt(max(mass2_max, 0.0)),
                  math.sqrt(2.0 * max(acc_flux + acc_react
                                      + (sigma - 0.5) * acc_dmass, 0.0)))
     rhs_sb = math.sqrt(max(mass2_0, 0.0))
-    lhs_sbA = max(max_ell,
+    lhs_sbA = max(math.sqrt(max(ell2_max, 0.0)),
                   math.sqrt(2.0 * max(acc_dmass_t
                                       + (sigma - 0.5) * acc_dell, 0.0)))
     rhs_sbA = math.sqrt(max(ell2_0, 0.0))
@@ -459,10 +471,7 @@ def diagnose_energy(result) -> EnergyDiagnostics:
             rhs_sbA += math.sqrt(2.0 / (c_theta * rho_low)) \
                 * math.sqrt(acc_Fnorm2)
 
-    return EnergyDiagnostics(first_equality_rel=float(worst_first),
-                             second_equality_rel=float(worst_second),
-                             sb_slack=float(rhs_sb - lhs_sb),
-                             sbA_slack=float(rhs_sbA - lhs_sbA))
+    return EnergyDiagnostics(first, second, rhs_sb - lhs_sb, rhs_sbA - lhs_sbA)
 
 
 # ---------------------------------------------------------------------------

@@ -1296,6 +1296,43 @@ def test_solve_exits_two_on_a_perturbed_trajectory(tmp_path, monkeypatch):
     assert checks["first_energy_equality_rel"] == "false"
 
 
+def test_diagnose_overflowing_energies_fail_without_warnings(tmp_path,
+                                                            capsys):
+    # g = 1e160 t^2 keeps the trajectory finite, but its energies overflow:
+    # the four energy rows read nan and fail, with no warning on the way
+    write(tmp_path / "prob.py", """\
+import numpy as np
+from parabolic_dtbc import ProblemSpec
+
+PROBLEM = ProblemSpec(
+    rho=lambda x: np.ones(np.shape(x)),
+    b=lambda x: np.ones(np.shape(x)),
+    c=lambda x: np.zeros(np.shape(x)),
+    f=None, g=lambda t: 1e160 * t ** 2,
+    u0=lambda x: np.zeros(np.shape(x)),
+    X0=0.1, X=1.0)
+""")
+    cfg = write(tmp_path / "run.cfg", f"""\
+problem = custom
+custom_path = {tmp_path / 'prob.py'}
+sigma = 1/2
+theta = 1/12
+tau = 0.01
+M = 100
+J = 20
+""")
+    out = tmp_path / "out"
+    assert main(["diagnose", "--config", str(cfg), "--out", str(out),
+                 "--deterministic"]) == 2
+    with (out / "diagnostics.csv").open() as handle:
+        rows = {row[0]: row[1:] for row in csv.reader(handle)}
+    for name in ENERGY_ROWS:
+        assert rows[name][0] == "nan" and rows[name][2] == "false", name
+    assert rows["dissipativity_weighted"][2] == "true"
+    assert rows["dissipativity_increment"][2] == "true"
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_with_failing_diagnostics_exits_two(tmp_path, monkeypatch):
     # as diagnose does, but only after every output has been written
     def failing(result):

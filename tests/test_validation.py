@@ -444,6 +444,21 @@ def test_energy_identities_catch_a_misapplied_kernel(tmp_path, monkeypatch):
                         "second_energy_bound_slack": "true"}
 
 
+@pytest.mark.parametrize("m", [1, 57])
+def test_a_nan_in_any_block_fails_every_energy_field(m, monkeypatch):
+    # blocks of 48 levels: one NaN at level 1 (the first block) or at
+    # level 57 (the second) makes all four fields NaN, so no row passes
+    monkeypatch.setattr(validation, "EVAL_BLOCK_CELLS", 1 << 10)
+    prob, _ = example2()
+    mesh = build_mesh(1.0, 20, tau=0.01, M=100)
+    res = march(prob, mesh, SchemeConfig(0.5, 1.0 / 12.0, "dtbc"))
+    U = res.U.copy()
+    U[m, 10] = math.nan
+    diag = diagnose_energy(replace(res, U=U))
+    for field in fields(diag):
+        assert math.isnan(getattr(diag, field.name)), field.name
+
+
 def _diagnostic_run(case, sigma, theta, mode):
     """Run with variable coefficients on a uniform or a graded mesh: forced,
     with a zero forcing grid for ``case`` "unforced" and no forcing grid
@@ -588,7 +603,8 @@ def test_zero_form_evaluates_to_zeros():
 
 def _check_diagnose_energy_memory(monkeypatch, problem):
     # O(M) bookkeeping (the boundary sums and their FFT, the lift's forcing
-    # column) plus a few block-sized temporaries; one difference of the
+    # column, and the (4, M+1) array of each level's residuals and
+    # energies) plus a few block-sized temporaries; one difference of the
     # whole trajectory alone would be over twice the bound
     monkeypatch.setattr(validation, "EVAL_BLOCK_CELLS", 1 << 10)
     J, M = 50, 4000
