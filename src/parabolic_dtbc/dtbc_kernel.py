@@ -141,10 +141,6 @@ class Kernel:
         R.setflags(write=False)
         object.__setattr__(self, "R", R)
 
-    @property
-    def length(self) -> int:
-        return self.R.size - 1
-
 
 def kernel_by_recurrence(params: KernelParams, M: int) -> Kernel:
     """Generate ``R[0..M]`` by the three-term kernel recurrence (production path).
@@ -318,7 +314,7 @@ def convolve_all(kernel: Kernel, history) -> np.ndarray:
     """
     history = np.asarray(history, dtype=float)
     n = history.shape[-1]
-    if kernel.length < n - 1:
+    if kernel.R.size < n:
         raise ValueError("kernel too short for the supplied history")
     size = 1 << (2 * n - 1).bit_length()
     spec = np.fft.rfft(history, size)

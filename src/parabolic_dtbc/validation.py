@@ -285,7 +285,8 @@ class EnergyDiagnostics:
     The identities hold to roundoff for any trajectory of the scheme, on
     its lift (see :func:`diagnose_energy`); the bounds additionally need the
     boundary convolution to be dissipative and therefore carry nonnegative
-    slack.
+    slack.  A NaN in any sum of a bound, its forcing sum included, makes
+    its slack NaN; an infinite forcing sum makes it +inf (vacuous).
     """
 
     first_equality_rel: float
@@ -337,7 +338,10 @@ def diagnose_energy(result) -> EnergyDiagnostics:
     That maximum propagates NaN: a level whose residual or energy is NaN
     (a NaN in the trajectory, or terms that overflow to inf, which raises
     no warning) makes that field NaN, and an infinite energy makes its
-    slack -inf or NaN, so the row fails.  The forcing of a block is
+    slack -inf or NaN, so the row fails.  The two slacks are one numpy
+    expression over the running sums, so a NaN in any of them, the
+    forcing sum included, makes its slack NaN, and an infinite forcing
+    sum makes it +inf (vacuous).  The forcing of a block is
     F + F~, or F~ alone at node 1 for a run with no ``F`` grid; with
     g = 0, F~ is a signed zero, which changes no bit of the sums.  Beyond
     the trajectory, the memory is O(M) (S, F~ and the transients of the
@@ -444,34 +448,29 @@ def diagnose_energy(result) -> EnergyDiagnostics:
         # numpy's maximum, unlike Python's max, propagates a NaN
         first, second, mass2_max, ell2_max = levels.max(axis=1).tolist()
 
-    (acc_dmass, acc_flux, acc_react, _, _, acc_dmass_t, acc_dell, _, _,
-     acc_Fnorm, acc_Fnorm2) = totals.tolist()
-    # a-priori bounds with the whole forcing taken as the undifferenced part;
-    # both sides take the same level-0 term, so with zero forcing a run whose
-    # energy never exceeds its initial value has slack exactly 0
-    rho_low = float(np.min(rho_h[1:]))
-    lhs_sb = max(math.sqrt(max(mass2_max, 0.0)),
-                 math.sqrt(2.0 * max(acc_flux + acc_react
-                                     + (sigma - 0.5) * acc_dmass, 0.0)))
-    rhs_sb = math.sqrt(max(mass2_0, 0.0))
-    lhs_sbA = max(math.sqrt(max(ell2_max, 0.0)),
-                  math.sqrt(2.0 * max(acc_dmass_t
-                                      + (sigma - 0.5) * acc_dell, 0.0)))
-    rhs_sbA = math.sqrt(max(ell2_0, 0.0))
-    # mass-norm equivalence constant (clamped at 0 for the theta just above
-    # 1/4 admitted as roundoff) and the bound of the time-averaging operator
-    c_theta = max(1.0 - 4.0 * max(theta, 0.0), 0.0)
-    K_sigma = 2.0 * (sigma + abs(1.0 - sigma))
-    if acc_Fnorm > 0.0:
-        if c_theta <= 0.0:
-            rhs_sb = math.inf
-            rhs_sbA = math.inf
-        else:
-            rhs_sb += K_sigma / math.sqrt(c_theta * rho_low) * acc_Fnorm
-            rhs_sbA += math.sqrt(2.0 / (c_theta * rho_low)) \
-                * math.sqrt(acc_Fnorm2)
-
-    return EnergyDiagnostics(first, second, rhs_sb - lhs_sb, rhs_sbA - lhs_sbA)
+        # a-priori bounds, (mass, elliptic), with the whole forcing taken as
+        # the undifferenced part; both sides take the same level-0 term, so
+        # with zero forcing a run whose energy never exceeds its initial
+        # value has slack exactly 0
+        t = totals
+        lhs = np.sqrt(np.maximum(
+            [[mass2_max, 2.0 * (t[1] + t[2] + (sigma - 0.5) * t[0])],
+             [ell2_max, 2.0 * (t[5] + (sigma - 0.5) * t[6])]], 0.0)).max(axis=1)
+        rhs = np.sqrt(np.maximum([mass2_0, ell2_0], 0.0))
+        if t[9] != 0.0:  # also for a NaN forcing sum
+            # the mass-norm equivalence constant c_theta (clamped at 0 for
+            # the theta just above 1/4 admitted as roundoff) times the
+            # smallest density, and the bound of the time-averaging operator
+            c = max(1.0 - 4.0 * max(theta, 0.0), 0.0) * float(rho_h[1:].min())
+            K_sigma = 2.0 * (sigma + abs(1.0 - sigma))
+            if c > 0.0:
+                rhs += np.multiply((K_sigma / math.sqrt(c), math.sqrt(2.0 / c)),
+                                   [t[9], np.sqrt(t[10])])
+            else:
+                # no bound: +inf, or NaN for a NaN sum; from t[9] alone,
+                # since t[10] can underflow to 0 while t[9] > 0
+                rhs += math.inf * t[9]
+        return EnergyDiagnostics(first, second, *(rhs - lhs).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -444,19 +444,35 @@ def test_energy_identities_catch_a_misapplied_kernel(tmp_path, monkeypatch):
                         "second_energy_bound_slack": "true"}
 
 
-@pytest.mark.parametrize("m", [1, 57])
-def test_a_nan_in_any_block_fails_every_energy_field(m, monkeypatch):
+@pytest.mark.parametrize("theta", [1.0 / 12.0, 0.25], ids=["1/12", "1/4"])
+@pytest.mark.parametrize("m, j", [(1, 10), (57, 10), (57, 0)])
+def test_a_nan_in_any_block_fails_every_energy_field(m, j, theta,
+                                                     monkeypatch):
     # blocks of 48 levels: one NaN at level 1 (the first block) or at
-    # level 57 (the second) makes all four fields NaN, so no row passes
+    # level 57 (the second) makes all four fields NaN, so no row passes;
+    # in the Dirichlet column (j = 0) it reaches only the lift's forcing,
+    # whose NaN sum must reach both bounds, also at theta = 1/4, where a
+    # forced bound has no finite gain
     monkeypatch.setattr(validation, "EVAL_BLOCK_CELLS", 1 << 10)
     prob, _ = example2()
     mesh = build_mesh(1.0, 20, tau=0.01, M=100)
-    res = march(prob, mesh, SchemeConfig(0.5, 1.0 / 12.0, "dtbc"))
+    res = march(prob, mesh, SchemeConfig(0.5, theta, "dtbc"))
     U = res.U.copy()
-    U[m, 10] = math.nan
+    U[m, j] = math.nan
     diag = diagnose_energy(replace(res, U=U))
     for field in fields(diag):
         assert math.isnan(getattr(diag, field.name)), field.name
+
+
+def test_an_underflowing_forcing_square_sum_leaves_vacuous_bounds():
+    # a forcing of 1e-161 has a nonzero sum of tau ||F|| but a sum of
+    # tau ||F||^2 that underflows to 0; at theta = 1/4 a forced bound has
+    # no constant, so both slacks are +inf, not inf * 0 = NaN
+    prob = replace(zero_problem(X0=0.6), f=lambda x, t: np.where(
+        np.asarray(x) + 0.0 * np.asarray(t) < 0.55, 1e-161, 0.0))
+    mesh = build_mesh(1.0, 20, tau=0.01, M=100)
+    diag = diagnose_energy(march(prob, mesh, SchemeConfig(0.5, 0.25, "dtbc")))
+    assert diag.sb_slack == diag.sbA_slack == math.inf
 
 
 def _diagnostic_run(case, sigma, theta, mode):
